@@ -13,6 +13,13 @@ of the target's atoms into nonempty cells indexed by source atoms.  The
 induced element map sends an atom set to the union of its cells and preserves
 all five operations together with 0 and 1.
 
+Inside the package an atom set is an int mask with bit i-1 for atom i, so the
+operations above are |, &, ^ full_mask and sigma_mask.  The frozenset views
+(Element.atoms, AtomRefinement.cells and cell(i), FiniteAlgebra.full_set and
+sigma_set) exist only at the API edge, and the public constructors take atom
+sets; mask_to_atoms and atoms_to_mask convert between the two.  Every object
+checks its invariants, whichever way it was built.
+
 All values are immutable; every operation is a pure function.  Searches that
 could return several answers (isomorphisms, generated structure) return the
 lexicographically least one, where elements and atom maps are ordered by
@@ -24,8 +31,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
+_new = object.__new__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def atoms_to_mask(atoms: Iterable[int]) -> int:
+    """The mask of an atom set: bit i-1 for atom i."""
+    mask = 0
+    for i in atoms:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def mask_to_atoms(mask: int) -> frozenset[int]:
+    """The atom set of a mask."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@dataclass(frozen=True, slots=True)
 class FiniteAlgebra:
     """A finite Boole-De Morgan algebra given by an atom count and the
     involution of the star map on atoms (1-indexed images)."""
@@ -33,12 +56,15 @@ class FiniteAlgebra:
     n: int
     sigma: tuple[int, ...]
     name: Optional[str] = field(default=None, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
+    # sigma as (d, low) pairs: it swaps each atom in low with the atom d above
+    _swaps: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("an algebra needs at least one atom")
         if not isinstance(self.sigma, tuple):
-            object.__setattr__(self, "sigma", tuple(self.sigma))
+            _set(self, "sigma", tuple(self.sigma))
         if len(self.sigma) != self.n:
             raise ValueError(f"sigma must list an image for each of the {self.n} atoms")
         if sorted(self.sigma) != list(range(1, self.n + 1)):
@@ -46,12 +72,27 @@ class FiniteAlgebra:
         for i in range(1, self.n + 1):
             if self.sigma[self.sigma[i - 1] - 1] != i:
                 raise ValueError("sigma is not an involution")
+        _set(self, "full_mask", (1 << self.n) - 1)
+        swaps: dict[int, int] = {}
+        for i, j in enumerate(self.sigma, start=1):
+            if j > i:
+                swaps[j - i] = swaps.get(j - i, 0) | 1 << (i - 1)
+        _set(self, "_swaps", tuple(swaps.items()))
 
     def __repr__(self):
         return f"FiniteAlgebra(n={self.n}, sigma={self.sigma})"
 
     def sigma_of(self, i: int) -> int:
         return self.sigma[i - 1]
+
+    def sigma_mask(self, mask: int) -> int:
+        """The star image of an atom mask: one delta swap per distance d
+        between the atoms of a two-cycle, exchanging the bits of low with
+        the bits d places above them."""
+        for d, low in self._swaps:
+            flip = (mask >> d ^ mask) & low
+            mask ^= flip | flip << d
+        return mask
 
     def sigma_set(self, atoms: frozenset[int]) -> frozenset[int]:
         return frozenset(self.sigma[i - 1] for i in atoms)
@@ -66,24 +107,24 @@ class FiniteAlgebra:
 
     @property
     def zero(self) -> "Element":
-        return Element(self, frozenset())
+        return Element.from_mask(self, 0)
 
     @property
     def one(self) -> "Element":
-        return Element(self, self.full_set)
+        return Element.from_mask(self, self.full_mask)
 
     def atom(self, i: int) -> "Element":
         if not 1 <= i <= self.n:
             raise ValueError(f"atom index {i} out of range 1..{self.n}")
-        return Element(self, frozenset({i}))
+        return Element.from_mask(self, 1 << (i - 1))
 
     def element(self, atoms: Iterable[int]) -> "Element":
-        return Element(self, frozenset(atoms))
+        return Element(self, atoms)
 
     def elements(self) -> Iterator["Element"]:
         """All 2^n elements in ascending bitmask order (bit i-1 = atom i)."""
         for mask in range(1 << self.n):
-            yield Element(self, _mask_to_atoms(mask))
+            yield Element.from_mask(self, mask)
 
     def sigma_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of sigma on atoms, each sorted, in order of least member."""
@@ -132,52 +173,44 @@ def is_four_power_shaped(alg: FiniteAlgebra) -> bool:
     return all(alg.sigma_of(i) == m + i for i in range(1, m + 1))
 
 
-def _mask_to_atoms(mask: int) -> frozenset[int]:
-    atoms = []
-    i = 1
-    while mask:
-        if mask & 1:
-            atoms.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(atoms)
-
-
-def _atoms_to_mask(atoms: frozenset[int]) -> int:
-    mask = 0
-    for i in atoms:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Element:
-    """An element of a FiniteAlgebra: the set of atoms below it."""
+    """An element of a FiniteAlgebra: the mask of the atoms below it."""
 
     algebra: FiniteAlgebra
-    atoms: frozenset[int]
+    mask: int
 
-    def __post_init__(self):
-        if not isinstance(self.atoms, frozenset):
-            object.__setattr__(self, "atoms", frozenset(self.atoms))
-        if not self.atoms <= self.algebra.full_set:
-            raise ValueError(f"atoms {sorted(self.atoms)} not within 1..{self.algebra.n}")
+    def __init__(self, algebra: FiniteAlgebra, atoms: Iterable[int]):
+        atoms = frozenset(atoms)
+        if not atoms <= algebra.full_set:
+            raise ValueError(f"atoms {sorted(atoms)} not within 1..{algebra.n}")
+        _set(self, "algebra", algebra)
+        _set(self, "mask", atoms_to_mask(atoms))
+
+    @classmethod
+    def from_mask(cls, algebra: FiniteAlgebra, mask: int) -> "Element":
+        if mask >> algebra.n:
+            raise ValueError(f"mask {mask:#x} is not within {algebra.n} atoms")
+        e = _new(cls)
+        _set(e, "algebra", algebra)
+        _set(e, "mask", mask)
+        return e
 
     def __repr__(self):
         body = "{" + ",".join(str(i) for i in sorted(self.atoms)) + "}"
         return f"Element({body} of n={self.algebra.n})"
 
     @property
-    def mask(self) -> int:
-        return _atoms_to_mask(self.atoms)
+    def atoms(self) -> frozenset[int]:
+        return mask_to_atoms(self.mask)
 
     @property
     def is_zero(self) -> bool:
-        return not self.atoms
+        return not self.mask
 
     @property
     def is_one(self) -> bool:
-        return len(self.atoms) == self.algebra.n
+        return self.mask == self.algebra.full_mask
 
     def _require_same(self, other: "Element"):
         if self.algebra != other.algebra:
@@ -185,24 +218,25 @@ class Element:
 
     def join(self, other: "Element") -> "Element":
         self._require_same(other)
-        return Element(self.algebra, self.atoms | other.atoms)
+        return Element.from_mask(self.algebra, self.mask | other.mask)
 
     def meet(self, other: "Element") -> "Element":
         self._require_same(other)
-        return Element(self.algebra, self.atoms & other.atoms)
+        return Element.from_mask(self.algebra, self.mask & other.mask)
 
     def bneg(self) -> "Element":
-        return Element(self.algebra, self.algebra.full_set - self.atoms)
+        return Element.from_mask(self.algebra, self.mask ^ self.algebra.full_mask)
 
     def star(self) -> "Element":
-        return Element(self.algebra, self.algebra.sigma_set(self.atoms))
+        return Element.from_mask(self.algebra, self.algebra.sigma_mask(self.mask))
 
     def dmneg(self) -> "Element":
-        return Element(self.algebra, self.algebra.full_set - self.algebra.sigma_set(self.atoms))
+        alg = self.algebra
+        return Element.from_mask(alg, alg.sigma_mask(self.mask) ^ alg.full_mask)
 
     def le(self, other: "Element") -> bool:
         self._require_same(other)
-        return self.atoms <= other.atoms
+        return not self.mask & ~other.mask
 
 
 _UNARY_OPS = {"bneg", "dmneg", "star"}
@@ -226,10 +260,10 @@ def apply(alg: FiniteAlgebra, op: str, *args: Element) -> Element:
     raise ValueError(f"unknown operation {op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AtomRefinement:
     """An embedding source -> target, as the partition of target atoms into
-    cells indexed by source atoms.
+    cells indexed by source atoms; cell_masks[i-1] is the cell of atom i.
 
     Cells must be nonempty, pairwise disjoint, cover the target atoms, and be
     sigma-equivariant: cell(sigma_source(i)) = sigma_target(cell(i)).  These
@@ -239,85 +273,106 @@ class AtomRefinement:
 
     source: FiniteAlgebra
     target: FiniteAlgebra
-    cells: tuple[frozenset[int], ...]
+    cell_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.cells, tuple):
-            object.__setattr__(self, "cells", tuple(frozenset(c) for c in self.cells))
-        if len(self.cells) != self.source.n:
-            raise ValueError("one cell per source atom is required")
-        covered: set[int] = set()
-        for i, cell in enumerate(self.cells, start=1):
-            if not cell:
-                raise ValueError(f"cell {i} is empty")
-            if not cell <= self.target.full_set:
+    def __init__(self, source: FiniteAlgebra, target: FiniteAlgebra, cells):
+        cells = tuple(frozenset(c) for c in cells)
+        full = target.full_set
+        for i, cell in enumerate(cells, start=1):
+            if not cell <= full:
                 raise ValueError(f"cell {i} is not a subset of the target atoms")
-            if covered & cell:
-                raise ValueError("cells overlap")
-            covered |= cell
-        if covered != set(self.target.full_set):
-            raise ValueError("cells do not cover the target atoms")
-        for i in self.source.atom_indices:
-            if self.cell(self.source.sigma_of(i)) != self.target.sigma_set(self.cell(i)):
-                raise ValueError("cells are not sigma-equivariant")
+        _init_refinement(self, source, target, tuple(atoms_to_mask(c) for c in cells))
+
+    @classmethod
+    def from_masks(
+        cls, source: FiniteAlgebra, target: FiniteAlgebra, masks: tuple[int, ...]
+    ) -> "AtomRefinement":
+        return _init_refinement(_new(cls), source, target, masks)
 
     def __repr__(self):
         return f"AtomRefinement({self.source.n} atoms -> {self.target.n} atoms)"
 
+    @property
+    def cells(self) -> tuple[frozenset[int], ...]:
+        return tuple(mask_to_atoms(m) for m in self.cell_masks)
+
     def cell(self, i: int) -> frozenset[int]:
-        return self.cells[i - 1]
+        return mask_to_atoms(self.cell_masks[i - 1])
 
     @property
     def is_identity(self) -> bool:
-        return self.source == self.target and all(
-            self.cells[i - 1] == frozenset({i}) for i in self.source.atom_indices
+        return self.source == self.target and self.cell_masks == tuple(
+            1 << i for i in range(self.source.n)
         )
 
+    def map_mask(self, mask: int) -> int:
+        """The union of the cells of the source atoms in mask."""
+        cells = self.cell_masks
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= cells[low.bit_length() - 1]
+            mask ^= low
+        return out
+
     def map_atoms(self, atoms: frozenset[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for i in atoms:
-            out |= self.cells[i - 1]
-        return frozenset(out)
+        return mask_to_atoms(self.map_mask(atoms_to_mask(atoms)))
 
     def map_element(self, e: Element) -> Element:
         if e.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
-        return Element(self.target, self.map_atoms(e.atoms))
-
-    def source_atom_of(self, j: int) -> int:
-        """The source atom whose cell contains target atom j."""
-        for i in self.source.atom_indices:
-            if j in self.cells[i - 1]:
-                return i
-        raise ValueError(f"target atom {j} out of range")
+        return Element.from_mask(self.target, self.map_mask(e.mask))
 
     def preimage(self, e: Element) -> Optional[Element]:
         """The unique source element mapping to e, or None when e is not a
         union of cells."""
         if e.algebra != self.target:
             raise ValueError("element does not belong to the target algebra")
-        atoms = set()
-        rest = set(e.atoms)
-        for i in self.source.atom_indices:
-            cell = self.cells[i - 1]
-            if cell <= rest:
-                atoms.add(i)
-                rest -= cell
+        src = 0
+        rest = e.mask
+        for i, cell in enumerate(self.cell_masks):
+            if not cell & ~rest:
+                src |= 1 << i
+                rest ^= cell
         if rest:
             return None
-        return Element(self.source, frozenset(atoms))
+        return Element.from_mask(self.source, src)
+
+
+def _init_refinement(r, source, target, masks):
+    """Check the cell masks and store them on r, which is returned."""
+    if len(masks) != source.n:
+        raise ValueError("one cell per source atom is required")
+    covered = 0
+    for i, cell in enumerate(masks, start=1):
+        if not cell:
+            raise ValueError(f"cell {i} is empty")
+        if cell >> target.n:
+            raise ValueError(f"cell {i} is not a subset of the target atoms")
+        if covered & cell:
+            raise ValueError("cells overlap")
+        covered |= cell
+    if covered != target.full_mask:
+        raise ValueError("cells do not cover the target atoms")
+    for cell, image in zip(masks, source.sigma):
+        if masks[image - 1] != target.sigma_mask(cell):
+            raise ValueError("cells are not sigma-equivariant")
+    _set(r, "source", source)
+    _set(r, "target", target)
+    _set(r, "cell_masks", masks)
+    return r
 
 
 def identity_refinement(alg: FiniteAlgebra) -> AtomRefinement:
-    return AtomRefinement(alg, alg, tuple(frozenset({i}) for i in alg.atom_indices))
+    return AtomRefinement.from_masks(alg, alg, tuple(1 << i for i in range(alg.n)))
 
 
 def compose_refinements(r1: AtomRefinement, r2: AtomRefinement) -> AtomRefinement:
     """The composite refinement of r1: A -> B and r2: B -> C."""
     if r1.target != r2.source:
         raise ValueError("refinements do not compose: target/source mismatch")
-    cells = tuple(r2.map_atoms(r1.cell(i)) for i in r1.source.atom_indices)
-    return AtomRefinement(r1.source, r2.target, cells)
+    cells = tuple(r2.map_mask(c) for c in r1.cell_masks)
+    return AtomRefinement.from_masks(r1.source, r2.target, cells)
 
 
 def twist_product(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, AtomRefinement]:
@@ -330,8 +385,8 @@ def twist_product(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, AtomRefinement]:
     """
     n = alg.n
     ext = four_power(n)
-    cells = tuple(frozenset({i, n + alg.sigma_of(i)}) for i in alg.atom_indices)
-    return ext, AtomRefinement(alg, ext, cells)
+    cells = tuple(1 << i | 1 << (n + j - 1) for i, j in enumerate(alg.sigma))
+    return ext, AtomRefinement.from_masks(alg, ext, cells)
 
 
 def embed_into_four_power(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, AtomRefinement]:
@@ -355,48 +410,27 @@ def generated_subalgebra(
     splitting sets is closed under sigma, so sigma permutes the blocks.
     Blocks are ordered by their least atom.
     """
-    splitters: list[frozenset[int]] = []
+    splitters: list[int] = []
     for e in elems:
         if e.algebra != alg:
             raise ValueError("generator does not belong to the algebra")
-        splitters.append(e.atoms)
-        splitters.append(alg.sigma_set(e.atoms))
-    blocks: list[frozenset[int]] = [alg.full_set]
+        splitters.append(e.mask)
+        splitters.append(alg.sigma_mask(e.mask))
+    blocks = [alg.full_mask]
     for s in splitters:
-        split: list[frozenset[int]] = []
+        split: list[int] = []
         for b in blocks:
-            inside, outside = b & s, b - s
+            inside = b & s
             if inside:
                 split.append(inside)
-            if outside:
-                split.append(outside)
+            if inside != b:
+                split.append(b ^ inside)
         blocks = split
-    blocks.sort(key=min)
+    blocks.sort(key=lambda b: b & -b)
     index = {b: k for k, b in enumerate(blocks, start=1)}
-    sigma = tuple(index[frozenset(alg.sigma_set(b))] for b in blocks)
+    sigma = tuple(index[alg.sigma_mask(b)] for b in blocks)
     sub = FiniteAlgebra(len(blocks), sigma)
-    return sub, AtomRefinement(sub, alg, tuple(blocks))
-
-
-def restrict_refinement(r: AtomRefinement, sub_r: AtomRefinement) -> AtomRefinement:
-    """Given r: A -> B and a subalgebra embedding sub_r: S -> B whose image
-    contains the image of r, the refinement A -> S.
-
-    Each cell of the result collects the S-atoms whose blocks lie inside the
-    corresponding cell of r.
-    """
-    if r.target != sub_r.target:
-        raise ValueError("refinements do not share a target")
-    cells = []
-    for i in r.source.atom_indices:
-        big = r.cell(i)
-        cell = frozenset(
-            j for j in sub_r.source.atom_indices if sub_r.cell(j) <= big
-        )
-        cells.append(cell)
-    if frozenset().union(*[sub_r.map_atoms(c) for c in cells]) != r.target.full_set:
-        raise ValueError("the subalgebra does not contain the image of the refinement")
-    return AtomRefinement(r.source, sub_r.source, tuple(cells))
+    return sub, AtomRefinement.from_masks(sub, alg, tuple(blocks))
 
 
 def amalgamate(
@@ -411,28 +445,24 @@ def amalgamate(
     """
     if r1.source != r2.source:
         raise ValueError("amalgamation needs a shared source algebra")
-    base = r1.source
-    pairs: list[tuple[int, int]] = []
-    for i in base.atom_indices:
-        for q in sorted(r1.cell(i)):
-            for r in sorted(r2.cell(i)):
-                pairs.append((q, r))
-    pairs.sort()
+    pairs = sorted(
+        (q, r)
+        for c1, c2 in zip(r1.cell_masks, r2.cell_masks)
+        for q in mask_to_atoms(c1)
+        for r in mask_to_atoms(c2)
+    )
     index = {p: k for k, p in enumerate(pairs, start=1)}
     sigma = tuple(
         index[(r1.target.sigma_of(q), r2.target.sigma_of(r))] for q, r in pairs
     )
     amalgam = FiniteAlgebra(len(pairs), sigma)
-    cells1 = tuple(
-        frozenset(index[(q, r)] for (q, r) in pairs if q == j)
-        for j in r1.target.atom_indices
-    )
-    cells2 = tuple(
-        frozenset(index[(q, r)] for (q, r) in pairs if r == j)
-        for j in r2.target.atom_indices
-    )
-    s1 = AtomRefinement(r1.target, amalgam, cells1)
-    s2 = AtomRefinement(r2.target, amalgam, cells2)
+    cells1 = [0] * r1.target.n
+    cells2 = [0] * r2.target.n
+    for k, (q, r) in enumerate(pairs):
+        cells1[q - 1] |= 1 << k
+        cells2[r - 1] |= 1 << k
+    s1 = AtomRefinement.from_masks(r1.target, amalgam, tuple(cells1))
+    s2 = AtomRefinement.from_masks(r2.target, amalgam, tuple(cells2))
     return amalgam, s1, s2
 
 
@@ -450,38 +480,40 @@ def find_isomorphism_over(
         raise ValueError("isomorphism search needs a shared source algebra")
     if r1.target.n != r2.target.n:
         return None
-    for i in r1.source.atom_indices:
-        if len(r1.cell(i)) != len(r2.cell(i)):
-            return None
     m = r1.target.n
-    candidates = {
-        q: sorted(r2.cell(r1.source_atom_of(q))) for q in r1.target.atom_indices
-    }
-    sigma1, sigma2 = r1.target.sigma_of, r2.target.sigma_of
-    images: dict[int, int] = {}
-    used: set[int] = set()
+    into = [0] * m  # the r2 cell that each r1 target atom must map into
+    for c1, c2 in zip(r1.cell_masks, r2.cell_masks):
+        if c1.bit_count() != c2.bit_count():
+            return None
+        while c1:
+            low = c1 & -c1
+            into[low.bit_length() - 1] = c2
+            c1 ^= low
+    sigma1, sigma2 = r1.target.sigma, r2.target.sigma
+    fixed2 = sum(1 << j for j, k in enumerate(sigma2) if k == j + 1)
+    images = [0] * m  # the bit of each assigned image
 
-    def extend(q: int) -> bool:
-        if q > m:
+    def extend(q: int, used: int) -> bool:
+        if q == m:
             return True
-        partner = sigma1(q)
-        forced = None
-        if partner in images:
-            forced = sigma2(images[partner])
-        for p in candidates[q]:
-            if p in used or (forced is not None and p != forced):
-                continue
-            images[q] = p
-            used.add(p)
-            if extend(q + 1):
+        partner = sigma1[q] - 1
+        if partner == q:
+            free = into[q] & fixed2 & ~used
+        elif partner < q:
+            free = into[q] & 1 << (sigma2[images[partner].bit_length() - 1] - 1) & ~used
+        else:
+            free = into[q] & ~used
+        while free:
+            low = free & -free
+            images[q] = low
+            if extend(q + 1, used | low):
                 return True
-            del images[q]
-            used.discard(p)
+            free ^= low
         return False
 
-    if not extend(1):
+    if not extend(0, 0):
         return None
-    return tuple(images[q] for q in range(1, m + 1))
+    return tuple(bit.bit_length() for bit in images)
 
 
 def algebra_over(
@@ -492,9 +524,17 @@ def algebra_over(
 
     Returns (sub, sub_into_target, source_into_sub); the second refinement
     composed after the first recovers a refinement equal to r on elements.
+    Each cell of the third collects the sub-atoms whose blocks lie inside the
+    corresponding cell of r.
     """
-    gens = [r.map_element(r.source.atom(i)) for i in r.source.atom_indices]
+    gens = [Element.from_mask(r.target, c) for c in r.cell_masks]
     gens.extend(extra)
     sub, sub_r = generated_subalgebra(r.target, gens)
-    base_r = restrict_refinement(r, sub_r)
-    return sub, sub_r, base_r
+    cells = []
+    for big in r.cell_masks:
+        cell = 0
+        for j, block in enumerate(sub_r.cell_masks):
+            if not block & ~big:
+                cell |= 1 << j
+        cells.append(cell)
+    return sub, sub_r, AtomRefinement.from_masks(r.source, sub, tuple(cells))

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for true/satisfiable/success, 1 for false/unsatisfiable/absent,
-2 for usage or parse errors, 3 for an exhausted resource budget.  Results go
-to stdout, diagnostics to stderr; identical inputs produce byte-identical
-output.
+2 for usage or parse errors, 3 for an exhausted resource budget, 4 for an
+internal error.  Results go to stdout, diagnostics to stderr; identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -274,6 +274,9 @@ def _cmd_oracle_witness(args) -> int:
     t = textio.parse_triple(args.triple, alg)
     w = oracle_mod.oracle_witness_search(t, max_atoms=args.max_atoms)
     if w is None:
+        if is_sigma_consistent(t):
+            # a realizer exists, so the search ran out of atoms
+            raise CapExceeded(f"no witness found within {args.max_atoms} atoms")
         if args.json:
             _emit_json({"witness": None})
         else:
@@ -448,6 +451,12 @@ def main(argv=None) -> int:
     except (ValueError, BdmError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # deferred: only this path needs it
+
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .algebra import (
@@ -24,10 +24,7 @@ from .algebra import (
     FiniteAlgebra,
     algebra_over,
     compose_refinements,
-    embed_into_four_power,
     find_isomorphism_over,
-    four_power,
-    is_four_power_shaped,
 )
 from .errors import CapExceeded, NoRealizerError
 from .oracle import find_realizer
@@ -35,7 +32,10 @@ from .solver import (
     Caps,
     DEFAULT_CAPS,
     Triple,
-    case1_entry,
+    block_layout,
+    coordinate_entries,
+    coords_mask,
+    four_power_base,
     refine_triple,
     sigma_consistent_triples,
     triple_of_element,
@@ -51,15 +51,18 @@ class EcStage:
     algebra: FiniteAlgebra
     embedding: AtomRefinement
     realizers: tuple[tuple[Triple, Element], ...]
+    _by_triple: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_triple", dict(self.realizers))
 
     def realizer(self, t: Triple) -> Element:
-        for triple, element in self.realizers:
-            if triple == t:
-                return element
-        raise NoRealizerError(f"stage does not record a realizer for {t!r}")
+        try:
+            return self._by_triple[t]
+        except KeyError:
+            raise NoRealizerError(f"stage does not record a realizer for {t!r}") from None
 
 
-_SIDES = {"0": (), "a": ("a",), "b": ("b",), "1": ("a", "b")}
 _BLOCK = 4  # widest tabulated solution
 
 
@@ -67,43 +70,24 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
     """Extend alg far enough to realize every consistent triple over it,
     recording one realizer per triple in lexicographic triple order."""
     triples = sigma_consistent_triples(alg, caps.max_triples)
-    if is_four_power_shaped(alg):
-        m = alg.n // 2
-        r1 = None
-        power = alg
-    else:
-        power, r1 = embed_into_four_power(alg)
-        m = alg.n
+    m, r1 = four_power_base(alg)
     total = _BLOCK * m
-    ext = four_power(total)
-    if ext.n > caps.max_atoms:
+    if 2 * total > caps.max_atoms:
         raise CapExceeded(
-            f"the stage needs {ext.n} atoms, cap is {caps.max_atoms}"
+            f"the stage needs {2 * total} atoms, cap is {caps.max_atoms}"
         )
-    cells: list[frozenset[int]] = [frozenset()] * (2 * m)
-    for i in range(1, m + 1):
-        off = _BLOCK * (i - 1)
-        cells[i - 1] = frozenset(range(off + 1, off + _BLOCK + 1))
-        cells[m + i - 1] = frozenset(range(total + off + 1, total + off + _BLOCK + 1))
-    block = AtomRefinement(power, ext, tuple(cells))
+    block = block_layout(alg if r1 is None else r1.target, [_BLOCK] * m)
+    ext = block.target
     emb = block if r1 is None else compose_refinements(r1, block)
 
     found: list[tuple[Triple, Element]] = []
     for t in triples:
         refined = t if r1 is None else refine_triple(r1, t)
-        atoms: set[int] = set()
-        for i in range(1, m + 1):
-            key = tuple(
-                frozenset(c for c, j in ((1, i), (2, m + i)) if j in part)
-                for part in (refined.i1, refined.i2, refined.i3)
-            )
-            coords = case1_entry(*key).coords
-            coords = coords + (coords[0],) * (_BLOCK - len(coords))
-            off = _BLOCK * (i - 1)
-            for j, c in enumerate(coords, start=1):
-                for side in _SIDES[c]:
-                    atoms.add(off + j if side == "a" else total + off + j)
-        found.append((t, Element(ext, frozenset(atoms))))
+        coords: list[str] = []
+        for entry in coordinate_entries(refined, m):
+            c = entry.coords
+            coords += c + (c[0],) * (_BLOCK - len(c))
+        found.append((t, Element.from_mask(ext, coords_mask(coords, total))))
     return EcStage(alg, ext, emb, tuple(found))
 
 

@@ -18,14 +18,13 @@ from .algebra import (
     Element,
     FiniteAlgebra,
     compose_refinements,
-    embed_into_four_power,
     four_power,
     generated_subalgebra,
     identity_refinement,
-    is_four_power_shaped,
+    mask_to_atoms,
 )
 from .errors import CapExceeded
-from .solver import Triple, Witness
+from .solver import Triple, Witness, block_layout, four_power_base
 from .terms import And, Equal, Formula, Meet, DMNeg, BNeg, NotEqual, Star, Term, Var, ZERO
 
 _CHUNK = 1 << 16
@@ -41,17 +40,18 @@ def phi_formula(t: Triple, params_prefix: str = "y", var: str = "x") -> Formula:
     base atoms i of zero tests y_i . x . ~x = 0 (i in I1, negated outside),
     and likewise for x . x* and x' . ~x."""
     x = Var(var)
-    products: tuple[tuple[Term, frozenset[int]], ...] = (
-        (Meet(x, DMNeg(x)), t.i1),
-        (Meet(x, Star(x)), t.i2),
-        (Meet(BNeg(x), DMNeg(x)), t.i3),
+    products: tuple[tuple[Term, int], ...] = (
+        (Meet(x, DMNeg(x)), t.m1),
+        (Meet(x, Star(x)), t.m2),
+        (Meet(BNeg(x), DMNeg(x)), t.m3),
     )
     conjuncts = []
     for product, inside in products:
         for i in t.algebra.atom_indices:
             y = Var(f"{params_prefix}{i}")
             atom = Meet(y, product)
-            conjuncts.append(Equal(atom, ZERO) if i in inside else NotEqual(atom, ZERO))
+            zero = inside >> (i - 1) & 1
+            conjuncts.append(Equal(atom, ZERO) if zero else NotEqual(atom, ZERO))
     out = conjuncts[0]
     for c in conjuncts[1:]:
         out = And(out, c)
@@ -90,8 +90,8 @@ def element_type_scan(r: AtomRefinement, chunk: int = _CHUNK) -> Iterator[tuple]
     if target.n > 26:
         raise CapExceeded(f"cannot scan 2^{target.n} elements")
     dtype = np.uint32
-    full = (1 << target.n) - 1
-    cells = [np.array(_cell_mask(r, i), dtype=dtype) for i in r.source.atom_indices]
+    full = target.full_mask
+    cells = [np.array(cell, dtype=dtype) for cell in r.cell_masks]
     total = 1 << target.n
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=dtype)
@@ -110,41 +110,15 @@ def element_type_scan(r: AtomRefinement, chunk: int = _CHUNK) -> Iterator[tuple]
         yield masks, i1, i2, i3
 
 
-def _cell_mask(r: AtomRefinement, i: int) -> int:
-    mask = 0
-    for j in r.cell(i):
-        mask |= 1 << (j - 1)
-    return mask
-
-
-def _set_mask(atoms: frozenset[int]) -> int:
-    mask = 0
-    for i in atoms:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def _mask_atoms(mask: int) -> frozenset[int]:
-    atoms = []
-    i = 1
-    while mask:
-        if mask & 1:
-            atoms.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(atoms)
-
-
 def all_realizations_in(r: AtomRefinement, t: Triple) -> list[Element]:
     """Every element of the target whose zero pattern over the source is
     exactly t, in ascending bitmask order."""
     if t.algebra != r.source:
         raise ValueError("triple is not over the refinement source")
-    want = (_set_mask(t.i1), _set_mask(t.i2), _set_mask(t.i3))
     out: list[Element] = []
     for masks, i1, i2, i3 in element_type_scan(r):
-        hits = masks[(i1 == want[0]) & (i2 == want[1]) & (i3 == want[2])]
-        out.extend(Element(r.target, _mask_atoms(int(m))) for m in hits)
+        hits = masks[(i1 == t.m1) & (i2 == t.m2) & (i3 == t.m3)]
+        out.extend(Element.from_mask(r.target, int(m)) for m in hits)
     return out
 
 
@@ -152,11 +126,10 @@ def find_realizer(r: AtomRefinement, t: Triple) -> Optional[Element]:
     """The least element of the target realizing t, or None."""
     if t.algebra != r.source:
         raise ValueError("triple is not over the refinement source")
-    want = (_set_mask(t.i1), _set_mask(t.i2), _set_mask(t.i3))
     for masks, i1, i2, i3 in element_type_scan(r):
-        hits = masks[(i1 == want[0]) & (i2 == want[1]) & (i3 == want[2])]
+        hits = masks[(i1 == t.m1) & (i2 == t.m2) & (i3 == t.m3)]
         if hits.size:
-            return Element(r.target, _mask_atoms(int(hits[0])))
+            return Element.from_mask(r.target, int(hits[0]))
     return None
 
 
@@ -168,7 +141,7 @@ def scan_consistent(r: AtomRefinement) -> bool:
     size = 1 << source.n
     sigma_lut = np.zeros(size, dtype=np.int64)
     for mask in range(size):
-        sigma_lut[mask] = _set_mask(source.sigma_set(_mask_atoms(mask)))
+        sigma_lut[mask] = source.sigma_mask(mask)
     for _, i1, i2, i3 in element_type_scan(r):
         i1 = i1.astype(np.int64)
         i2 = i2.astype(np.int64)
@@ -184,33 +157,22 @@ def scan_consistent(r: AtomRefinement) -> bool:
 # ---------------------------------------------------------------------------
 # Witness search by exhaustion
 
-def _doubling_refinement(power: FiniteAlgebra) -> AtomRefinement:
-    """four_power(k) -> four_power(2k), duplicating each coordinate."""
-    k = power.n // 2
-    ext = four_power(2 * k)
-    cells = [frozenset()] * power.n
-    for i in range(1, k + 1):
-        cells[i - 1] = frozenset({2 * i - 1, 2 * i})
-        cells[k + i - 1] = frozenset({2 * k + 2 * i - 1, 2 * k + 2 * i})
-    return AtomRefinement(power, ext, tuple(cells))
-
-
 def oracle_witness_search(t: Triple, max_atoms: int = 16) -> Optional[Witness]:
     """Search a canonical tower of four-powers for a realizer of t: embed the
     base (a base already laid out as a four-power starts at itself), then
     keep doubling coordinates diagonally until the atom budget runs out.
     Returns the first witness found, scanning elements in ascending bitmask
     order, or None."""
+    if max_atoms < 0:
+        raise ValueError(f"max_atoms must be nonnegative, got {max_atoms}")
     base = t.algebra
-    if is_four_power_shaped(base):
-        r = identity_refinement(base)
-    else:
-        _, r = embed_into_four_power(base)
+    r = four_power_base(base)[1] or identity_refinement(base)
     while r.target.n <= max_atoms:
         found = find_realizer(r, t)
         if found is not None:
             return Witness(base, r.target, r, found)
-        r = compose_refinements(r, _doubling_refinement(r.target))
+        # double every coordinate diagonally
+        r = compose_refinements(r, block_layout(r.target, [2] * (r.target.n // 2)))
     return None
 
 
@@ -218,16 +180,15 @@ def brute_force_trivial(t: Triple) -> Optional[frozenset[int]]:
     """Scan all atom subsets I for the three equalities characterizing the
     type of a base element; at most one I can match."""
     alg = t.algebra
-    full = alg.full_set
-    for mask in range(1 << alg.n):
-        cand = _mask_atoms(mask)
-        sigma_cand = alg.sigma_set(cand)
+    full = alg.full_mask
+    for cand in range(1 << alg.n):
+        sigma_cand = alg.sigma_mask(cand)
         if (
-            t.i1 == (full - cand) | sigma_cand
-            and t.i2 == full - (cand & sigma_cand)
-            and t.i3 == cand | sigma_cand
+            t.m1 == (full ^ cand) | sigma_cand
+            and t.m2 == full ^ (cand & sigma_cand)
+            and t.m3 == cand | sigma_cand
         ):
-            return cand
+            return mask_to_atoms(cand)
     return None
 
 
@@ -252,13 +213,10 @@ def free_function_count(k: int) -> int:
     ambient = four_power(m)
     projections = []
     for c in range(k):
-        atoms = set()
+        mask = 0
         for idx in range(m):
             digit = (idx // (4 ** (k - 1 - c))) % 4  # 0, a, b, 1
-            if digit in (1, 3):
-                atoms.add(idx + 1)
-            if digit in (2, 3):
-                atoms.add(m + idx + 1)
-        projections.append(Element(ambient, frozenset(atoms)))
+            mask |= (digit & 1) << idx | (digit >> 1) << (m + idx)
+        projections.append(Element.from_mask(ambient, mask))
     sub, _ = generated_subalgebra(ambient, projections)
     return 2**sub.n

@@ -30,12 +30,14 @@ from .algebra import (
     Element,
     FOUR,
     FiniteAlgebra,
+    atoms_to_mask,
     compose_refinements,
     embed_into_four_power,
     four_power,
     generated_subalgebra,
     identity_refinement,
     is_four_power_shaped,
+    mask_to_atoms,
 )
 from .errors import CapExceeded, InconsistentTripleError, TrivialTripleError
 from .terms import (
@@ -51,23 +53,30 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Triple:
-    """A candidate one-variable type over an algebra: three atom subsets."""
+    """A candidate one-variable type over an algebra: three atom subsets,
+    held as the masks m1, m2, m3 of I1, I2, I3."""
 
     algebra: FiniteAlgebra
-    i1: frozenset[int]
-    i2: frozenset[int]
-    i3: frozenset[int]
+    m1: int
+    m2: int
+    m3: int
 
-    def __post_init__(self):
-        full = self.algebra.full_set
-        for name in ("i1", "i2", "i3"):
-            value = getattr(self, name)
-            if not isinstance(value, frozenset):
-                object.__setattr__(self, name, frozenset(value))
-            if not getattr(self, name) <= full:
-                raise ValueError(f"{name} is not a subset of the atoms")
+    def __init__(self, algebra: FiniteAlgebra, i1, i2, i3):
+        sets = [frozenset(s) for s in (i1, i2, i3)]
+        for k, atoms in enumerate(sets, start=1):
+            if not atoms <= algebra.full_set:
+                raise ValueError(f"i{k} is not a subset of the atoms")
+        _init_triple(self, algebra, *map(atoms_to_mask, sets))
+
+    @classmethod
+    def from_masks(cls, algebra: FiniteAlgebra, m1: int, m2: int, m3: int) -> "Triple":
+        return _init_triple(object.__new__(cls), algebra, m1, m2, m3)
+
+    i1 = property(lambda self: mask_to_atoms(self.m1))
+    i2 = property(lambda self: mask_to_atoms(self.m2))
+    i3 = property(lambda self: mask_to_atoms(self.m3))
 
     def __repr__(self):
         def s(x):
@@ -77,6 +86,17 @@ class Triple:
 
     def sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         return (self.i1, self.i2, self.i3)
+
+
+def _init_triple(t, algebra, m1, m2, m3):
+    """Check the masks and store them on t, which is returned."""
+    if (m1 | m2 | m3) >> algebra.n:
+        raise ValueError("the triple's masks are not within the atoms")
+    object.__setattr__(t, "algebra", algebra)
+    object.__setattr__(t, "m1", m1)
+    object.__setattr__(t, "m2", m2)
+    object.__setattr__(t, "m3", m3)
+    return t
 
 
 @dataclass(frozen=True)
@@ -99,16 +119,21 @@ class Caps:
     max_depth: int = 4
     max_triples: int = 20000
 
+    def __post_init__(self):
+        for name in ("max_atoms", "max_depth", "max_triples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+
 
 DEFAULT_CAPS = Caps()
 
 
 def is_sigma_consistent(t: Triple) -> bool:
     alg = t.algebra
-    if alg.sigma_set(t.i2) != t.i2 or alg.sigma_set(t.i3) != t.i3:
+    if alg.sigma_mask(t.m2) != t.m2 or alg.sigma_mask(t.m3) != t.m3:
         return False
-    core = t.i1 & t.i2 & t.i3
-    return not (core & alg.sigma_set(core))
+    core = t.m1 & t.m2 & t.m3
+    return not (core & alg.sigma_mask(core))
 
 
 def triple_of_element(r: AtomRefinement, u: Element) -> Triple:
@@ -116,21 +141,21 @@ def triple_of_element(r: AtomRefinement, u: Element) -> Triple:
     u.u~, u.u* and u'.u~."""
     if u.algebra != r.target:
         raise ValueError("element does not live in the refinement target")
-    ubar = u.dmneg()
-    uneg = u.bneg()
-    p1 = u.meet(ubar).atoms
-    p2 = u.meet(u.star()).atoms
-    p3 = uneg.meet(ubar).atoms
-    i1, i2, i3 = set(), set(), set()
-    for i in r.source.atom_indices:
-        cell = r.cell(i)
+    full = r.target.full_mask
+    x = u.mask
+    sx = r.target.sigma_mask(x)
+    p1 = x & ~sx  # u . u~
+    p2 = x & sx  # u . u*
+    p3 = full & ~(x | sx)  # u' . u~
+    i1 = i2 = i3 = 0
+    for k, cell in enumerate(r.cell_masks):
         if not cell & p1:
-            i1.add(i)
+            i1 |= 1 << k
         if not cell & p2:
-            i2.add(i)
+            i2 |= 1 << k
         if not cell & p3:
-            i3.add(i)
-    return Triple(r.source, frozenset(i1), frozenset(i2), frozenset(i3))
+            i3 |= 1 << k
+    return Triple.from_masks(r.source, i1, i2, i3)
 
 
 def holds_phi(r: AtomRefinement, t: Triple, u: Element) -> bool:
@@ -146,8 +171,8 @@ def refine_triple(r: AtomRefinement, t: Triple) -> Triple:
     triple realizes the original one."""
     if t.algebra != r.source:
         raise ValueError("triple is not over the refinement source")
-    return Triple(
-        r.target, r.map_atoms(t.i1), r.map_atoms(t.i2), r.map_atoms(t.i3)
+    return Triple.from_masks(
+        r.target, r.map_mask(t.m1), r.map_mask(t.m2), r.map_mask(t.m3)
     )
 
 
@@ -181,34 +206,8 @@ def _consistent_masks(n: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int, i
                     continue
                 options.append((b1i * bi | b1j * bj, b2 * both, b3 * both))
         per_orbit.append(options)
-    triples = [
-        (
-            _or_all(c, 0),
-            _or_all(c, 1),
-            _or_all(c, 2),
-        )
-        for c in itertools.product(*per_orbit)
-    ]
-    triples.sort()
-    return tuple(triples)
-
-
-def _or_all(combo, k):
-    out = 0
-    for part in combo:
-        out |= part[k]
-    return out
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    # orbits own disjoint bits, so the sum of their parts is the union
+    return tuple(sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*per_orbit)))
 
 
 def sigma_consistent_triples(
@@ -222,7 +221,7 @@ def sigma_consistent_triples(
             f"{total} consistent triples over {alg.n} atoms exceed the cap of {max_count}"
         )
     return [
-        Triple(alg, _mask_to_set(m1), _mask_to_set(m2), _mask_to_set(m3))
+        Triple.from_masks(alg, m1, m2, m3)
         for m1, m2, m3 in _consistent_masks(alg.n, alg.sigma)
     ]
 
@@ -236,7 +235,12 @@ _KIND_XXBAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_NXSTAR = range(4)
 _KIND_STAR = (_KIND_NXSTAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_XXBAR)
 
 
-@lru_cache(maxsize=None)
+# Bound on each witness cache, so a long-lived process does not grow without
+# limit; one pass of a decide run over a few small bases needs about 900.
+_WITNESS_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_WITNESS_CACHE_SIZE)
 def witness_abstract(t: Triple) -> Witness:
     """Build the one-generated extension realizing a consistent triple.
 
@@ -250,36 +254,24 @@ def witness_abstract(t: Triple) -> Witness:
     if not is_sigma_consistent(t):
         raise InconsistentTripleError(f"{t!r} violates the consistency conditions")
     alg = t.algebra
-
-    def present(i: int, kind: int) -> bool:
-        if kind == _KIND_XXBAR:
-            return i not in t.i1
-        if kind == _KIND_XXSTAR:
-            return i not in t.i2
-        if kind == _KIND_NXBAR:
-            return i not in t.i3
-        return alg.sigma_of(i) not in t.i1
-
+    # per kind, the base atoms (as a mask) where that product is zero
+    zero_at = (t.m1, t.m2, t.m3, alg.sigma_mask(t.m1))
     index: dict[tuple[int, int], int] = {}
-    for i in alg.atom_indices:
+    for i in range(alg.n):
         for kind in range(4):
-            if present(i, kind):
-                index[(i, kind)] = len(index) + 1
+            if not zero_at[kind] >> i & 1:
+                index[(i, kind)] = len(index)
     sigma = [0] * len(index)
+    cells = [0] * alg.n
+    element = 0
     for (i, kind), j in index.items():
-        sigma[j - 1] = index[(alg.sigma_of(i), _KIND_STAR[kind])]
+        sigma[j] = index[(alg.sigma[i] - 1, _KIND_STAR[kind])] + 1
+        cells[i] |= 1 << j
+        if kind in (_KIND_XXBAR, _KIND_XXSTAR):
+            element |= 1 << j
     ext = FiniteAlgebra(len(index), tuple(sigma))
-    cells = tuple(
-        frozenset(index[(i, kind)] for kind in range(4) if (i, kind) in index)
-        for i in alg.atom_indices
-    )
-    element = Element(
-        ext,
-        frozenset(
-            j for (i, kind), j in index.items() if kind in (_KIND_XXBAR, _KIND_XXSTAR)
-        ),
-    )
-    return Witness(alg, ext, AtomRefinement(alg, ext, cells), element)
+    embedding = AtomRefinement.from_masks(alg, ext, tuple(cells))
+    return Witness(alg, ext, embedding, Element.from_mask(ext, element))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +316,10 @@ CASE1_ENTRIES: tuple[Case1Entry, ...] = (
     Case1Entry(_e(), _e(1, 2), _e(1, 2), ("a", "b")),
 )
 
-_CASE1_TABLE = {(e.i1, e.i2, e.i3): e for e in CASE1_ENTRIES}
+_CASE1_TABLE = {
+    (atoms_to_mask(e.i1), atoms_to_mask(e.i2), atoms_to_mask(e.i3)): e
+    for e in CASE1_ENTRIES
+}
 
 
 def case1_entry(
@@ -333,13 +328,56 @@ def case1_entry(
     """The tabulated solution for a consistent triple over two atoms with
     star swapping them."""
     try:
-        return _CASE1_TABLE[(frozenset(i1), frozenset(i2), frozenset(i3))]
+        return _CASE1_TABLE[(atoms_to_mask(i1), atoms_to_mask(i2), atoms_to_mask(i3))]
     except KeyError:
         raise InconsistentTripleError(
             "only sigma-consistent triples have tabulated solutions"
         ) from None
 
-_COORD_ATOMS = {"0": (), "a": ("a",), "b": ("b",), "1": ("a", "b")}
+
+# a coordinate's value as its two sides: bit 0 for a, bit 1 for b
+_COORD_SIDES = {"0": 0, "a": 1, "b": 2, "1": 3}
+
+
+def four_power_base(alg: FiniteAlgebra) -> tuple[int, Optional[AtomRefinement]]:
+    """The exponent m and the embedding of alg into four_power(m); the
+    embedding is None when alg already has that layout."""
+    if is_four_power_shaped(alg):
+        return alg.n // 2, None
+    return alg.n, embed_into_four_power(alg)[1]
+
+
+def coordinate_entries(t: Triple, m: int) -> list[Case1Entry]:
+    """The tabulated solution of each coordinate of a triple over
+    four_power(m): coordinate i reads atoms i and m+i as the atoms 1 and 2
+    of the four-element algebra."""
+    return [
+        _CASE1_TABLE[tuple(x >> i & 1 | x >> (m + i - 1) & 2 for x in (t.m1, t.m2, t.m3))]
+        for i in range(m)
+    ]
+
+
+def block_layout(power: FiniteAlgebra, widths: list[int]) -> AtomRefinement:
+    """Spread coordinate i of power = four_power(m) diagonally over the i-th
+    block of widths[i] consecutive coordinates of four_power(sum(widths))."""
+    m, total = len(widths), sum(widths)
+    cells = [0] * (2 * m)
+    offset = 0
+    for i, k in enumerate(widths):
+        cells[i] = ((1 << k) - 1) << offset
+        cells[m + i] = cells[i] << total
+        offset += k
+    return AtomRefinement.from_masks(power, four_power(total), tuple(cells))
+
+
+def coords_mask(coords: Iterable[str], total: int) -> int:
+    """The atoms of the element of four_power(total) with the given
+    coordinates, in order."""
+    mask = 0
+    for j, c in enumerate(coords):
+        sides = _COORD_SIDES[c]
+        mask |= (sides & 1) << j | (sides >> 1) << (total + j)
+    return mask
 
 
 def element_in_power(k: int, coords: Iterable[str]) -> Element:
@@ -347,19 +385,13 @@ def element_in_power(k: int, coords: Iterable[str]) -> Element:
     coords = tuple(coords)
     if len(coords) != k:
         raise ValueError("one coordinate per factor is required")
-    atoms = set()
-    for j, c in enumerate(coords, start=1):
-        for side in _COORD_ATOMS[c]:
-            atoms.add(j if side == "a" else k + j)
-    return Element(four_power(k), frozenset(atoms))
+    return Element.from_mask(four_power(k), coords_mask(coords, k))
 
 
 def diagonal_refinement(k: int) -> AtomRefinement:
     """The diagonal embedding of the four-element algebra into its k-th
     power: a goes to (a,...,a) and b to (b,...,b)."""
-    ext = four_power(k)
-    cells = (frozenset(range(1, k + 1)), frozenset(range(k + 1, 2 * k + 1)))
-    return AtomRefinement(FOUR, ext, cells)
+    return block_layout(FOUR, [k])
 
 
 def case1_witness(entry: Case1Entry) -> Witness:
@@ -373,7 +405,7 @@ def case1_witness(entry: Case1Entry) -> Witness:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WITNESS_CACHE_SIZE)
 def witness_via_four_power(t: Triple) -> Witness:
     """Realize a consistent triple inside a power of the four-element
     algebra.
@@ -386,42 +418,14 @@ def witness_via_four_power(t: Triple) -> Witness:
     if not is_sigma_consistent(t):
         raise InconsistentTripleError(f"{t!r} violates the consistency conditions")
     alg = t.algebra
-    if is_four_power_shaped(alg):
-        m = alg.n // 2
-        r1: Optional[AtomRefinement] = None
-        refined = t
-        power = alg
-    else:
-        power, r1 = embed_into_four_power(alg)
-        m = alg.n
-        refined = refine_triple(r1, t)
-
-    entries = []
-    for i in range(1, m + 1):
-        key = (
-            frozenset(c for c, j in ((1, i), (2, m + i)) if j in refined.i1),
-            frozenset(c for c, j in ((1, i), (2, m + i)) if j in refined.i2),
-            frozenset(c for c, j in ((1, i), (2, m + i)) if j in refined.i3),
-        )
-        entries.append(_CASE1_TABLE[key])
-
-    widths = [len(e.coords) for e in entries]
-    total = sum(widths)
-    ext = four_power(total)
-    cells: list[frozenset[int]] = [frozenset()] * (2 * m)
-    atoms: set[int] = set()
-    offset = 0
-    for i, entry in enumerate(entries, start=1):
-        k = widths[i - 1]
-        cells[i - 1] = frozenset(range(offset + 1, offset + k + 1))
-        cells[m + i - 1] = frozenset(range(total + offset + 1, total + offset + k + 1))
-        for j, c in enumerate(entry.coords, start=1):
-            for side in _COORD_ATOMS[c]:
-                atoms.add(offset + j if side == "a" else total + offset + j)
-        offset += k
-    block = AtomRefinement(power, ext, tuple(cells))
+    m, r1 = four_power_base(alg)
+    refined = t if r1 is None else refine_triple(r1, t)
+    entries = coordinate_entries(refined, m)
+    block = block_layout(refined.algebra, [len(e.coords) for e in entries])
+    ext = block.target
+    mask = coords_mask([c for e in entries for c in e.coords], ext.n // 2)
     embedding = block if r1 is None else compose_refinements(r1, block)
-    return Witness(alg, ext, embedding, Element(ext, frozenset(atoms)))
+    return Witness(alg, ext, embedding, Element.from_mask(ext, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +439,15 @@ def is_trivial(t: Triple) -> Optional[frozenset[int]]:
     The only possible I is (complement of I1) union (complement of I2); the
     three defining equalities are then verified outright.
     """
-    alg = t.algebra
-    full = alg.full_set
-    cand = (full - t.i1) | (full - t.i2)
-    sigma_cand = alg.sigma_set(cand)
+    full = t.algebra.full_mask
+    cand = (full ^ t.m1) | (full ^ t.m2)
+    sigma_cand = t.algebra.sigma_mask(cand)
     ok = (
-        t.i1 == (full - cand) | sigma_cand
-        and t.i2 == full - (cand & sigma_cand)
-        and t.i3 == cand | sigma_cand
+        t.m1 == (full ^ cand) | sigma_cand
+        and t.m2 == full ^ (cand & sigma_cand)
+        and t.m3 == cand | sigma_cand
     )
-    return frozenset(cand) if ok else None
+    return mask_to_atoms(cand) if ok else None
 
 
 def trivial_realizer(t: Triple) -> Optional[Element]:

@@ -366,10 +366,13 @@ class _Parser:
 def parse(text: str, signature: str = "bdm", kind: str = "formula") -> Ast:
     """Parse a term or formula; positions in errors are 0-based offsets."""
     p = _Parser(text, signature)
-    if kind == "term":
-        return p.finish(p.term())
-    if kind == "formula":
-        return p.finish(p.formula())
+    try:
+        if kind == "term":
+            return p.finish(p.term())
+        if kind == "formula":
+            return p.finish(p.formula())
+    except RecursionError:
+        raise ParseError("formula nested too deeply", 0) from None
     raise ValueError("kind must be 'term' or 'formula'")
 
 

@@ -223,6 +223,19 @@ def test_find_isomorphism_distinct_one_generated_extensions():
     assert find_isomorphism_over(w1.embedding, w2.embedding) is None
 
 
+def test_find_isomorphism_maps_fixed_atoms_to_fixed_atoms():
+    # equal cell sizes, but star fixes both atoms of one target and swaps
+    # those of the other, so no bijection commutes with sigma
+    fixed = AtomRefinement(TWO, FiniteAlgebra(2, (1, 2)), (frozenset({1, 2}),))
+    swapped = AtomRefinement(TWO, FOUR, (frozenset({1, 2}),))
+    assert find_isomorphism_over(fixed, swapped) is None
+    assert find_isomorphism_over(swapped, fixed) is None
+    mixed = FiniteAlgebra(3, (2, 1, 3))
+    a = AtomRefinement(TWO, mixed, (frozenset({1, 2, 3}),))
+    b = AtomRefinement(TWO, FiniteAlgebra(3, (1, 3, 2)), (frozenset({1, 2, 3}),))
+    assert find_isomorphism_over(a, b) == (2, 3, 1)
+
+
 def test_compose_refinements_examples():
     _, r = twist_product(TWO)
     assert compose_refinements(identity_refinement(TWO), r).cells == r.cells

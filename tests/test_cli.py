@@ -277,3 +277,63 @@ def test_json_outputs_parse(capsys, algebra_files):
     ]:
         code, out, _ = run(capsys, *argv)
         json.loads(out)
+
+
+@pytest.fixture()
+def three_file(tmp_path):
+    three = tmp_path / "three.alg"
+    three.write_text("atoms 3\nsigma 1 3 2\n")
+    return str(three)
+
+
+@pytest.mark.parametrize("max_atoms", ["16", "20"])
+def test_oracle_witness_budget_exhausted_exit_three(capsys, three_file, max_atoms):
+    # consistent, but the tower of four-powers jumps from 12 to 24 atoms
+    code, out, err = run(
+        capsys, "oracle", "witness", "--max-atoms", max_atoms,
+        "--algebra", three_file, "I1={} I2={} I3={}",
+    )
+    assert (code, out) == (3, "")
+    assert "cap" in err
+
+
+def test_oracle_witness_inconsistent_absent(capsys, three_file):
+    code, out, _ = run(
+        capsys, "oracle", "witness", "--algebra", three_file, "I1={1} I2={1} I3={1}"
+    )
+    assert (code, out) == (1, "absent\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "exists x. (x = x)", "--max-atoms", "-1"],
+        ["decide", "exists x. (x = x)", "--max-depth", "-1"],
+        ["decide", "exists x. (x = x)", "--max-triples", "-1"],
+        ["extend-stage", "--max-atoms", "-1"],
+        ["oracle", "witness", "I1={} I2={} I3={}", "--max-atoms", "-1"],
+    ],
+)
+def test_negative_budget_is_usage_error(capsys, algebra_files, argv):
+    code, out, err = run(capsys, *argv, "--algebra", algebra_files["two"])
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+
+
+def test_deep_nesting_is_parse_error(capsys, algebra_files):
+    formula = "(" * 3000 + "x = x" + ")" * 3000
+    code, out, err = run(capsys, "decide", "--algebra", algebra_files["two"], formula)
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+
+
+def test_unexpected_exception_is_internal_error(capsys, algebra_files, monkeypatch):
+    import bdm.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bdm.cli, "decide", broken)
+    code, out, err = run(capsys, "decide", "--algebra", algebra_files["two"], "exists x. (x = x)")
+    assert (code, out) == (4, "")
+    assert "RuntimeError: boom" in err and "Traceback" in err

@@ -392,3 +392,10 @@ def test_translate_preserves_decisions():
         g = translate_dm(f, to="dm")
         assert formula_in_dm_signature(g)
         assert decide(TWO, f, caps=CAPS) == decide(TWO, g, caps=CAPS), text
+
+
+@pytest.mark.parametrize("field", ["max_atoms", "max_depth", "max_triples"])
+def test_caps_reject_negative_budgets(field):
+    with pytest.raises(ValueError, match=field):
+        Caps(**{field: -1})
+    assert getattr(Caps(**{field: 0}), field) == 0

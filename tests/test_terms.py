@@ -228,3 +228,10 @@ def test_translate_fresh_names_avoid_clashes():
     f = parse_formula("z . x' = 0")
     out = translate_dm(f, to="dm")
     assert format_ast(out) == "exists z1. (x + z1 = 1 & x . z1 = 0 & z . z1 = 0)"
+
+
+def test_parse_deep_nesting_raises_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula("(" * 3000 + "x = x" + ")" * 3000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_term("~" * 5000 + "x")

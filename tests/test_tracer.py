@@ -1,0 +1,69 @@
+"""The benchmark's tracer (`perfbench/spans.py`) must still find every name
+it wraps; a rename or deletion in `bdm` would otherwise break a traced run
+(`perfbench/run.py --trace 1`) without failing any other test."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import bdm
+import bdm.cli
+import bdm.textio
+from bdm.algebra import TWO, twist_product
+from bdm.model import ec_stage
+from bdm.solver import Caps
+from bdm.terms import parse_formula
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(spans):
+    for module, attr in spans.TARGETS:
+        home = sys.modules[f"bdm.{module}"]
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(home, cls_name)), attr
+        else:
+            assert callable(getattr(home, attr)), attr
+    module, attr = spans.CACHED
+    assert hasattr(getattr(sys.modules[f"bdm.{module}"], attr), "cache_info")
+    assert callable(sys.modules["bdm.oracle"].element_type_scan)
+
+
+def test_tracer_records_spans(spans):
+    stage = ec_stage(TWO, Caps(max_atoms=8))
+    _, rv = twist_product(TWO)
+    sentence = parse_formula("exists x. (~x = x & x != 0 & x != 1)")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        bdm.model.find_matching_element(stage, rv, rv.target.atom(1))
+        assert bdm.solver.decide(TWO, sentence)
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    for name in (
+        "model.find_matching_element",
+        "model.realizer",
+        "solver.triple_of_element",
+        "algebra.algebra_over",
+        "algebra.generated_subalgebra",
+        "algebra.find_isomorphism_over",
+        "solver.sigma_consistent_triples",
+        "solver.witness_abstract",
+        "terms.eval_formula",
+    ):
+        assert calls.get(name, 0) > 0, name
+    # uninstall puts the originals back
+    assert not hasattr(bdm.model.find_matching_element, "__wrapped__")
+    assert not hasattr(vars(bdm.model.EcStage)["realizer"], "__wrapped__")
