@@ -11,13 +11,11 @@ from .algebra import (
     amalgamate,
     apply,
     compose_refinements,
-    embed_into_four_power,
     find_isomorphism_over,
     four_power,
     generated_subalgebra,
     identity_refinement,
     is_four_power_shaped,
-    new_algebra,
     twist_product,
 )
 from .errors import (

@@ -140,11 +140,6 @@ class FiniteAlgebra:
         return tuple(orbits)
 
 
-def new_algebra(n: int, sigma: Iterable[int], name: Optional[str] = None) -> FiniteAlgebra:
-    """Build and validate an algebra from an atom count and involution."""
-    return FiniteAlgebra(n, tuple(sigma), name)
-
-
 def four_power(m: int) -> FiniteAlgebra:
     """The m-th direct power of the four-element algebra.
 
@@ -379,24 +374,15 @@ def twist_product(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, AtomRefinement]:
     """The twist of alg's underlying lattice with itself, together with the
     embedding x |-> (x, x~).
 
-    The target doubles the atoms: atom i is the plus copy and atom n+i the
-    minus copy of source atom i, and star swaps the copies.  The cell of
-    source atom i is {i, n + sigma(i)}.
+    The target is four_power(n), the n-th power of the four-element algebra:
+    atom i is the plus copy and atom n+i the minus copy of source atom i,
+    and star swaps the copies.  The cell of source atom i is
+    {i, n + sigma(i)}.
     """
     n = alg.n
     ext = four_power(n)
     cells = tuple(1 << i | 1 << (n + j - 1) for i, j in enumerate(alg.sigma))
     return ext, AtomRefinement.from_masks(alg, ext, cells)
-
-
-def embed_into_four_power(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, AtomRefinement]:
-    """Embed alg into the n-th power of the four-element algebra.
-
-    With the atom ordering used by twist_product (plus copies first), the
-    twist target already carries the four_power(n) layout, so no reindexing
-    remains to be done.
-    """
-    return twist_product(alg)
 
 
 def generated_subalgebra(

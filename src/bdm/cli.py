@@ -27,6 +27,7 @@ from .errors import (
 from .model import build_chain
 from .solver import (
     Caps,
+    DEFAULT_CAPS,
     decide,
     in_acl,
     is_sigma_consistent,
@@ -53,6 +54,16 @@ def _load_refinement(path: str):
     return textio.parse_refinement(Path(path).read_text())
 
 
+def _load_embedding(args):
+    """The --embedding refinement, or the identity on --algebra without one;
+    its source must be the --algebra algebra."""
+    alg = _load_algebra(args.algebra)
+    r = _load_refinement(args.embedding) if args.embedding else identity_refinement(alg)
+    if r.source != alg:
+        raise ParseError("the embedding's source differs from --algebra")
+    return r
+
+
 def _caps(args) -> Caps:
     return Caps(
         max_atoms=args.max_atoms,
@@ -66,9 +77,9 @@ def _add_algebra(p):
 
 
 def _add_caps(p):
-    p.add_argument("--max-atoms", type=int, default=12, metavar="N")
-    p.add_argument("--max-depth", type=int, default=4, metavar="N")
-    p.add_argument("--max-triples", type=int, default=20000, metavar="N")
+    p.add_argument("--max-atoms", type=int, default=DEFAULT_CAPS.max_atoms, metavar="N")
+    p.add_argument("--max-depth", type=int, default=DEFAULT_CAPS.max_depth, metavar="N")
+    p.add_argument("--max-triples", type=int, default=DEFAULT_CAPS.max_triples, metavar="N")
 
 
 def _add_json(p):
@@ -126,10 +137,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_type_of(args) -> int:
-    alg = _load_algebra(args.algebra)
-    r = _load_refinement(args.embedding) if args.embedding else identity_refinement(alg)
-    if r.source != alg:
-        raise ParseError("the embedding's source differs from --algebra")
+    r = _load_embedding(args)
     u = textio.parse_element(args.element, r.target)
     t = triple_of_element(r, u)
     if args.json:
@@ -159,27 +167,19 @@ def _cmd_trivial(args) -> int:
 def _cmd_realize(args) -> int:
     alg = _load_algebra(args.algebra)
     t = textio.parse_triple(args.triple, alg)
-    ext, emb, elems = realizations(t, args.count)
+    _, emb, elems = realizations(t, args.count)
     if args.json:
         return _emit_json(
-            {
-                "extension": textio.algebra_json(ext),
-                "cells": [sorted(emb.cell(i)) for i in alg.atom_indices],
-                "elements": [textio.element_json(e) for e in elems],
-            }
+            textio.extension_json(emb) | {"elements": [textio.element_json(e) for e in elems]}
         )
-    lines = [f"atoms {ext.n}", "sigma " + " ".join(map(str, ext.sigma))]
-    lines += [f"cell {i}: {textio.format_atom_set(emb.cell(i))}" for i in alg.atom_indices]
+    lines = textio.extension_lines(emb)
     lines += [f"element {textio.format_element(e)}" for e in elems]
     print("\n".join(lines))
     return 0
 
 
 def _cmd_acl(args) -> int:
-    alg = _load_algebra(args.algebra)
-    r = _load_refinement(args.embedding)
-    if r.source != alg:
-        raise ParseError("the embedding's source differs from --algebra")
+    r = _load_embedding(args)
     w = textio.parse_element(args.element, r.target)
     ok = in_acl(r, w)
     if args.json:
@@ -252,11 +252,8 @@ def _cmd_extend_stage(args) -> int:
 
 
 def _cmd_oracle_realizations(args) -> int:
-    alg = _load_algebra(args.algebra)
-    r = _load_refinement(args.embedding) if args.embedding else identity_refinement(alg)
-    if r.source != alg:
-        raise ParseError("the embedding's source differs from --algebra")
-    t = textio.parse_triple(args.triple, alg)
+    r = _load_embedding(args)
+    t = textio.parse_triple(args.triple, r.source)
     found = oracle_mod.all_realizations_in(r, t)
     if args.json:
         _emit_json({"elements": [textio.element_json(e) for e in found]})
@@ -445,7 +442,7 @@ def main(argv=None) -> int:
     except (InconsistentTripleError, TrivialTripleError, NoRealizerError) as e:
         print(f"no result: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, BdmError) as e:

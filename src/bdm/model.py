@@ -24,7 +24,6 @@ from .algebra import (
     FiniteAlgebra,
     algebra_over,
     compose_refinements,
-    find_isomorphism_over,
 )
 from .errors import CapExceeded, NoRealizerError
 from .oracle import find_realizer
@@ -45,16 +44,18 @@ from .solver import (
 @dataclass(frozen=True)
 class EcStage:
     """A finite extension realizing every consistent triple over its base,
-    with one recorded realizer per triple."""
+    with one recorded realizer per triple; the base and the stage algebra
+    are the embedding's source and target."""
 
-    base: FiniteAlgebra
-    algebra: FiniteAlgebra
     embedding: AtomRefinement
     realizers: tuple[tuple[Triple, Element], ...]
     _by_triple: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_triple", dict(self.realizers))
+
+    base = property(lambda self: self.embedding.source)
+    algebra = property(lambda self: self.embedding.target)
 
     def realizer(self, t: Triple) -> Element:
         try:
@@ -88,7 +89,7 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
             c = entry.coords
             coords += c + (c[0],) * (_BLOCK - len(c))
         found.append((t, Element.from_mask(ext, coords_mask(coords, total))))
-    return EcStage(alg, ext, emb, tuple(found))
+    return EcStage(emb, tuple(found))
 
 
 def build_chain(
@@ -122,9 +123,10 @@ def find_matching_element(
 
     Given a stage (or a bare refinement) over A0 and an element v of another
     extension of A0, produce u in the stage with the same type over A0 and
-    the isomorphism between the subalgebras A0<v> and A0<u> over A0, as an
-    atom bijection.  A bare refinement whose target lacks a realizer raises
-    NoRealizerError.
+    the isomorphism between the subalgebras A0<v> and A0<u> over A0 that
+    sends v to u, as an atom bijection; it is the unique one, and the one
+    the back-and-forth extends a partial map with.  A bare refinement whose
+    target lacks a realizer raises NoRealizerError.
     """
     r0 = stage.embedding if isinstance(stage, EcStage) else stage
     if r0.source != rv.source:
@@ -136,8 +138,25 @@ def find_matching_element(
         u = find_realizer(r0, t)
         if u is None:
             raise NoRealizerError(f"no element of the given algebra realizes {t!r}")
-    _, _, base_into_v = algebra_over(rv, [v])
-    _, _, base_into_u = algebra_over(r0, [u])
-    iso = find_isomorphism_over(base_into_v, base_into_u)
-    assert iso is not None  # equal types force equal one-generated shapes
-    return u, iso
+    keys_v = _atom_keys(rv, v)
+    keys_u = _atom_keys(r0, u)
+    assert len(keys_v) == len(keys_u)  # equal types give equal key sets
+    image = {key: q for q, key in enumerate(keys_u, start=1)}
+    return u, tuple(image[key] for key in keys_v)
+
+
+def _atom_keys(r: AtomRefinement, x: Element) -> list[tuple[int, bool, bool]]:
+    """The key of each atom of A0<x>, the subalgebra generated by the image
+    of r and x: (the base atom whose image holds it, whether it is under x,
+    whether it is under x*).  Keys are distinct, and an isomorphism over A0
+    sending x to y must send each atom to the one with the same key."""
+    _, sub_r, base_into = algebra_over(r, [x])
+    blocks, sx = sub_r.cell_masks, r.target.sigma_mask(x.mask)
+    keys = [None] * len(blocks)
+    for i, cell in enumerate(base_into.cell_masks):
+        while cell:
+            low = cell & -cell
+            j = low.bit_length() - 1
+            keys[j] = (i, not blocks[j] & ~x.mask, not blocks[j] & ~sx)
+            cell ^= low
+    return keys

@@ -28,6 +28,9 @@ from .solver import Triple, Witness, block_layout, four_power_base
 from .terms import And, Equal, Formula, Meet, DMNeg, BNeg, NotEqual, Star, Term, Var, ZERO
 
 _CHUNK = 1 << 16
+# the names of the free variable and of the parameters y1..yn of phi_formula
+_VAR = "x"
+_PARAM = "y"
 
 
 def _numpy():
@@ -35,11 +38,11 @@ def _numpy():
     return importlib.import_module("numpy")
 
 
-def phi_formula(t: Triple, params_prefix: str = "y", var: str = "x") -> Formula:
+def phi_formula(t: Triple) -> Formula:
     """The defining formula of the triple as an AST: a conjunction over the
     base atoms i of zero tests y_i . x . ~x = 0 (i in I1, negated outside),
     and likewise for x . x* and x' . ~x."""
-    x = Var(var)
+    x = Var(_VAR)
     products: tuple[tuple[Term, int], ...] = (
         (Meet(x, DMNeg(x)), t.m1),
         (Meet(x, Star(x)), t.m2),
@@ -48,7 +51,7 @@ def phi_formula(t: Triple, params_prefix: str = "y", var: str = "x") -> Formula:
     conjuncts = []
     for product, inside in products:
         for i in t.algebra.atom_indices:
-            y = Var(f"{params_prefix}{i}")
+            y = Var(f"{_PARAM}{i}")
             atom = Meet(y, product)
             zero = inside >> (i - 1) & 1
             conjuncts.append(Equal(atom, ZERO) if zero else NotEqual(atom, ZERO))
@@ -58,12 +61,11 @@ def phi_formula(t: Triple, params_prefix: str = "y", var: str = "x") -> Formula:
     return out
 
 
-def phi_environment(r: AtomRefinement, u: Element, params_prefix: str = "y", var: str = "x"):
-    env = {
-        f"{params_prefix}{i}": r.map_element(r.source.atom(i))
-        for i in r.source.atom_indices
-    }
-    env[var] = u
+def phi_environment(r: AtomRefinement, u: Element):
+    """Values for phi_formula's variables: y_i is the image of base atom i
+    along r and x is u."""
+    env = {f"{_PARAM}{i}": r.map_element(r.source.atom(i)) for i in r.source.atom_indices}
+    env[_VAR] = u
     return env
 
 
@@ -78,7 +80,7 @@ def _sigma_apply(np, alg: FiniteAlgebra, masks):
     return out
 
 
-def element_type_scan(r: AtomRefinement, chunk: int = _CHUNK) -> Iterator[tuple]:
+def element_type_scan(r: AtomRefinement) -> Iterator[tuple]:
     """Yield (element_mask, I1, I2, I3) arrays covering every element of the
     target, where the I arrays are bitmasks over the source atoms.
 
@@ -93,8 +95,8 @@ def element_type_scan(r: AtomRefinement, chunk: int = _CHUNK) -> Iterator[tuple]
     full = target.full_mask
     cells = [np.array(cell, dtype=dtype) for cell in r.cell_masks]
     total = 1 << target.n
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=dtype)
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total), dtype=dtype)
         sig = _sigma_apply(np, target, masks)
         xxbar = masks & ~sig & full
         xxstar = masks & sig
@@ -110,27 +112,24 @@ def element_type_scan(r: AtomRefinement, chunk: int = _CHUNK) -> Iterator[tuple]
         yield masks, i1, i2, i3
 
 
-def all_realizations_in(r: AtomRefinement, t: Triple) -> list[Element]:
-    """Every element of the target whose zero pattern over the source is
-    exactly t, in ascending bitmask order."""
+def _realizers(r: AtomRefinement, t: Triple) -> Iterator[Element]:
+    """The elements of the target whose zero pattern over the source is
+    exactly t, in ascending bitmask order, scanned one chunk at a time."""
     if t.algebra != r.source:
         raise ValueError("triple is not over the refinement source")
-    out: list[Element] = []
     for masks, i1, i2, i3 in element_type_scan(r):
-        hits = masks[(i1 == t.m1) & (i2 == t.m2) & (i3 == t.m3)]
-        out.extend(Element.from_mask(r.target, int(m)) for m in hits)
-    return out
+        for m in masks[(i1 == t.m1) & (i2 == t.m2) & (i3 == t.m3)]:
+            yield Element.from_mask(r.target, int(m))
+
+
+def all_realizations_in(r: AtomRefinement, t: Triple) -> list[Element]:
+    """Every element of the target realizing t, in ascending bitmask order."""
+    return list(_realizers(r, t))
 
 
 def find_realizer(r: AtomRefinement, t: Triple) -> Optional[Element]:
     """The least element of the target realizing t, or None."""
-    if t.algebra != r.source:
-        raise ValueError("triple is not over the refinement source")
-    for masks, i1, i2, i3 in element_type_scan(r):
-        hits = masks[(i1 == t.m1) & (i2 == t.m2) & (i3 == t.m3)]
-        if hits.size:
-            return Element.from_mask(r.target, int(hits[0]))
-    return None
+    return next(_realizers(r, t), None)
 
 
 def scan_consistent(r: AtomRefinement) -> bool:
@@ -165,12 +164,11 @@ def oracle_witness_search(t: Triple, max_atoms: int = 16) -> Optional[Witness]:
     order, or None."""
     if max_atoms < 0:
         raise ValueError(f"max_atoms must be nonnegative, got {max_atoms}")
-    base = t.algebra
-    r = four_power_base(base)[1] or identity_refinement(base)
+    r = four_power_base(t.algebra)[1] or identity_refinement(t.algebra)
     while r.target.n <= max_atoms:
         found = find_realizer(r, t)
         if found is not None:
-            return Witness(base, r.target, r, found)
+            return Witness(r, found)
         # double every coordinate diagonally
         r = compose_refinements(r, block_layout(r.target, [2] * (r.target.n // 2)))
     return None

@@ -32,12 +32,12 @@ from .algebra import (
     FiniteAlgebra,
     atoms_to_mask,
     compose_refinements,
-    embed_into_four_power,
     four_power,
     generated_subalgebra,
     identity_refinement,
     is_four_power_shaped,
     mask_to_atoms,
+    twist_product,
 )
 from .errors import CapExceeded, InconsistentTripleError, TrivialTripleError
 from .terms import (
@@ -102,12 +102,14 @@ def _init_triple(t, algebra, m1, m2, m3):
 @dataclass(frozen=True)
 class Witness:
     """An extension of the base with a distinguished element realizing a
-    triple along the embedding."""
+    triple along the embedding; the base and the extension are the
+    embedding's source and target."""
 
-    base: FiniteAlgebra
-    extension: FiniteAlgebra
     embedding: AtomRefinement
     element: Element
+
+    base = property(lambda self: self.embedding.source)
+    extension = property(lambda self: self.embedding.target)
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,7 @@ def witness_abstract(t: Triple) -> Witness:
             element |= 1 << j
     ext = FiniteAlgebra(len(index), tuple(sigma))
     embedding = AtomRefinement.from_masks(alg, ext, tuple(cells))
-    return Witness(alg, ext, embedding, Element.from_mask(ext, element))
+    return Witness(embedding, Element.from_mask(ext, element))
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +324,6 @@ _CASE1_TABLE = {
 }
 
 
-def case1_entry(
-    i1: frozenset[int], i2: frozenset[int], i3: frozenset[int]
-) -> Case1Entry:
-    """The tabulated solution for a consistent triple over two atoms with
-    star swapping them."""
-    try:
-        return _CASE1_TABLE[(atoms_to_mask(i1), atoms_to_mask(i2), atoms_to_mask(i3))]
-    except KeyError:
-        raise InconsistentTripleError(
-            "only sigma-consistent triples have tabulated solutions"
-        ) from None
-
-
 # a coordinate's value as its two sides: bit 0 for a, bit 1 for b
 _COORD_SIDES = {"0": 0, "a": 1, "b": 2, "1": 3}
 
@@ -344,7 +333,7 @@ def four_power_base(alg: FiniteAlgebra) -> tuple[int, Optional[AtomRefinement]]:
     embedding is None when alg already has that layout."""
     if is_four_power_shaped(alg):
         return alg.n // 2, None
-    return alg.n, embed_into_four_power(alg)[1]
+    return alg.n, twist_product(alg)[1]
 
 
 def coordinate_entries(t: Triple, m: int) -> list[Case1Entry]:
@@ -397,12 +386,7 @@ def diagonal_refinement(k: int) -> AtomRefinement:
 def case1_witness(entry: Case1Entry) -> Witness:
     """The tabulated solution as a witness over the four-element algebra."""
     k = len(entry.coords)
-    return Witness(
-        FOUR,
-        four_power(k),
-        diagonal_refinement(k),
-        element_in_power(k, entry.coords),
-    )
+    return Witness(diagonal_refinement(k), element_in_power(k, entry.coords))
 
 
 @lru_cache(maxsize=_WITNESS_CACHE_SIZE)
@@ -417,15 +401,14 @@ def witness_via_four_power(t: Triple) -> Witness:
     """
     if not is_sigma_consistent(t):
         raise InconsistentTripleError(f"{t!r} violates the consistency conditions")
-    alg = t.algebra
-    m, r1 = four_power_base(alg)
+    m, r1 = four_power_base(t.algebra)
     refined = t if r1 is None else refine_triple(r1, t)
     entries = coordinate_entries(refined, m)
     block = block_layout(refined.algebra, [len(e.coords) for e in entries])
     ext = block.target
     mask = coords_mask([c for e in entries for c in e.coords], ext.n // 2)
     embedding = block if r1 is None else compose_refinements(r1, block)
-    return Witness(alg, ext, embedding, Element.from_mask(ext, mask))
+    return Witness(embedding, Element.from_mask(ext, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +526,16 @@ def _decide(alg, f, env, caps, depth):
             env_sub[name] = pre
         for t in sigma_consistent_triples(sub, caps.max_triples):
             w = witness_abstract(t)
-            if w.extension.n > caps.max_atoms:
+            ext = w.embedding.target
+            if ext.n > caps.max_atoms:
                 raise CapExceeded(
-                    f"witness extension needs {w.extension.n} atoms, cap is {caps.max_atoms}"
+                    f"witness extension needs {ext.n} atoms, cap is {caps.max_atoms}"
                 )
             new_env = {
                 name: w.embedding.map_element(value) for name, value in env_sub.items()
             }
             new_env[f.var] = w.element
-            if _decide(w.extension, f.body, new_env, caps, depth + 1):
+            if _decide(ext, f.body, new_env, caps, depth + 1):
                 return True
         return False
     return eval_formula(alg, f, env)

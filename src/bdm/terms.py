@@ -363,17 +363,34 @@ class _Parser:
         return ast
 
 
+# Deepest tree that parse returns.  The walkers below (evaluation, printing,
+# translation, decide) recurse once per level, and Python stops at about
+# 1,000 frames; flat chains such as x + x + ... + x parse without recursion.
+_MAX_AST_DEPTH = 500
+
+
+def _check_depth(ast: Ast) -> None:
+    """Raise ParseError when the tree has more than _MAX_AST_DEPTH levels;
+    walks one level at a time, without recursion."""
+    level = [ast]
+    for _ in range(_MAX_AST_DEPTH):
+        level = [c for n in level for c in vars(n).values() if isinstance(c, (Term, Formula))]
+        if not level:
+            return
+    raise ParseError("formula nested too deeply", 0)
+
+
 def parse(text: str, signature: str = "bdm", kind: str = "formula") -> Ast:
     """Parse a term or formula; positions in errors are 0-based offsets."""
     p = _Parser(text, signature)
+    if kind not in ("term", "formula"):
+        raise ValueError("kind must be 'term' or 'formula'")
     try:
-        if kind == "term":
-            return p.finish(p.term())
-        if kind == "formula":
-            return p.finish(p.formula())
+        ast = p.finish(p.term() if kind == "term" else p.formula())
     except RecursionError:
         raise ParseError("formula nested too deeply", 0) from None
-    raise ValueError("kind must be 'term' or 'formula'")
+    _check_depth(ast)
+    return ast
 
 
 def parse_term(text: str, signature: str = "bdm") -> Term:

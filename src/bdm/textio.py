@@ -194,16 +194,17 @@ def format_refinement(r: AtomRefinement) -> str:
     return "\n".join(lines) + "\n"
 
 
+def extension_lines(r: AtomRefinement) -> list[str]:
+    """The target algebra's atoms and sigma lines, then one cell line per
+    source atom: how witnesses, stages and realizers print an extension."""
+    lines = [f"atoms {r.target.n}", "sigma " + " ".join(map(str, r.target.sigma))]
+    lines += [f"cell {i}: {format_atom_set(r.cell(i))}" for i in r.source.atom_indices]
+    return lines
+
+
 def format_witness(w: Witness) -> str:
     """Extension algebra, then the embedding cells, then the element."""
-    lines = [
-        f"atoms {w.extension.n}",
-        "sigma " + " ".join(map(str, w.extension.sigma)),
-    ]
-    lines += [
-        f"cell {i}: {format_atom_set(w.embedding.cell(i))}"
-        for i in w.base.atom_indices
-    ]
+    lines = extension_lines(w.embedding)
     lines.append(f"element {format_element(w.element)}")
     return "\n".join(lines) + "\n"
 
@@ -214,12 +215,7 @@ def format_stage(stage: EcStage) -> str:
         f"realized {format_triple(t)} -> {format_element(e)}"
         for t, e in stage.realizers
     ]
-    lines.append(f"atoms {stage.algebra.n}")
-    lines.append("sigma " + " ".join(map(str, stage.algebra.sigma)))
-    lines += [
-        f"cell {i}: {format_atom_set(stage.embedding.cell(i))}"
-        for i in stage.base.atom_indices
-    ]
+    lines += extension_lines(stage.embedding)
     return "\n".join(lines) + "\n"
 
 
@@ -240,20 +236,26 @@ def triple_json(t: Triple) -> dict:
     return {"I1": sorted(t.i1), "I2": sorted(t.i2), "I3": sorted(t.i3)}
 
 
+def _cells_json(r: AtomRefinement) -> list[list[int]]:
+    return [sorted(r.cell(i)) for i in r.source.atom_indices]
+
+
 def refinement_json(r: AtomRefinement) -> dict:
     return {
         "source": algebra_json(r.source),
         "target": algebra_json(r.target),
-        "cells": [sorted(r.cell(i)) for i in r.source.atom_indices],
+        "cells": _cells_json(r),
     }
+
+
+def extension_json(r: AtomRefinement) -> dict:
+    """The target algebra and the cell of each source atom, under the keys
+    "extension" and "cells"."""
+    return {"extension": algebra_json(r.target), "cells": _cells_json(r)}
 
 
 def witness_json(w: Witness) -> dict:
-    return {
-        "extension": algebra_json(w.extension),
-        "cells": [sorted(w.embedding.cell(i)) for i in w.base.atom_indices],
-        "element": element_json(w.element),
-    }
+    return extension_json(w.embedding) | {"element": element_json(w.element)}
 
 
 def stage_json(stage: EcStage) -> dict:
@@ -263,7 +265,5 @@ def stage_json(stage: EcStage) -> dict:
             for t, e in stage.realizers
         ],
         "algebra": algebra_json(stage.algebra),
-        "cells": [
-            sorted(stage.embedding.cell(i)) for i in stage.base.atom_indices
-        ],
+        "cells": _cells_json(stage.embedding),
     }

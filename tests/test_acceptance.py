@@ -315,22 +315,26 @@ def test_criterion_10_back_and_forth():
             for v in rv.target.elements():
                 u, iso = find_matching_element(stage, rv, v)
                 assert triple_of_element(stage.embedding, u) == triple_of_element(rv, v)
-                _, _, base_into_v = algebra_over(rv, [v])
-                _, _, base_into_u = algebra_over(stage.embedding, [u])
-                _assert_valid_iso(base_into_v, base_into_u, iso)
+                _, v_blocks, base_into_v = algebra_over(rv, [v])
+                _, u_blocks, base_into_u = algebra_over(stage.embedding, [u])
+                _assert_valid_iso(
+                    base_into_v, base_into_u, iso, v_blocks.preimage(v), u_blocks.preimage(u)
+                )
                 matched += 1
     return f"{matched} elements matched and verified"
 
 
-def _assert_valid_iso(r1, r2, iso):
-    # independent validation: a bijection commuting with star and carrying
-    # each cell onto its counterpart
+def _assert_valid_iso(r1, r2, iso, x, y):
+    # independent validation: a bijection commuting with star, carrying
+    # each cell onto its counterpart and x onto y, as the back-and-forth
+    # step extends the partial map by v -> u
     m = r1.target.n
     assert sorted(iso) == list(range(1, m + 1))
     for q in range(1, m + 1):
         assert iso[r1.target.sigma_of(q) - 1] == r2.target.sigma_of(iso[q - 1])
     for i in r1.source.atom_indices:
         assert {iso[q - 1] for q in r1.cell(i)} == set(r2.cell(i))
+    assert {iso[q - 1] for q in x.atoms} == y.atoms
 
 
 @criterion(11, 5.0)

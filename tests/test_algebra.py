@@ -13,13 +13,11 @@ from bdm.algebra import (
     amalgamate,
     apply,
     compose_refinements,
-    embed_into_four_power,
     find_isomorphism_over,
     four_power,
     generated_subalgebra,
     identity_refinement,
     is_four_power_shaped,
-    new_algebra,
     twist_product,
 )
 from bdm.solver import Triple, witness_abstract
@@ -28,7 +26,7 @@ from corpus import all_bases, random_algebra, random_refinement
 
 
 def test_new_algebra_four():
-    alg = new_algebra(2, [2, 1])
+    alg = FiniteAlgebra(2, [2, 1])
     assert alg == FOUR
     a, b = alg.atom(1), alg.atom(2)
     assert a.bneg() == b and b.bneg() == a
@@ -37,16 +35,16 @@ def test_new_algebra_four():
 
 
 def test_new_algebra_two():
-    assert new_algebra(1, [1]) == TWO
+    assert FiniteAlgebra(1, [1]) == TWO
 
 
 def test_new_algebra_rejects_non_involution():
     with pytest.raises(ValueError):
-        new_algebra(2, [1, 1])
+        FiniteAlgebra(2, [1, 1])
     with pytest.raises(ValueError):
-        new_algebra(3, [2, 3, 1])  # 3-cycle
+        FiniteAlgebra(3, [2, 3, 1])  # 3-cycle
     with pytest.raises(ValueError):
-        new_algebra(0, [])
+        FiniteAlgebra(0, [])
 
 
 def test_apply_examples():
@@ -125,13 +123,13 @@ def test_twist_of_identity_sigma_three_atoms():
 
 
 def test_embed_into_four_power_examples():
-    ext, r = embed_into_four_power(TWO)
+    ext, r = twist_product(TWO)
     assert ext == FOUR and r.cell(1) == {1, 2}
-    ext, r = embed_into_four_power(FOUR)
+    ext, r = twist_product(FOUR)
     assert ext == four_power(2)
     assert r.cell(1) == {1, 4} and r.cell(2) == {2, 3}
     alg = FiniteAlgebra(3, (2, 1, 3))
-    ext, r = embed_into_four_power(alg)
+    ext, r = twist_product(alg)
     assert ext == four_power(3)
     for x in alg.elements():
         for y in alg.elements():

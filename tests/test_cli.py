@@ -337,3 +337,32 @@ def test_unexpected_exception_is_internal_error(capsys, algebra_files, monkeypat
     code, out, err = run(capsys, "decide", "--algebra", algebra_files["two"], "exists x. (x = x)")
     assert (code, out) == (4, "")
     assert "RuntimeError: boom" in err and "Traceback" in err
+
+
+def test_unreadable_input_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--algebra", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _chain_commands(algebra_files, operands):
+    sentence = " & ".join(["0 = 0"] * operands)
+    return [
+        (["equiv", "+".join(["x"] * operands), "x"], "valid\n"),
+        (["decide", "--algebra", algebra_files["two"], sentence], "true\n"),
+        (["translate", "--to", "dm", sentence], sentence + "\n"),
+    ]
+
+
+def test_long_flat_chain_is_parse_error(capsys, algebra_files):
+    # the parser builds flat chains without recursion, but every walker of
+    # the tree recurses once per operator
+    for argv, _ in _chain_commands(algebra_files, 1000):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert "nested too deeply" in err
+
+
+def test_shorter_flat_chain_is_answered(capsys, algebra_files):
+    for argv, expected in _chain_commands(algebra_files, 400):
+        assert run(capsys, *argv)[:2] == (0, expected), argv[0]

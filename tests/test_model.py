@@ -1,6 +1,14 @@
 import pytest
 
-from bdm.algebra import FOUR, TWO, identity_refinement, twist_product
+from bdm.algebra import (
+    AtomRefinement,
+    FOUR,
+    FiniteAlgebra,
+    TWO,
+    algebra_over,
+    identity_refinement,
+    twist_product,
+)
 from bdm.errors import CapExceeded, NoRealizerError
 from bdm.model import build_chain, ec_stage, find_matching_element
 from bdm.solver import (
@@ -67,6 +75,14 @@ def test_build_chain_depth_two():
     assert chain[1].base == chain[0].algebra
 
 
+def _sends_v_to_u(rv, v, r0, u, iso):
+    """Whether the atom bijection iso between A0<v> and A0<u> carries the
+    atoms under v onto the atoms under u."""
+    _, v_blocks, _ = algebra_over(rv, [v])
+    _, u_blocks, _ = algebra_over(r0, [u])
+    return {iso[q - 1] for q in v_blocks.preimage(v).atoms} == u_blocks.preimage(u).atoms
+
+
 def test_find_matching_element_square_root():
     stage = ec_stage(TWO, CAPS)
     _, rv = twist_product(TWO)
@@ -75,6 +91,17 @@ def test_find_matching_element_square_root():
     assert triple_of_element(stage.embedding, u) == triple_of_element(rv, v)
     # the one-generated subalgebra has the shape of the four-element algebra
     assert len(iso) == 2
+    assert _sends_v_to_u(rv, v, stage.embedding, u, iso)
+
+
+def test_find_matching_element_sends_v_to_u():
+    # both atoms of the extension are star-fixed, so swapping them is also
+    # an isomorphism over the base; only one of the two sends v to u
+    stage = ec_stage(TWO, CAPS)
+    rv = AtomRefinement(TWO, FiniteAlgebra(2, (1, 2)), [{1, 2}])
+    for v in rv.target.elements():
+        u, iso = find_matching_element(stage, rv, v)
+        assert _sends_v_to_u(rv, v, stage.embedding, u, iso), v
 
 
 def test_find_matching_element_image_element():
@@ -84,6 +111,7 @@ def test_find_matching_element_image_element():
     u, iso = find_matching_element(stage, rv, v)
     assert u == stage.embedding.map_element(TWO.one)
     assert iso == (1,)
+    assert _sends_v_to_u(rv, v, stage.embedding, u, iso)
 
 
 def test_find_matching_element_missing_realizer():
@@ -98,6 +126,7 @@ def test_find_matching_element_bare_refinement():
     _, rv = twist_product(TWO)
     u, iso = find_matching_element(w.embedding, rv, FOUR.atom(1))
     assert triple_of_element(w.embedding, u) == triple_of_element(rv, FOUR.atom(1))
+    assert _sends_v_to_u(rv, FOUR.atom(1), w.embedding, u, iso)
 
 
 def test_stage_base_mismatch():

@@ -48,6 +48,7 @@ def test_tracer_records_spans(spans):
     tracer.install()
     try:
         bdm.model.find_matching_element(stage, rv, rv.target.atom(1))
+        assert bdm.algebra.find_isomorphism_over(rv, rv) == (1, 2)
         assert bdm.solver.decide(TWO, sentence)
     finally:
         tracer.uninstall()
