@@ -215,10 +215,15 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_translate(args) -> int:
     f = parse_formula(args.formula)
-    out = translate_dm(f, to=args.to)
+    try:
+        text = format_ast(translate_dm(f, to=args.to))
+    except RecursionError:
+        # each complement adds two levels, and the translation and the
+        # printer recurse once per level
+        raise ParseError("formula nested too deeply", 0) from None
     if args.json:
-        return _emit_json({"formula": format_ast(out)})
-    print(format_ast(out))
+        return _emit_json({"formula": text})
+    print(text)
     return 0
 
 

@@ -151,40 +151,32 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _children(node: Ast) -> list[Ast]:
+    """The AST-valued fields of a node, in field order."""
+    return [v for v in vars(node).values() if isinstance(v, (Term, Formula))]
+
+
+def _nodes(ast: Ast):
+    """Every node of the tree, without recursion (order unspecified)."""
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(_children(node))
+
+
 def all_vars(f: Ast) -> frozenset[str]:
     """Every variable name occurring in the tree, free or bound."""
-    if isinstance(f, Term):
-        return term_vars(f)
-    if isinstance(f, (Equal, NotEqual)):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, (And, Or, Implies)):
-        return all_vars(f.left) | all_vars(f.right)
-    if isinstance(f, Not):
-        return all_vars(f.arg)
-    if isinstance(f, (Exists, ForAll)):
-        return all_vars(f.body) | {f.var}
-    raise TypeError(f"not a term or formula: {f!r}")
+    return frozenset(
+        n.name if isinstance(n, Var) else n.var
+        for n in _nodes(f)
+        if isinstance(n, (Var, Exists, ForAll))
+    )
 
 
-def in_dm_signature(t: Term) -> bool:
-    """True when the term avoids Boolean negation and star."""
-    if isinstance(t, (BNeg, Star)):
-        return False
-    if isinstance(t, (Join, Meet)):
-        return in_dm_signature(t.left) and in_dm_signature(t.right)
-    if isinstance(t, DMNeg):
-        return in_dm_signature(t.arg)
-    return True
-
-
-def formula_in_dm_signature(f: Formula) -> bool:
-    if isinstance(f, (Equal, NotEqual)):
-        return in_dm_signature(f.left) and in_dm_signature(f.right)
-    if isinstance(f, (And, Or, Implies)):
-        return formula_in_dm_signature(f.left) and formula_in_dm_signature(f.right)
-    if isinstance(f, Not):
-        return formula_in_dm_signature(f.arg)
-    return formula_in_dm_signature(f.body)
+def in_dm_signature(ast: Ast) -> bool:
+    """True when the term or formula avoids Boolean negation and star."""
+    return not any(isinstance(n, (BNeg, Star)) for n in _nodes(ast))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +366,7 @@ def _check_depth(ast: Ast) -> None:
     walks one level at a time, without recursion."""
     level = [ast]
     for _ in range(_MAX_AST_DEPTH):
-        level = [c for n in level for c in vars(n).values() if isinstance(c, (Term, Formula))]
+        level = [c for n in level for c in _children(n)]
         if not level:
             return
     raise ParseError("formula nested too deeply", 0)
@@ -404,74 +396,50 @@ def parse_formula(text: str, signature: str = "bdm") -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-_SUM, _PROD, _PREFIX, _POSTFIX, _ATOM = range(5)
+# Binding levels, loosest first; _TOP is a formula position at the top level
+# or directly inside parentheses.  A node is parenthesized when its own level
+# is below the level its parent asks of that child.
+_TOP, _IMP, _OR, _AND, _NOT, _SUM, _PROD, _PREFIX, _POSTFIX = range(-1, 8)
+
+# class -> (own level, template over the node's fields, level of each child)
+_PRINT = {
+    Const: (_POSTFIX, "%(value)s", {}),
+    Var: (_POSTFIX, "%(name)s", {}),
+    Join: (_SUM, "%(left)s + %(right)s", {"left": _SUM, "right": _PROD}),
+    Meet: (_PROD, "%(left)s . %(right)s", {"left": _PROD, "right": _PREFIX}),
+    DMNeg: (_PREFIX, "~%(arg)s", {"arg": _PREFIX}),
+    BNeg: (_POSTFIX, "%(arg)s'", {"arg": _POSTFIX}),
+    Star: (_POSTFIX, "%(arg)s*", {"arg": _POSTFIX}),
+    Equal: (_NOT, "%(left)s = %(right)s", {"left": _SUM, "right": _SUM}),
+    NotEqual: (_NOT, "%(left)s != %(right)s", {"left": _SUM, "right": _SUM}),
+    Implies: (_IMP, "%(left)s -> %(right)s", {"left": _OR, "right": _IMP}),
+    Or: (_OR, "%(left)s | %(right)s", {"left": _OR, "right": _AND}),
+    And: (_AND, "%(left)s & %(right)s", {"left": _AND, "right": _NOT}),
+    Not: (_NOT, "!%(arg)s", {"arg": _NOT}),
+    # quantifiers are grammatical only at formula positions
+    Exists: (_TOP, "exists %(var)s. (%(body)s)", {"body": _TOP}),
+    ForAll: (_TOP, "forall %(var)s. (%(body)s)", {"body": _TOP}),
+}
 
 
-def _fmt_term(t: Term, level: int) -> str:
-    if isinstance(t, Const):
-        return str(t.value)
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Join):
-        s = f"{_fmt_term(t.left, _SUM)} + {_fmt_term(t.right, _PROD)}"
-        own = _SUM
-    elif isinstance(t, Meet):
-        s = f"{_fmt_term(t.left, _PROD)} . {_fmt_term(t.right, _PREFIX)}"
-        own = _PROD
-    elif isinstance(t, DMNeg):
-        s = f"~{_fmt_term(t.arg, _PREFIX)}"
-        own = _PREFIX
-    elif isinstance(t, BNeg):
-        s = f"{_fmt_term(t.arg, _POSTFIX)}'"
-        own = _POSTFIX
-    elif isinstance(t, Star):
-        s = f"{_fmt_term(t.arg, _POSTFIX)}*"
-        own = _POSTFIX
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    if own < level:
-        return f"({s})"
-    return s
-
-
-_TOP = -1  # a "formula" position: top level or directly inside parentheses
-_IMP, _OR, _AND, _NOT, _ATOMF = range(5)
-
-
-def _fmt_formula(f: Formula, level: int) -> str:
-    if isinstance(f, Equal):
-        return f"{_fmt_term(f.left, _SUM)} = {_fmt_term(f.right, _SUM)}"
-    if isinstance(f, NotEqual):
-        return f"{_fmt_term(f.left, _SUM)} != {_fmt_term(f.right, _SUM)}"
-    if isinstance(f, (Exists, ForAll)):
-        word = "exists" if isinstance(f, Exists) else "forall"
-        s = f"{word} {f.var}. ({_fmt_formula(f.body, _TOP)})"
-        # quantifiers are grammatical only at formula positions
-        return f"({s})" if level > _TOP else s
-    if isinstance(f, Implies):
-        s = f"{_fmt_formula(f.left, _OR)} -> {_fmt_formula(f.right, _IMP)}"
-        own = _IMP
-    elif isinstance(f, Or):
-        s = f"{_fmt_formula(f.left, _OR)} | {_fmt_formula(f.right, _AND)}"
-        own = _OR
-    elif isinstance(f, And):
-        s = f"{_fmt_formula(f.left, _AND)} & {_fmt_formula(f.right, _NOT)}"
-        own = _AND
-    elif isinstance(f, Not):
-        s = f"!{_fmt_formula(f.arg, _NOT)}"
-        own = _NOT
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    if own < level:
-        return f"({s})"
-    return s
+def _fmt(node: Ast, level: int) -> str:
+    # CPython 3.11 counts a call into most C functions (vars, str.format,
+    # dict methods; not type) against the recursion limit, so a leaf is
+    # printed with operators only and needs no stack beyond its own frame.
+    try:
+        own, template, child_levels = _PRINT[type(node)]
+    except KeyError:
+        raise TypeError(f"not a term or formula: {node!r}") from None
+    fields = {**node.__dict__}
+    for name in child_levels:
+        fields[name] = _fmt(fields[name], child_levels[name])
+    s = template % fields
+    return f"({s})" if own < level else s
 
 
 def format_ast(ast: Ast) -> str:
     """Render a term or formula; parse(format_ast(a)) == a structurally."""
-    if isinstance(ast, Term):
-        return _fmt_term(ast, _SUM)
-    return _fmt_formula(ast, _TOP)
+    return _fmt(ast, _SUM if isinstance(ast, Term) else _TOP)
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +537,10 @@ def _fresh_names(avoid: frozenset[str]):
 def _subst_term(t: Term, target: Term, replacement: Term) -> Term:
     if t == target:
         return replacement
-    if isinstance(t, Join):
-        return Join(_subst_term(t.left, target, replacement), _subst_term(t.right, target, replacement))
-    if isinstance(t, Meet):
-        return Meet(_subst_term(t.left, target, replacement), _subst_term(t.right, target, replacement))
-    if isinstance(t, BNeg):
-        return BNeg(_subst_term(t.arg, target, replacement))
-    if isinstance(t, DMNeg):
-        return DMNeg(_subst_term(t.arg, target, replacement))
-    if isinstance(t, Star):
-        return Star(_subst_term(t.arg, target, replacement))
+    if isinstance(t, (Join, Meet)):
+        return type(t)(_subst_term(t.left, target, replacement), _subst_term(t.right, target, replacement))
+    if isinstance(t, (BNeg, DMNeg, Star)):
+        return type(t)(_subst_term(t.arg, target, replacement))
     return t
 
 
@@ -586,14 +548,10 @@ def _drop_star(t: Term) -> Term:
     """Rewrite every star node as Boolean negation of De Morgan negation."""
     if isinstance(t, Star):
         return BNeg(DMNeg(_drop_star(t.arg)))
-    if isinstance(t, Join):
-        return Join(_drop_star(t.left), _drop_star(t.right))
-    if isinstance(t, Meet):
-        return Meet(_drop_star(t.left), _drop_star(t.right))
-    if isinstance(t, BNeg):
-        return BNeg(_drop_star(t.arg))
-    if isinstance(t, DMNeg):
-        return DMNeg(_drop_star(t.arg))
+    if isinstance(t, (Join, Meet)):
+        return type(t)(_drop_star(t.left), _drop_star(t.right))
+    if isinstance(t, (BNeg, DMNeg)):
+        return type(t)(_drop_star(t.arg))
     return t
 
 
@@ -612,17 +570,16 @@ def _innermost_bneg(t: Term) -> Optional[Term]:
 def _eliminate_bneg(atom: Formula, fresh) -> Formula:
     """Replace each complemented subterm in a relational atom by an
     existentially quantified complement witness."""
+    cls = type(atom)
     left = _drop_star(atom.left)
     right = _drop_star(atom.right)
     target = _innermost_bneg(left)
     if target is None:
         target = _innermost_bneg(right)
     if target is None:
-        cls = Equal if isinstance(atom, Equal) else NotEqual
         return cls(left, right)
     base = target.arg  # BNeg-free by choice of target
     z = Var(next(fresh))
-    cls = Equal if isinstance(atom, Equal) else NotEqual
     body = _eliminate_bneg(
         cls(_subst_term(left, target, z), _subst_term(right, target, z)), fresh
     )
@@ -636,18 +593,12 @@ def _eliminate_bneg(atom: Formula, fresh) -> Formula:
 def _to_dm(f: Formula, fresh) -> Formula:
     if isinstance(f, (Equal, NotEqual)):
         return _eliminate_bneg(f, fresh)
-    if isinstance(f, And):
-        return And(_to_dm(f.left, fresh), _to_dm(f.right, fresh))
-    if isinstance(f, Or):
-        return Or(_to_dm(f.left, fresh), _to_dm(f.right, fresh))
-    if isinstance(f, Implies):
-        return Implies(_to_dm(f.left, fresh), _to_dm(f.right, fresh))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(_to_dm(f.left, fresh), _to_dm(f.right, fresh))
     if isinstance(f, Not):
         return Not(_to_dm(f.arg, fresh))
-    if isinstance(f, Exists):
-        return Exists(f.var, _to_dm(f.body, fresh))
-    if isinstance(f, ForAll):
-        return ForAll(f.var, _to_dm(f.body, fresh))
+    if isinstance(f, (Exists, ForAll)):
+        return type(f)(f.var, _to_dm(f.body, fresh))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -366,3 +366,12 @@ def test_long_flat_chain_is_parse_error(capsys, algebra_files):
 def test_shorter_flat_chain_is_answered(capsys, algebra_files):
     for argv, expected in _chain_commands(algebra_files, 400):
         assert run(capsys, *argv)[:2] == (0, expected), argv[0]
+
+
+@pytest.mark.parametrize("op", ["'", "*"])
+def test_too_deep_translation_is_parse_error(capsys, op):
+    # parses (500 levels), but each complement the translation introduces
+    # adds two levels for the translation and the printer to recurse through
+    code, out, err = run(capsys, "translate", "--to", "dm", "x" + op * 498 + " = 0")
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err and "Traceback" not in err

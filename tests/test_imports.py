@@ -1,0 +1,37 @@
+"""Every module imports only names it uses.
+
+No linter is installed with the package, so the check walks each file's
+syntax tree: an imported name counts as used when it appears as a name
+anywhere in the same file.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# src/bdm/__init__.py imports to re-export, so it is not scanned
+FILES = sorted(
+    path
+    for path in [*ROOT.joinpath("src", "bdm").glob("*.py"), *ROOT.joinpath("tests").glob("*.py")]
+    if path.name != "__init__.py"
+)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    assert FILES
+    assert [hit for path in FILES for hit in _unused_imports(path)] == []

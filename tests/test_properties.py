@@ -14,11 +14,10 @@ from bdm.algebra import (
     apply,
     compose_refinements,
     four_power,
-    identity_refinement,
     twist_product,
 )
 from bdm.cli import main
-from bdm.model import build_chain, ec_stage
+from bdm.model import build_chain
 from bdm.solver import (
     Caps,
     Triple,
@@ -29,7 +28,7 @@ from bdm.solver import (
     witness_abstract,
     witness_via_four_power,
 )
-from bdm.textio import parse_algebra, parse_element, parse_refinement
+from bdm.textio import parse_algebra, parse_refinement
 
 from corpus import random_algebra, random_element, random_refinement
 

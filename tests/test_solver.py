@@ -377,7 +377,7 @@ def test_phi_formula_matches_holds_phi():
 
 
 def test_translate_preserves_decisions():
-    from bdm.terms import formula_in_dm_signature, translate_dm
+    from bdm.terms import in_dm_signature, translate_dm
 
     texts = [
         "exists x. (~x = x & x != 0 & x != 1)",
@@ -390,7 +390,7 @@ def test_translate_preserves_decisions():
     for text in texts:
         f = parse_formula(text)
         g = translate_dm(f, to="dm")
-        assert formula_in_dm_signature(g)
+        assert in_dm_signature(g)
         assert decide(TWO, f, caps=CAPS) == decide(TWO, g, caps=CAPS), text
 
 

@@ -20,6 +20,7 @@ from bdm.terms import (
     eval_term,
     format_ast,
     free_vars,
+    in_dm_signature,
     parse,
     parse_formula,
     parse_term,
@@ -102,6 +103,37 @@ def test_round_trip_random_formulas(seed):
     rng = random.Random(seed)
     f = random_formula(rng, ["x", "y"])
     assert parse(format_ast(f), kind="formula") == f
+
+
+def _depth_limit_text(op, operators):
+    if op in "~!":
+        return op * operators + ("x" if op == "~" else "x = x")
+    if op in "'*":
+        return "x" + op * operators
+    operand = "x" if op in "+." else "x = x"
+    return f" {op} ".join([operand] * (operators + 1))
+
+
+@pytest.mark.parametrize("op", ["~", "'", "*", "!", "->", "|", "&", "+", "."])
+def test_round_trip_at_depth_limit(op):
+    # the deepest tree parse accepts has 500 levels; a formula spends one on
+    # the relation, so it holds one operator fewer than a term
+    kind = "term" if op in "~'*+." else "formula"
+    operators = 499 if kind == "term" else 498
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(_depth_limit_text(op, operators + 1), kind=kind)
+    f = parse(_depth_limit_text(op, operators), kind=kind)
+    # compare printed forms: dataclass == on a 500-level tree overflows
+    printed = format_ast(f)
+    assert format_ast(parse(printed, kind=kind)) == printed
+    assert in_dm_signature(f) == (op not in "'*")
+
+
+def test_in_dm_signature_terms_and_formulas():
+    assert in_dm_signature(parse_term("~x + y . 0"))
+    assert not in_dm_signature(parse_term("~(x . y*)"))
+    assert in_dm_signature(parse_formula("exists y. (~x = y)"))
+    assert not in_dm_signature(parse_formula("!(x = 0) | (forall y. (y' = x))"))
 
 
 def test_eval_examples():
@@ -203,9 +235,7 @@ def test_translate_star_to_dm():
     f = parse_formula("y . (x . x*) = 0")
     out = translate_dm(f, to="dm")
     assert format_ast(out) == "exists z. (~x + z = 1 & ~x . z = 0 & y . (x . z) = 0)"
-    from bdm.terms import formula_in_dm_signature
-
-    assert formula_in_dm_signature(out)
+    assert in_dm_signature(out)
 
 
 def test_translate_bneg_to_dm():
@@ -217,9 +247,7 @@ def test_translate_bneg_to_dm():
 def test_translate_nested_negations():
     f = parse_formula("x'' = x")
     out = translate_dm(f, to="dm")
-    from bdm.terms import formula_in_dm_signature
-
-    assert formula_in_dm_signature(out)
+    assert in_dm_signature(out)
     # two witnesses are introduced, innermost first
     assert format_ast(out).count("exists") == 2
 
