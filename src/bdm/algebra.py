@@ -17,8 +17,9 @@ Inside the package an atom set is an int mask with bit i-1 for atom i, so the
 operations above are |, &, ^ full_mask and sigma_mask.  The frozenset views
 (Element.atoms, AtomRefinement.cells and cell(i), FiniteAlgebra.full_set and
 sigma_set) exist only at the API edge, and the public constructors take atom
-sets; mask_to_atoms and atoms_to_mask convert between the two.  Every object
-checks its invariants, whichever way it was built.
+sets; mask_to_atoms and atoms_to_mask convert between the two, and the
+printers read masks through sorted_atoms.  Every object checks its
+invariants, whichever way it was built.
 
 All values are immutable; every operation is a pure function.  Searches that
 could return several answers (isomorphisms, generated structure) return the
@@ -43,9 +44,24 @@ def atoms_to_mask(atoms: Iterable[int]) -> int:
     return mask
 
 
+# the atoms of each byte value, as offsets 1..8 within its byte
+_BYTE_ATOMS = tuple(tuple(j + 1 for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def sorted_atoms(mask: int) -> list[int]:
+    """The atoms of a mask in ascending order, read a byte at a time."""
+    out = []
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        for j in _BYTE_ATOMS[byte]:
+            out.append(base + j)
+        base += 8
+    return out
+
+
 def mask_to_atoms(mask: int) -> frozenset[int]:
     """The atom set of a mask."""
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    return frozenset(sorted_atoms(mask))
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,9 +102,22 @@ class FiniteAlgebra:
         return self.sigma[i - 1]
 
     def sigma_mask(self, mask: int) -> int:
-        """The star image of an atom mask: one delta swap per distance d
-        between the atoms of a two-cycle, exchanging the bits of low with
-        the bits d places above them."""
+        """The star image of an atom mask.
+
+        Either one delta swap per distance d between the atoms of a
+        two-cycle, exchanging the bits of low with the bits d places above
+        them, or, for a mask with fewer atoms than there are distances, one
+        move per atom.  Each step is one whole-width operation, so the cost
+        is min(atoms in the mask, distances) steps of n/64 machine words.
+        """
+        if mask.bit_count() < len(self._swaps):
+            sigma = self.sigma
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= 1 << (sigma[low.bit_length() - 1] - 1)
+                mask ^= low
+            return out
         for d, low in self._swaps:
             flip = (mask >> d ^ mask) & low
             mask ^= flip | flip << d
@@ -192,7 +221,7 @@ class Element:
         return e
 
     def __repr__(self):
-        body = "{" + ",".join(str(i) for i in sorted(self.atoms)) + "}"
+        body = "{" + ",".join(map(str, sorted_atoms(self.mask))) + "}"
         return f"Element({body} of n={self.algebra.n})"
 
     @property
@@ -434,8 +463,8 @@ def amalgamate(
     pairs = sorted(
         (q, r)
         for c1, c2 in zip(r1.cell_masks, r2.cell_masks)
-        for q in mask_to_atoms(c1)
-        for r in mask_to_atoms(c2)
+        for q in sorted_atoms(c1)
+        for r in sorted_atoms(c2)
     )
     index = {p: k for k, p in enumerate(pairs, start=1)}
     sigma = tuple(

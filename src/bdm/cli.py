@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import oracle as oracle_mod
 from . import textio
-from .algebra import amalgamate, identity_refinement
+from .algebra import amalgamate, atoms_to_mask, identity_refinement
 from .errors import (
     BdmError,
     CapExceeded,
@@ -160,7 +160,7 @@ def _cmd_trivial(args) -> int:
         print("nontrivial")
         return 1
     realizer = trivial_realizer(t)
-    print(f"I={textio.format_atom_set(atoms)} realizer {textio.format_element(realizer)}")
+    print(f"I={textio.format_mask(realizer.mask)} realizer {textio.format_element(realizer)}")
     return 0
 
 
@@ -303,7 +303,7 @@ def _cmd_oracle_trivial(args) -> int:
     if atoms is None:
         print("nontrivial")
         return 1
-    print(f"I={textio.format_atom_set(atoms)}")
+    print(f"I={textio.format_mask(atoms_to_mask(atoms))}")
     return 0
 
 

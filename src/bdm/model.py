@@ -32,9 +32,8 @@ from .solver import (
     DEFAULT_CAPS,
     Triple,
     block_layout,
-    coordinate_entries,
-    coords_mask,
     four_power_base,
+    four_power_blocks,
     refine_triple,
     sigma_consistent_triples,
     triple_of_element,
@@ -84,11 +83,8 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
     found: list[tuple[Triple, Element]] = []
     for t in triples:
         refined = t if r1 is None else refine_triple(r1, t)
-        coords: list[str] = []
-        for entry in coordinate_entries(refined, m):
-            c = entry.coords
-            coords += c + (c[0],) * (_BLOCK - len(c))
-        found.append((t, Element.from_mask(ext, coords_mask(coords, total))))
+        _, mask = four_power_blocks(refined, m, _BLOCK)
+        found.append((t, Element.from_mask(ext, mask)))
     return EcStage(emb, tuple(found))
 
 

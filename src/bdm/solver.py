@@ -318,14 +318,32 @@ CASE1_ENTRIES: tuple[Case1Entry, ...] = (
     Case1Entry(_e(), _e(1, 2), _e(1, 2), ("a", "b")),
 )
 
-_CASE1_TABLE = {
-    (atoms_to_mask(e.i1), atoms_to_mask(e.i2), atoms_to_mask(e.i3)): e
-    for e in CASE1_ENTRIES
-}
-
-
 # a coordinate's value as its two sides: bit 0 for a, bit 1 for b
 _COORD_SIDES = {"0": 0, "a": 1, "b": 2, "1": 3}
+
+
+def _side_bits(coords: Iterable[str]) -> tuple[int, int]:
+    """The a-side and the b-side bits of a list of 0/a/b/1 coordinates: bit
+    j of each is set when coordinate j lies above a, respectively b."""
+    a = b = 0
+    for j, c in enumerate(coords):
+        sides = _COORD_SIDES[c]
+        a |= (sides & 1) << j
+        b |= (sides >> 1) << j
+    return a, b
+
+
+@lru_cache(maxsize=None)
+def _solution_table(width: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+    """The a-side bits, b-side bits and width of each tabulated solution,
+    by the masks of its triple.  With width > 0 every solution is padded to
+    that width by repeating its first coordinate."""
+    table = {}
+    for e in CASE1_ENTRIES:
+        coords = e.coords + e.coords[:1] * (width - len(e.coords))
+        key = (atoms_to_mask(e.i1), atoms_to_mask(e.i2), atoms_to_mask(e.i3))
+        table[key] = (*_side_bits(coords), len(coords))
+    return table
 
 
 def four_power_base(alg: FiniteAlgebra) -> tuple[int, Optional[AtomRefinement]]:
@@ -336,14 +354,28 @@ def four_power_base(alg: FiniteAlgebra) -> tuple[int, Optional[AtomRefinement]]:
     return alg.n, twist_product(alg)[1]
 
 
-def coordinate_entries(t: Triple, m: int) -> list[Case1Entry]:
-    """The tabulated solution of each coordinate of a triple over
-    four_power(m): coordinate i reads atoms i and m+i as the atoms 1 and 2
-    of the four-element algebra."""
-    return [
-        _CASE1_TABLE[tuple(x >> i & 1 | x >> (m + i - 1) & 2 for x in (t.m1, t.m2, t.m3))]
-        for i in range(m)
-    ]
+def four_power_blocks(t: Triple, m: int, width: int = 0) -> tuple[list[int], int]:
+    """Solve a consistent triple over four_power(m) coordinate by coordinate.
+
+    Coordinate i reads atoms i and m+i as the atoms 1 and 2 of the
+    four-element algebra and takes the tabulated solution of its triple,
+    spread over its own block of consecutive coordinates; width > 0 pads
+    every block to that width.  Returns the block widths and the mask of the
+    assembled solution in four_power(sum of the widths).
+    """
+    table = _solution_table(width)
+    m1, m2, m3 = t.m1, t.m2, t.m3
+    widths = []
+    a = b = offset = 0
+    for i in range(m):
+        j = m + i - 1
+        key = (m1 >> i & 1 | m1 >> j & 2, m2 >> i & 1 | m2 >> j & 2, m3 >> i & 1 | m3 >> j & 2)
+        sa, sb, k = table[key]
+        a |= sa << offset
+        b |= sb << offset
+        offset += k
+        widths.append(k)
+    return widths, a | b << offset
 
 
 def block_layout(power: FiniteAlgebra, widths: list[int]) -> AtomRefinement:
@@ -359,22 +391,13 @@ def block_layout(power: FiniteAlgebra, widths: list[int]) -> AtomRefinement:
     return AtomRefinement.from_masks(power, four_power(total), tuple(cells))
 
 
-def coords_mask(coords: Iterable[str], total: int) -> int:
-    """The atoms of the element of four_power(total) with the given
-    coordinates, in order."""
-    mask = 0
-    for j, c in enumerate(coords):
-        sides = _COORD_SIDES[c]
-        mask |= (sides & 1) << j | (sides >> 1) << (total + j)
-    return mask
-
-
 def element_in_power(k: int, coords: Iterable[str]) -> Element:
     """The element of four_power(k) with the given coordinates."""
     coords = tuple(coords)
     if len(coords) != k:
         raise ValueError("one coordinate per factor is required")
-    return Element.from_mask(four_power(k), coords_mask(coords, k))
+    a, b = _side_bits(coords)
+    return Element.from_mask(four_power(k), a | b << k)
 
 
 def diagonal_refinement(k: int) -> AtomRefinement:
@@ -403,12 +426,10 @@ def witness_via_four_power(t: Triple) -> Witness:
         raise InconsistentTripleError(f"{t!r} violates the consistency conditions")
     m, r1 = four_power_base(t.algebra)
     refined = t if r1 is None else refine_triple(r1, t)
-    entries = coordinate_entries(refined, m)
-    block = block_layout(refined.algebra, [len(e.coords) for e in entries])
-    ext = block.target
-    mask = coords_mask([c for e in entries for c in e.coords], ext.n // 2)
+    widths, mask = four_power_blocks(refined, m)
+    block = block_layout(refined.algebra, widths)
     embedding = block if r1 is None else compose_refinements(r1, block)
-    return Witness(embedding, Element.from_mask(ext, mask))
+    return Witness(embedding, Element.from_mask(block.target, mask))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import AtomRefinement, Element, FiniteAlgebra
+from .algebra import AtomRefinement, Element, FiniteAlgebra, sorted_atoms
 from .errors import ParseError
 from .model import EcStage
 from .solver import Triple, Witness
@@ -93,8 +93,9 @@ def _parse_atom_set(text: str, what: str = "set") -> frozenset[int]:
     return frozenset(int(p) for p in inner.split(","))
 
 
-def format_atom_set(atoms: frozenset[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(atoms)) + "}"
+def format_mask(mask: int) -> str:
+    """The atom set of a mask as `{i1,i2,...}`."""
+    return "{" + ",".join(map(str, sorted_atoms(mask))) + "}"
 
 
 def parse_element(text: str, alg: FiniteAlgebra) -> Element:
@@ -115,7 +116,7 @@ def format_element(e: Element) -> str:
         return "0"
     if e.is_one:
         return "1"
-    return format_atom_set(e.atoms)
+    return format_mask(e.mask)
 
 
 _TRIPLE_RE = re.compile(
@@ -135,11 +136,7 @@ def parse_triple(text: str, alg: FiniteAlgebra) -> Triple:
 
 
 def format_triple(t: Triple) -> str:
-    return (
-        f"I1={format_atom_set(t.i1)} "
-        f"I2={format_atom_set(t.i2)} "
-        f"I3={format_atom_set(t.i3)}"
-    )
+    return f"I1={format_mask(t.m1)} I2={format_mask(t.m2)} I3={format_mask(t.m3)}"
 
 
 def parse_refinement(text: str) -> AtomRefinement:
@@ -190,7 +187,7 @@ def format_refinement(r: AtomRefinement) -> str:
         f"target atoms {r.target.n}",
         "target sigma " + " ".join(map(str, r.target.sigma)),
     ]
-    lines += [f"cell {i}: {format_atom_set(r.cell(i))}" for i in r.source.atom_indices]
+    lines += [f"cell {i}: {format_mask(m)}" for i, m in enumerate(r.cell_masks, start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +195,7 @@ def extension_lines(r: AtomRefinement) -> list[str]:
     """The target algebra's atoms and sigma lines, then one cell line per
     source atom: how witnesses, stages and realizers print an extension."""
     lines = [f"atoms {r.target.n}", "sigma " + " ".join(map(str, r.target.sigma))]
-    lines += [f"cell {i}: {format_atom_set(r.cell(i))}" for i in r.source.atom_indices]
+    lines += [f"cell {i}: {format_mask(m)}" for i, m in enumerate(r.cell_masks, start=1)]
     return lines
 
 
@@ -229,15 +226,15 @@ def algebra_json(alg: FiniteAlgebra) -> dict:
 
 
 def element_json(e: Element) -> list[int]:
-    return sorted(e.atoms)
+    return sorted_atoms(e.mask)
 
 
 def triple_json(t: Triple) -> dict:
-    return {"I1": sorted(t.i1), "I2": sorted(t.i2), "I3": sorted(t.i3)}
+    return {"I1": sorted_atoms(t.m1), "I2": sorted_atoms(t.m2), "I3": sorted_atoms(t.m3)}
 
 
 def _cells_json(r: AtomRefinement) -> list[list[int]]:
-    return [sorted(r.cell(i)) for i in r.source.atom_indices]
+    return [sorted_atoms(m) for m in r.cell_masks]
 
 
 def refinement_json(r: AtomRefinement) -> dict:

@@ -3,7 +3,9 @@
 Each reference below works on frozensets of 1-based atoms, straight from the
 definitions in the module docstrings of `bdm.algebra` and `bdm.solver`
 (join = union, meet = intersection, x' = complement, x* = sigma image,
-x~ = complement of the sigma image), without going through a mask.
+x~ = complement of the sigma image), without going through a mask.  The
+stage and four-power realizers are checked against the route that spells
+each coordinate's tabulated solution as 0/a/b/1 strings.
 """
 
 import random
@@ -12,12 +14,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdm.algebra import FOUR, TWO, AtomRefinement, Element, FiniteAlgebra, generated_subalgebra
+from bdm.algebra import (
+    FOUR,
+    TWO,
+    AtomRefinement,
+    Element,
+    FiniteAlgebra,
+    atoms_to_mask,
+    compose_refinements,
+    four_power,
+    generated_subalgebra,
+    mask_to_atoms,
+)
 from bdm.errors import NoRealizerError
 from bdm.model import ec_stage
-from bdm.solver import Caps, Triple, sigma_consistent_triples, triple_of_element
+from bdm.solver import (
+    CASE1_ENTRIES,
+    Caps,
+    Triple,
+    block_layout,
+    four_power_base,
+    realizations,
+    refine_triple,
+    sigma_consistent_triples,
+    triple_of_element,
+    witness_abstract,
+    witness_via_four_power,
+)
 
-from corpus import random_refinement
+from corpus import all_bases, random_algebra, random_refinement
 
 
 @st.composite
@@ -125,3 +150,85 @@ def test_stage_realizer_lookup_matches_linear_scan(alg):
     first = stage.realizers[0][0]
     with pytest.raises(NoRealizerError):
         stage.realizer(Triple(other, *first.sets()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 400), st.floats(0, 1))
+def test_sigma_mask_matches_set_route(seed, max_n, density):
+    """Shuffled involutions on up to 400 atoms have many distinct two-cycle
+    distances, so both the set-bit walk and the delta swaps run."""
+    rng = random.Random(seed)
+    alg = random_algebra(rng, max_n)
+    mask = sum(1 << i for i in range(alg.n) if rng.random() < density)
+    assert alg.sigma_mask(mask) == atoms_to_mask(alg.sigma_set(mask_to_atoms(mask)))
+
+
+def test_refinement_check_rejects_swapped_cells_in_witness_tower():
+    base = FiniteAlgebra(3, (1, 3, 2))
+    t = Triple(base, (), (), ())
+    _, acc, _ = realizations(t, 4)
+    r = witness_abstract(refine_triple(acc, t)).embedding
+    assert r.target.n >= 1000
+    assert AtomRefinement.from_masks(r.source, r.target, r.cell_masks) == r
+    # a sigma-fixed source atom and one in a two-cycle: the swapped cells
+    # stay nonempty, disjoint and covering, but no longer commute with sigma
+    i = next(k for k, image in enumerate(r.source.sigma) if image == k + 1)
+    j = next(k for k, image in enumerate(r.source.sigma) if image != k + 1)
+    cells = list(r.cell_masks)
+    cells[i], cells[j] = cells[j], cells[i]
+    with pytest.raises(ValueError, match="sigma-equivariant"):
+        AtomRefinement.from_masks(r.source, r.target, tuple(cells))
+
+
+# The four-power solutions written as "0/a/b/1" coordinate strings, one
+# tabulated entry per coordinate, turned into a mask at the end.
+_SIDES = {"0": 0, "a": 1, "b": 2, "1": 3}
+_ENTRIES = {
+    (atoms_to_mask(e.i1), atoms_to_mask(e.i2), atoms_to_mask(e.i3)): e for e in CASE1_ENTRIES
+}
+
+
+def coordinate_strings(t: Triple, m: int, width: int = 0) -> list[tuple[str, ...]]:
+    """The solution of each coordinate of a triple over four_power(m), padded
+    to width by repeating its first coordinate."""
+    blocks = []
+    for i in range(m):
+        key = tuple(x >> i & 1 | x >> (m + i - 1) & 2 for x in (t.m1, t.m2, t.m3))
+        c = _ENTRIES[key].coords
+        blocks.append(c + c[:1] * (width - len(c)))
+    return blocks
+
+
+def coords_mask(coords: list[str], total: int) -> int:
+    mask = 0
+    for j, c in enumerate(coords):
+        mask |= (_SIDES[c] & 1) << j | (_SIDES[c] >> 1) << (total + j)
+    return mask
+
+
+REALIZER_BASES = all_bases(3) + [four_power(4)]
+REALIZER_IDS = [f"n{a.n}-" + "".join(map(str, a.sigma)) for a in all_bases(3)] + ["four^4"]
+
+
+@pytest.mark.parametrize("alg", REALIZER_BASES, ids=REALIZER_IDS)
+def test_stage_realizers_match_coordinate_strings(alg):
+    stage = ec_stage(alg, Caps(max_atoms=64, max_triples=100000))
+    m, r1 = four_power_base(alg)
+    assert stage.algebra == four_power(4 * m)
+    for t, e in stage.realizers:
+        refined = t if r1 is None else refine_triple(r1, t)
+        coords = [c for block in coordinate_strings(refined, m, 4) for c in block]
+        assert e.mask == coords_mask(coords, 4 * m)
+
+
+@pytest.mark.parametrize("alg", REALIZER_BASES, ids=REALIZER_IDS)
+def test_four_power_witness_matches_coordinate_strings(alg):
+    m, r1 = four_power_base(alg)
+    for t in sigma_consistent_triples(alg):
+        w = witness_via_four_power.__wrapped__(t)  # past the cache: build it here
+        refined = t if r1 is None else refine_triple(r1, t)
+        blocks = coordinate_strings(refined, m)
+        total = sum(map(len, blocks))
+        block = block_layout(refined.algebra, [len(b) for b in blocks])
+        assert w.embedding == (block if r1 is None else compose_refinements(r1, block))
+        assert w.element.mask == coords_mask([c for b in blocks for c in b], total)

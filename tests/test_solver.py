@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from bdm.algebra import (
@@ -280,6 +282,19 @@ def test_realizations_three_over_four():
     assert len(set(elems)) == 3
     for e in elems:
         assert holds_phi(emb, t, e)
+
+
+def test_realizations_scale_with_their_output():
+    """Seven rounds over three atoms build an extension of 3 * 4^7 atoms;
+    the cost follows the size of what is built, not its cube."""
+    t = T(FiniteAlgebra(3, (1, 3, 2)), (), (), ())
+    start = time.perf_counter()
+    ext, emb, elems = realizations(t, 7)
+    assert time.perf_counter() - start < 20
+    assert ext.n == 49152
+    assert len({e.mask for e in elems}) == 7
+    for e in elems:
+        assert triple_of_element(emb, e) == t
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-import pytest
+import random
 
-from bdm.algebra import FOUR, FiniteAlgebra, TWO, twist_product
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bdm.algebra import FOUR, Element, FiniteAlgebra, TWO, generated_subalgebra, twist_product
 from bdm.errors import ParseError
-from bdm.model import ec_stage
+from bdm.model import EcStage, ec_stage
 from bdm.solver import Caps, Triple, witness_abstract
 from bdm.textio import (
+    element_json,
+    extension_lines,
     format_algebra,
     format_element,
     format_refinement,
@@ -15,7 +21,11 @@ from bdm.textio import (
     parse_element,
     parse_refinement,
     parse_triple,
+    stage_json,
+    triple_json,
 )
+
+from corpus import random_algebra
 
 
 def test_algebra_round_trip():
@@ -88,3 +98,65 @@ def test_stage_dump_shape():
     assert lines[0].startswith("realized I1={} I2={} I3={} -> ")
     assert any(line.startswith("atoms ") for line in lines)
     assert any(line.startswith("cell 1: ") for line in lines)
+
+
+def ref_set(atoms) -> str:
+    return "{" + ",".join(map(str, sorted(atoms))) + "}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 300), st.floats(0, 1))
+def test_printers_match_frozenset_reference(seed, max_n, density):
+    """Atom sets of up to 300 atoms, drawn as frozensets, print and convert
+    to JSON as their sorted atoms; the cells are those of a subalgebra
+    generated by two random elements."""
+    rng = random.Random(seed)
+    ext = random_algebra(rng, max_n)
+
+    def draw(alg):
+        return frozenset(i for i in alg.atom_indices if rng.random() < density)
+
+    base, r = generated_subalgebra(ext, [Element(ext, draw(ext)) for _ in range(2)])
+    cells = [frozenset(i + 1 for i in range(ext.n) if c >> i & 1) for c in r.cell_masks]
+    triples = [(draw(ext), draw(ext), draw(ext)) for _ in range(3)]
+    elements = [draw(ext) for _ in range(3)] + [frozenset(), frozenset(ext.atom_indices)]
+    stage_triples = [(draw(base), draw(base), draw(base)) for _ in elements]
+    stage = EcStage(
+        r,
+        tuple(
+            (Triple(base, *sets), Element(ext, atoms))
+            for sets, atoms in zip(stage_triples, elements)
+        ),
+    )
+
+    def ref_element(atoms):
+        return "0" if not atoms else "1" if len(atoms) == ext.n else ref_set(atoms)
+
+    def ref_triple(sets):
+        return " ".join(f"I{k}={ref_set(s)}" for k, s in enumerate(sets, start=1))
+
+    for atoms in elements:
+        assert format_element(Element(ext, atoms)) == ref_element(atoms)
+        assert element_json(Element(ext, atoms)) == sorted(atoms)
+    for sets in triples:
+        assert format_triple(Triple(ext, *sets)) == ref_triple(sets)
+        assert triple_json(Triple(ext, *sets)) == {
+            f"I{k}": sorted(s) for k, s in enumerate(sets, start=1)
+        }
+    cell_lines = [f"cell {i}: {ref_set(c)}" for i, c in enumerate(cells, start=1)]
+    ext_lines = [f"atoms {ext.n}", "sigma " + " ".join(map(str, ext.sigma))] + cell_lines
+    assert extension_lines(r) == ext_lines
+    assert format_refinement(r).splitlines()[4:] == cell_lines
+    realized = list(zip(stage_triples, elements))
+    assert format_stage(stage) == "\n".join(
+        [f"realized {ref_triple(t)} -> {ref_element(e)}" for t, e in realized] + ext_lines
+    ) + "\n"
+    assert stage_json(stage) == {
+        "realized": [
+            {"triple": {f"I{k}": sorted(s) for k, s in enumerate(t, start=1)},
+             "element": sorted(e)}
+            for t, e in realized
+        ],
+        "algebra": {"atoms": ext.n, "sigma": list(ext.sigma)},
+        "cells": [sorted(c) for c in cells],
+    }
