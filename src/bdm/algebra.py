@@ -258,10 +258,6 @@ class Element:
         alg = self.algebra
         return Element.from_mask(alg, alg.sigma_mask(self.mask) ^ alg.full_mask)
 
-    def le(self, other: "Element") -> bool:
-        self._require_same(other)
-        return not self.mask & ~other.mask
-
 
 _UNARY_OPS = {"bneg", "dmneg", "star"}
 _BINARY_OPS = {"join", "meet"}

@@ -474,6 +474,8 @@ def realizations(
     Each round adjoins a fresh witness for the current refinement of t; the
     refined triple stays non-trivial, so the new witness falls outside the
     previous algebra and in particular differs from the earlier realizers.
+    The rounds bypass witness_abstract's cache: each tower triple is built
+    once, and cached it would keep the whole tower alive.
     """
     if k < 1:
         raise ValueError("at least one realizer must be requested")
@@ -486,7 +488,7 @@ def realizations(
     acc = identity_refinement(t.algebra)
     found: list[Element] = []
     for _ in range(k):
-        w = witness_abstract(refine_triple(acc, t))
+        w = witness_abstract.__wrapped__(refine_triple(acc, t))
         found = [w.embedding.map_element(e) for e in found]
         found.append(w.element)
         acc = compose_refinements(acc, w.embedding)

@@ -8,7 +8,11 @@ Concrete syntax:
 
 Precedence, tightest first: postfix (' *), prefix ~, ., +; and for formulas
 !, &, |, -> (right associative).  Quantifiers are only admitted at the top of
-a formula, after another quantifier, or inside parentheses.
+a formula, after another quantifier, or inside parentheses.  The parser and
+the printer read this grammar from one table, _PRINT.
+
+Parsing rejects a tree of more than 500 levels and more than 500 parentheses
+open at once, so every printed tree of at most 500 levels parses back.
 
 The "dm" signature drops ' and *; parsing rejects them there.  Structural
 equality of ASTs is dataclass equality; t* and (~t)' denote the same element
@@ -180,228 +184,15 @@ def in_dm_signature(ast: Ast) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>[01])"
-    r"|(?P<sym>->|!=|[+.'*~()=&|!]))"
-)
-
-_KEYWORDS = {"exists", "forall"}
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("ident"):
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        elif m.group("num"):
-            tokens.append(("num", m.group("num"), m.start("num")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, signature: str):
-        if signature not in ("dm", "bdm"):
-            raise ValueError("signature must be 'dm' or 'bdm'")
-        self.signature = signature
-        self.tokens = _tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect_sym(self, sym: str):
-        kind, val, pos = self.next()
-        if kind != "sym" or val != sym:
-            raise ParseError(f"expected {sym!r}", pos)
-
-    def at_sym(self, sym: str) -> bool:
-        kind, val, _ = self.peek()
-        return kind == "sym" and val == sym
-
-    def eat_sym(self, sym: str) -> bool:
-        if self.at_sym(sym):
-            self.k += 1
-            return True
-        return False
-
-    # -- terms
-
-    def term(self) -> Term:
-        t = self.prod()
-        while self.eat_sym("+"):
-            t = Join(t, self.prod())
-        return t
-
-    def prod(self) -> Term:
-        t = self.unary()
-        while self.eat_sym("."):
-            t = Meet(t, self.unary())
-        return t
-
-    def unary(self) -> Term:
-        if self.eat_sym("~"):
-            return DMNeg(self.unary())
-        return self.postfix()
-
-    def postfix(self) -> Term:
-        t = self.term_atom()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "sym" and val in ("'", "*"):
-                if self.signature == "dm":
-                    raise ParseError(
-                        f"{val!r} is not part of the dm signature", pos
-                    )
-                self.k += 1
-                t = BNeg(t) if val == "'" else Star(t)
-            else:
-                return t
-
-    def term_atom(self) -> Term:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return ZERO if val == "0" else ONE
-        if kind == "ident":
-            if val in _KEYWORDS:
-                raise ParseError(f"{val} is a reserved word", pos)
-            return Var(val)
-        if kind == "sym" and val == "(":
-            t = self.term()
-            self.expect_sym(")")
-            return t
-        raise ParseError("expected a term", pos)
-
-    # -- formulas
-
-    def formula(self) -> Formula:
-        kind, val, pos = self.peek()
-        if kind == "ident" and val in _KEYWORDS:
-            self.k += 1
-            vkind, vname, vpos = self.next()
-            if vkind != "ident" or vname in _KEYWORDS:
-                raise ParseError("expected a variable name", vpos)
-            self.expect_sym(".")
-            body = self.formula()
-            return Exists(vname, body) if val == "exists" else ForAll(vname, body)
-        return self.implication()
-
-    def implication(self) -> Formula:
-        f = self.disjunction()
-        if self.eat_sym("->"):
-            return Implies(f, self.implication())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.eat_sym("|"):
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.negation()
-        while self.eat_sym("&"):
-            f = And(f, self.negation())
-        return f
-
-    def negation(self) -> Formula:
-        if self.eat_sym("!"):
-            return Not(self.negation())
-        return self.atomic()
-
-    def atomic(self) -> Formula:
-        # A '(' may open either a parenthesized formula or a parenthesized
-        # term on the left of a relation; try the relation reading first and
-        # fall back on failure.
-        mark = self.k
-        try:
-            left = self.term()
-            kind, val, pos = self.next()
-            if kind == "sym" and val in ("=", "!="):
-                right = self.term()
-                return Equal(left, right) if val == "=" else NotEqual(left, right)
-            raise ParseError("expected '=' or '!='", pos)
-        except ParseError:
-            if not (self.tokens[mark][0] == "sym" and self.tokens[mark][1] == "("):
-                raise
-            self.k = mark
-        self.expect_sym("(")
-        f = self.formula()
-        self.expect_sym(")")
-        return f
-
-    def finish(self, ast):
-        kind, _, pos = self.peek()
-        if kind != "eof":
-            raise ParseError("trailing input", pos)
-        return ast
-
-
-# Deepest tree that parse returns.  The walkers below (evaluation, printing,
-# translation, decide) recurse once per level, and Python stops at about
-# 1,000 frames; flat chains such as x + x + ... + x parse without recursion.
-_MAX_AST_DEPTH = 500
-
-
-def _check_depth(ast: Ast) -> None:
-    """Raise ParseError when the tree has more than _MAX_AST_DEPTH levels;
-    walks one level at a time, without recursion."""
-    level = [ast]
-    for _ in range(_MAX_AST_DEPTH):
-        level = [c for n in level for c in _children(n)]
-        if not level:
-            return
-    raise ParseError("formula nested too deeply", 0)
-
-
-def parse(text: str, signature: str = "bdm", kind: str = "formula") -> Ast:
-    """Parse a term or formula; positions in errors are 0-based offsets."""
-    p = _Parser(text, signature)
-    if kind not in ("term", "formula"):
-        raise ValueError("kind must be 'term' or 'formula'")
-    try:
-        ast = p.finish(p.term() if kind == "term" else p.formula())
-    except RecursionError:
-        raise ParseError("formula nested too deeply", 0) from None
-    _check_depth(ast)
-    return ast
-
-
-def parse_term(text: str, signature: str = "bdm") -> Term:
-    return parse(text, signature, "term")
-
-
-def parse_formula(text: str, signature: str = "bdm") -> Formula:
-    return parse(text, signature, "formula")
-
-
-# ---------------------------------------------------------------------------
-# Printing
+# Grammar, shared by the parser and the printer
 
 # Binding levels, loosest first; _TOP is a formula position at the top level
 # or directly inside parentheses.  A node is parenthesized when its own level
 # is below the level its parent asks of that child.
 _TOP, _IMP, _OR, _AND, _NOT, _SUM, _PROD, _PREFIX, _POSTFIX = range(-1, 8)
 
-# class -> (own level, template over the node's fields, level of each child)
+# class -> (own level, template over the node's fields, level of each child);
+# a child asked for at _SUM or above is a term, below it a formula
 _PRINT = {
     Const: (_POSTFIX, "%(value)s", {}),
     Var: (_POSTFIX, "%(name)s", {}),
@@ -421,6 +212,172 @@ _PRINT = {
     ForAll: (_TOP, "forall %(var)s. (%(body)s)", {"body": _TOP}),
 }
 
+# Operator symbols by where they stand; everything else about an operator is
+# in its _PRINT row.
+_BEFORE_OPERAND = {"~": DMNeg, "!": Not, "exists": Exists, "forall": ForAll}
+_AFTER_OPERAND = {
+    "'": BNeg, "*": Star, "+": Join, ".": Meet, "=": Equal, "!=": NotEqual,
+    "&": And, "|": Or, "->": Implies,
+}
+
+# class -> level it asks of its last operand; None, an open parenthesis,
+# asks _TOP of its contents
+_LAST_OPERAND = {
+    cls: [*child_levels.values()][-1]
+    for cls, (_, _, child_levels) in _PRINT.items()
+    if child_levels
+}
+_LAST_OPERAND[None] = _TOP
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>[01])"
+    r"|(?P<sym>->|!=|[+.'*~()=&|!]))"
+)
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", at)
+        tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+# Deepest tree that parse returns, and most parentheses open at once.  The
+# walkers below (evaluation, printing, translation, decide) recurse once per
+# level, and Python stops at about 1,000 frames; the parser itself keeps its
+# stacks in lists.
+_MAX_AST_DEPTH = 500
+
+
+def _check_depth(ast: Ast) -> None:
+    """Raise ParseError when the tree has more than _MAX_AST_DEPTH levels;
+    walks one level at a time, without recursion."""
+    level = [ast]
+    for _ in range(_MAX_AST_DEPTH):
+        level = [c for n in level for c in _children(n)]
+        if not level:
+            return
+    raise ParseError("formula nested too deeply", 0)
+
+
+def _build(operands: list[Ast], op: tuple) -> None:
+    """Replace the top operands by the node of `op`, checking that each has
+    the sort (term or formula) its _PRINT row asks for."""
+    cls, fields, symbol, pos = op
+    child_levels = _PRINT[cls][2].values()
+    split = len(operands) - len(child_levels)
+    args = operands[split:]
+    del operands[split:]
+    for arg, level in zip(args, child_levels):
+        if isinstance(arg, Term) != (level >= _SUM):
+            sort = "terms" if level >= _SUM else "formulas"
+            raise ParseError(f"{symbol!r} applies to {sort} only", pos)
+    operands.append(cls(*fields, *args))
+
+
+def parse(text: str, signature: str = "bdm", kind: str = "formula") -> Ast:
+    """Parse a term or formula; positions in errors are 0-based offsets.
+
+    One pass over the tokens with an operand stack and an operator stack.
+    An operator waits on its stack until one arrives that the printer would
+    not put inside its last operand (its own level is lower), or until its
+    group or the text ends; then it is built from the top operands.
+    """
+    if signature not in ("dm", "bdm"):
+        raise ValueError("signature must be 'dm' or 'bdm'")
+    if kind not in ("term", "formula"):
+        raise ValueError("kind must be 'term' or 'formula'")
+    operands: list[Ast] = []
+    operators: list[tuple] = []  # (class, leading fields, symbol, pos)
+    opened = 0
+    want_operand = True
+    tokens = iter(_tokenize(text))
+    for tok, val, pos in tokens:
+        if want_operand:
+            if tok == "num":
+                operands.append(ONE if val == "1" else ZERO)
+                want_operand = False
+            elif tok == "ident" and val not in _BEFORE_OPERAND:
+                operands.append(Var(val))
+                want_operand = False
+            elif val == "(":
+                opened += 1
+                if opened > _MAX_AST_DEPTH:
+                    raise ParseError("formula nested too deeply", pos)
+                operators.append((None, (), val, pos))
+            elif val in _BEFORE_OPERAND:
+                cls = _BEFORE_OPERAND[val]
+                # as in printing: a quantifier stands only at the start,
+                # after '(' or after another quantifier
+                if operators and _LAST_OPERAND[operators[-1][0]] > _PRINT[cls][0]:
+                    raise ParseError(f"{val!r} binds looser than what precedes it", pos)
+                fields = ()
+                if tok == "ident":  # a quantifier: read its variable and '.'
+                    vtok, var, vpos = next(tokens)
+                    if vtok != "ident" or var in _BEFORE_OPERAND:
+                        raise ParseError("expected a variable name", vpos)
+                    _, dot, dpos = next(tokens)
+                    if dot != ".":
+                        raise ParseError("expected '.'", dpos)
+                    fields = (var,)
+                operators.append((cls, fields, val, pos))
+            else:
+                raise ParseError("expected a term", pos)
+        elif val in _AFTER_OPERAND:
+            cls = _AFTER_OPERAND[val]
+            if signature == "dm" and cls in (BNeg, Star):
+                raise ParseError(f"{val!r} is not part of the dm signature", pos)
+            own, _, child_levels = _PRINT[cls]
+            while operators and _LAST_OPERAND[operators[-1][0]] > own:
+                _build(operands, operators.pop())
+            if len(child_levels) == 1:  # postfix: its operand is complete
+                _build(operands, (cls, (), val, pos))
+            else:
+                operators.append((cls, (), val, pos))
+                want_operand = True
+        elif val == ")" or tok == "eof":
+            while operators and operators[-1][0] is not None:
+                _build(operands, operators.pop())
+            if val == ")":
+                if not operators:
+                    raise ParseError("unmatched ')'", pos)
+                operators.pop()
+                opened -= 1
+            elif operators:
+                raise ParseError("expected ')'", pos)
+        else:
+            raise ParseError("expected an operator", pos)
+    (ast,) = operands
+    if isinstance(ast, Term) != (kind == "term"):
+        raise ParseError(f"expected a {kind}", 0)
+    _check_depth(ast)
+    return ast
+
+
+def parse_term(text: str, signature: str = "bdm") -> Term:
+    return parse(text, signature, "term")
+
+
+def parse_formula(text: str, signature: str = "bdm") -> Formula:
+    return parse(text, signature, "formula")
+
+
+# ---------------------------------------------------------------------------
+# Printing
 
 def _fmt(node: Ast, level: int) -> str:
     # CPython 3.11 counts a call into most C functions (vars, str.format,

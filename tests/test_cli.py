@@ -375,3 +375,10 @@ def test_too_deep_translation_is_parse_error(capsys, op):
     code, out, err = run(capsys, "translate", "--to", "dm", "x" + op * 498 + " = 0")
     assert (code, out) == (2, "")
     assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_translation_to_dm_reads_back(capsys):
+    code, dm, _ = run(capsys, "translate", "--to", "dm", "x" + "'" * 100 + " = 0")
+    assert code == 0
+    code, out, _ = run(capsys, "translate", "--to", "bdm", dm.rstrip("\n"))
+    assert (code, out) == (0, dm)

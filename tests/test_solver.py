@@ -297,6 +297,15 @@ def test_realizations_scale_with_their_output():
         assert triple_of_element(emb, e) == t
 
 
+def test_realizations_leave_the_witness_cache_alone():
+    """Tower witnesses are built once each; cached, they kept every large
+    extension alive after the call."""
+    t = T(FiniteAlgebra(3, (1, 3, 2)), (), (), ())
+    before = witness_abstract.cache_info()
+    realizations(t, 6)
+    assert witness_abstract.cache_info() == before
+
+
 # ---------------------------------------------------------------------------
 # algebraic closure
 

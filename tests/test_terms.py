@@ -129,6 +129,48 @@ def test_round_trip_at_depth_limit(op):
     assert in_dm_signature(f) == (op not in "'*")
 
 
+def test_printed_quantifier_tower_parses_back():
+    f = Equal(x, x)
+    for _ in range(498):
+        f = Exists("x", f)
+    printed = format_ast(f)
+    assert format_ast(parse_formula(printed)) == printed
+
+
+@pytest.mark.parametrize("primes", [77, 200])
+def test_translated_complements_parse_back(primes):
+    f = translate_dm(parse_formula("x" + "'" * primes + " = 0"), to="dm")
+    printed = format_ast(f)
+    assert format_ast(parse_formula(printed, signature="dm")) == printed
+
+
+def test_parentheses_count_toward_the_depth_limit():
+    assert parse_term("(" * 500 + "x" + ")" * 500) == x
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_term("(" * 501 + "x" + ")" * 501)
+
+
+_ALPHABET = "x y 0 1 + . ~ ' * ( ) = != & | ! -> exists forall".split()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from(_ALPHABET), max_size=30),
+    st.sampled_from([" ", ""]),
+    st.sampled_from(["bdm", "dm"]),
+    st.sampled_from(["term", "formula"]),
+)
+def test_parse_fuzz_round_trips_or_reports_a_position(tokens, sep, signature, kind):
+    text = sep.join(tokens)
+    try:
+        ast = parse(text, signature, kind)
+    except ParseError as e:
+        assert isinstance(e.pos, int) and 0 <= e.pos <= len(text)
+        return
+    printed = format_ast(ast)
+    assert format_ast(parse(printed, signature, kind)) == printed
+
+
 def test_in_dm_signature_terms_and_formulas():
     assert in_dm_signature(parse_term("~x + y . 0"))
     assert not in_dm_signature(parse_term("~(x . y*)"))
