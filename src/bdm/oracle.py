@@ -6,36 +6,34 @@ sets, witnesses by scanning a canonical tower of powers of the four-element
 algebra.  The zero-pattern tests are recomputed from the defining products
 of the type formulas rather than routed through triple_of_element, so the
 scans stay independent of the solver paths they are meant to check.
+
+The element scan is bit-sliced: it covers the 2^m elements of an m-atom
+target in chunks of 2^min(m, 16) consecutive masks, and within a chunk each
+test is one int whose bit k answers it for the k-th element.  A scan over
+n source atoms thus costs O((m + n) * 2^m / 64) word operations.
 """
 
 from __future__ import annotations
 
-import importlib
 from typing import Iterator, Optional
 
 from .algebra import (
     AtomRefinement,
     Element,
-    FiniteAlgebra,
     compose_refinements,
     four_power,
     generated_subalgebra,
     identity_refinement,
     mask_to_atoms,
+    sorted_atoms,
 )
 from .errors import CapExceeded
 from .solver import Triple, Witness, block_layout, four_power_base
 from .terms import And, Equal, Formula, Meet, DMNeg, BNeg, NotEqual, Star, Term, Var, ZERO
 
-_CHUNK = 1 << 16
 # the names of the free variable and of the parameters y1..yn of phi_formula
 _VAR = "x"
 _PARAM = "y"
-
-
-def _numpy():
-    # deferred so that CLI commands that never scan skip the import
-    return importlib.import_module("numpy")
 
 
 def phi_formula(t: Triple) -> Formula:
@@ -70,46 +68,58 @@ def phi_environment(r: AtomRefinement, u: Element):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized scans over all elements of a target algebra
+# Bit-sliced scans over all elements of a target algebra
 
-def _sigma_apply(np, alg: FiniteAlgebra, masks):
-    out = np.zeros_like(masks)
-    for i in alg.atom_indices:
-        bit = np.right_shift(masks, i - 1) & 1
-        out |= np.left_shift(bit.astype(masks.dtype), alg.sigma_of(i) - 1)
-    return out
+def _low_tables(b: int) -> list[int]:
+    """The truth tables of the low b atoms over the masks 0..2^b-1: bit k
+    of the table of atom j+1 is bit j of k.  Built by doubling the width,
+    the new top atom being zero on the lower half and one on the upper."""
+    tables: list[int] = []
+    for j in range(b):
+        width = 1 << j
+        tables = [x | x << width for x in tables]
+        tables.append(((1 << width) - 1) << width)
+    return tables
 
 
 def element_type_scan(r: AtomRefinement) -> Iterator[tuple]:
-    """Yield (element_mask, I1, I2, I3) arrays covering every element of the
-    target, where the I arrays are bitmasks over the source atoms.
+    """Yield (elements, z1, z2, z3) chunk by chunk over every element of the
+    target, where elements is the range of target masks in the chunk and
+    zk[i] is an int whose bit e - elements.start is set when source atom
+    i+1 is in Ik of element e, that is when the k-th product misses cell i+1.
 
-    For each target element u the three products u & ~sigma(u), u & sigma(u)
-    and ~u & ~sigma(u) are formed directly and tested against each cell.
+    A chunk holds 2^min(m, 16) masks.  In it the truth table of target atom
+    j is one int: a fixed doubling pattern for the low atoms, all ones or
+    zero for the others, read off the chunk's start.  With x the table of
+    atom j and s that of sigma(j), atom j lies under u . u~ at the bits of
+    x & ~s, under u . u* at those of x & s and under u' . u~ at those of
+    ~(x | s); a cell misses a product where none of its atoms lies under
+    it.  The scan costs O((m + n) * 2^m / 64) word operations for m target
+    and n source atoms.
     """
-    np = _numpy()
     target = r.target
     if target.n > 26:
         raise CapExceeded(f"cannot scan 2^{target.n} elements")
-    dtype = np.uint32
-    full = target.full_mask
-    cells = [np.array(cell, dtype=dtype) for cell in r.cell_masks]
-    total = 1 << target.n
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=dtype)
-        sig = _sigma_apply(np, target, masks)
-        xxbar = masks & ~sig & full
-        xxstar = masks & sig
-        nxbar = ~masks & ~sig & full
-        i1 = np.zeros_like(masks)
-        i2 = np.zeros_like(masks)
-        i3 = np.zeros_like(masks)
-        for i, cell in enumerate(cells):
-            bit = dtype(1 << i)
-            i1 |= np.where((xxbar & cell) == 0, bit, dtype(0))
-            i2 |= np.where((xxstar & cell) == 0, bit, dtype(0))
-            i3 |= np.where((nxbar & cell) == 0, bit, dtype(0))
-        yield masks, i1, i2, i3
+    b = min(target.n, 16)
+    size = 1 << b
+    ones = (1 << size) - 1
+    low = _low_tables(b)
+    sigma = target.sigma
+    for start in range(0, 1 << target.n, size):
+        x = low + [ones if start >> j & 1 else 0 for j in range(b, target.n)]
+        z1, z2, z3 = [], [], []
+        for cell in r.cell_masks:
+            under1 = under2 = 0
+            miss3 = ones
+            for j in sorted_atoms(cell):
+                xj, sj = x[j - 1], x[sigma[j - 1] - 1]
+                under1 |= xj & ~sj
+                under2 |= xj & sj
+                miss3 &= xj | sj
+            z1.append(ones ^ under1)
+            z2.append(ones ^ under2)
+            z3.append(miss3)
+        yield range(start, start + size), z1, z2, z3
 
 
 def _realizers(r: AtomRefinement, t: Triple) -> Iterator[Element]:
@@ -117,9 +127,14 @@ def _realizers(r: AtomRefinement, t: Triple) -> Iterator[Element]:
     exactly t, in ascending bitmask order, scanned one chunk at a time."""
     if t.algebra != r.source:
         raise ValueError("triple is not over the refinement source")
-    for masks, i1, i2, i3 in element_type_scan(r):
-        for m in masks[(i1 == t.m1) & (i2 == t.m2) & (i3 == t.m3)]:
-            yield Element.from_mask(r.target, int(m))
+    target = r.target
+    for elements, *tables in element_type_scan(r):
+        hits = (1 << len(elements)) - 1
+        for zs, inside in zip(tables, (t.m1, t.m2, t.m3)):
+            for i, z in enumerate(zs):
+                hits &= z if inside >> i & 1 else ~z
+        for k in sorted_atoms(hits):
+            yield Element.from_mask(target, elements[k - 1])
 
 
 def all_realizations_in(r: AtomRefinement, t: Triple) -> list[Element]:
@@ -134,22 +149,15 @@ def find_realizer(r: AtomRefinement, t: Triple) -> Optional[Element]:
 
 def scan_consistent(r: AtomRefinement) -> bool:
     """Check that the type of every target element is sigma-consistent over
-    the source; exhaustive over all 2^m elements."""
-    np = _numpy()
-    source = r.source
-    size = 1 << source.n
-    sigma_lut = np.zeros(size, dtype=np.int64)
-    for mask in range(size):
-        sigma_lut[mask] = source.sigma_mask(mask)
-    for _, i1, i2, i3 in element_type_scan(r):
-        i1 = i1.astype(np.int64)
-        i2 = i2.astype(np.int64)
-        i3 = i3.astype(np.int64)
-        if not np.array_equal(sigma_lut[i2], i2) or not np.array_equal(sigma_lut[i3], i3):
-            return False
-        core = i1 & i2 & i3
-        if np.any(sigma_lut[core] & core):
-            return False
+    the source; exhaustive over all 2^m elements.  Per source atom i the
+    tables of i and sigma(i) must agree for I2 and I3, and no element may
+    have both in I1 & I2 & I3."""
+    sigma = r.source.sigma
+    for _, z1, z2, z3 in element_type_scan(r):
+        for i, image in enumerate(sigma):
+            j = image - 1
+            if z2[i] != z2[j] or z3[i] != z3[j] or z1[i] & z1[j] & z2[i] & z3[i]:
+                return False
     return True
 
 

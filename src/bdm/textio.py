@@ -207,9 +207,20 @@ def format_witness(w: Witness) -> str:
 
 
 def format_stage(stage: EcStage) -> str:
-    """Realized triples in order, then the stage algebra and embedding."""
+    """Realized triples in order, then the stage algebra and embedding.
+    Over an n-atom base I1..I3 take at most 2^n values between them while
+    the stage prints a line per consistent triple, so each distinct mask is
+    formatted once per call."""
+    sets: dict[int, str] = {}
+
+    def fmt(mask: int) -> str:
+        out = sets.get(mask)
+        if out is None:
+            out = sets[mask] = format_mask(mask)
+        return out
+
     lines = [
-        f"realized {format_triple(t)} -> {format_element(e)}"
+        f"realized I1={fmt(t.m1)} I2={fmt(t.m2)} I3={fmt(t.m3)} -> {format_element(e)}"
         for t, e in stage.realizers
     ]
     lines += extension_lines(stage.embedding)

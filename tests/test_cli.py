@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +270,31 @@ def test_oracle_subcommands(capsys, algebra_files):
     assert (code, out) == (0, "2\n")
     code, _, err = run(capsys, "oracle", "count-free", "5")
     assert code == 3
+
+
+def test_oracle_scans_never_import_numpy(algebra_files):
+    """The oracle's scans are pure Python, so running its scanning commands
+    in a fresh interpreter leaves numpy unimported."""
+    four = algebra_files["four"]
+    commands = [
+        ["oracle", "witness", "--algebra", four, "I1={} I2={} I3={}"],
+        ["oracle", "realizations", "--algebra", four, "I1={1,2} I2={1,2} I3={}"],
+    ]
+    commands += [argv + ["--json"] for argv in commands]
+    script = (
+        "import json, sys\n"
+        "from bdm.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "assert codes == [0, 0, 0, 0], codes\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_json_outputs_parse(capsys, algebra_files):

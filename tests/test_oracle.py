@@ -4,6 +4,8 @@ import pytest
 
 from bdm.algebra import (
     FOUR,
+    AtomRefinement,
+    Element,
     FiniteAlgebra,
     TWO,
     four_power,
@@ -90,29 +92,71 @@ def test_all_realizations_diagonal_square():
     assert masks == sorted(masks)
 
 
+def _refinement(source_sigma, target_sigma, cells):
+    return AtomRefinement(
+        FiniteAlgebra(len(source_sigma), source_sigma),
+        FiniteAlgebra(len(target_sigma), target_sigma),
+        cells,
+    )
+
+
+def _swaps(n, *pairs):
+    sigma = list(range(1, n + 1))
+    for a, b in pairs:
+        sigma[a - 1], sigma[b - 1] = b, a
+    return tuple(sigma)
+
+
+# targets of 1, 16, 17 and 18 atoms: one chunk, one full chunk, then 2 and 4
+# chunks, with atoms 17 and 18 paired by sigma with low atoms and each other
+WIDE = [
+    (identity_refinement(TWO), 1),
+    (_refinement((2, 1), tuple(range(16, 0, -1)), [range(1, 9), range(9, 17)]), 1),
+    (_refinement((2, 1, 3), _swaps(17, (1, 17), (2, 16)), [{1, 2}, {16, 17}, range(3, 16)]), 2),
+    (_refinement((1, 3, 2), _swaps(18, (17, 18), (1, 16)), [range(2, 16), {1, 17}, {16, 18}]), 4),
+]
+
+
 def test_scan_matches_triple_of_element():
-    # the vectorized products agree with the element-level path
-    for r in [
-        identity_refinement(FOUR),
-        twist_product(FOUR)[1],
-        twist_product(FiniteAlgebra(3, (2, 1, 3)))[1],
-    ]:
-        computed = {}
-        for masks, i1, i2, i3 in element_type_scan(r):
-            for m, a, b, c in zip(masks, i1, i2, i3):
-                computed[int(m)] = (int(a), int(b), int(c))
-        for u in r.target.elements():
-            t = triple_of_element(r, u)
-            want = tuple(
-                sum(1 << (i - 1) for i in s) for s in (t.i1, t.i2, t.i3)
-            )
-            assert computed[u.mask] == want
+    # the bit-sliced products agree with the element-level path, and the
+    # realizers of each type are the elements that triple_of_element gives it
+    for r, chunks in [
+        (identity_refinement(FOUR), 1),
+        (twist_product(FOUR)[1], 1),
+        (twist_product(FiniteAlgebra(3, (2, 1, 3)))[1], 1),
+    ] + WIDE:
+        by_type = {}
+        scanned = 0
+        for elements, *tables in element_type_scan(r):
+            scanned += 1
+            # bit k of each table, read off its binary digits, then for each
+            # element its column of bits over the source atoms
+            rows = [[bin(z)[:1:-1].ljust(len(elements), "0") for z in zs] for zs in tables]
+            for m, *columns in zip(elements, *(zip(*digits) for digits in rows)):
+                computed = tuple(int("".join(reversed(c)), 2) for c in columns)
+                t = triple_of_element(r, Element.from_mask(r.target, m))
+                assert computed == (t.m1, t.m2, t.m3)
+                by_type.setdefault(computed, []).append(m)
+        assert scanned == chunks
+        for masks, realizers in by_type.items():
+            t = Triple.from_masks(r.source, *masks)
+            assert [u.mask for u in all_realizations_in(r, t)] == realizers
 
 
 def test_scan_consistent_small():
     for alg in all_bases(2):
         w = witness_abstract(T(alg, frozenset(), frozenset(), frozenset()))
         assert scan_consistent(w.embedding)
+
+
+def test_scan_consistent_rejects_non_equivariant_partition():
+    # the 2-atom algebra with identity sigma into 4, with cells {1} and {2}:
+    # not an embedding, since star swaps the cells while fixing their atoms;
+    # the element {1} then has I1 & I2 & I3 = {2}, a fixed atom
+    r = object.__new__(AtomRefinement)
+    for name, value in [("source", FiniteAlgebra(2, (1, 2))), ("target", FOUR), ("cell_masks", (1, 2))]:
+        object.__setattr__(r, name, value)
+    assert not scan_consistent(r)
 
 
 def test_find_realizer_least():

@@ -100,6 +100,16 @@ def test_stage_dump_shape():
     assert any(line.startswith("cell 1: ") for line in lines)
 
 
+def test_stage_dump_matches_line_printers():
+    """format_stage formats each repeated mask once, and prints the lines
+    that format_triple and format_element give one realizer at a time."""
+    stage = ec_stage(FOUR, Caps(max_atoms=64, max_depth=4, max_triples=10**6))
+    masks = [m for t, _ in stage.realizers for m in (t.m1, t.m2, t.m3)]
+    assert len(set(masks)) < len(masks)
+    lines = [f"realized {format_triple(t)} -> {format_element(e)}" for t, e in stage.realizers]
+    assert format_stage(stage) == "\n".join(lines + extension_lines(stage.embedding)) + "\n"
+
+
 def ref_set(atoms) -> str:
     return "{" + ",".join(map(str, sorted(atoms))) + "}"
 
