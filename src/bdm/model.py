@@ -9,13 +9,22 @@ repeat satisfies the same zero conditions and only adds witnesses to the
 nonzero ones).  The stage therefore realizes every consistent triple over
 the base, with a realizer written down directly rather than searched for.
 
+A stage stores its record as masks: one (I1, I2, I3, realizer) row per
+consistent triple, in lexicographic order.  The realizer's blocks inside
+the image of a sigma-orbit depend only on the triple's part on that orbit,
+so ec_stage solves each orbit's 7 or 15 options once and builds the rows
+with one OR per row plus one sort; printing then reads the rows.
+EcStage.realizers, the (Triple, Element) view of the rows, is built on
+first access.
+
 Chains iterate the stage construction; only the finite stages are ever
 materialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .algebra import (
@@ -23,6 +32,7 @@ from .algebra import (
     Element,
     FiniteAlgebra,
     algebra_over,
+    atoms_to_mask,
     compose_refinements,
 )
 from .errors import CapExceeded, NoRealizerError
@@ -31,11 +41,12 @@ from .solver import (
     Caps,
     DEFAULT_CAPS,
     Triple,
+    _orbit_options,
     block_layout,
+    check_triple_count,
     four_power_base,
     four_power_blocks,
     refine_triple,
-    sigma_consistent_triples,
     triple_of_element,
 )
 
@@ -44,23 +55,47 @@ from .solver import (
 class EcStage:
     """A finite extension realizing every consistent triple over its base,
     with one recorded realizer per triple; the base and the stage algebra
-    are the embedding's source and target."""
+    are the embedding's source and target.
+
+    rows holds the record as masks, one (I1, I2, I3, realizer) row per
+    triple in lexicographic order; realizers is the same record as
+    (Triple, Element) pairs, built on first access."""
 
     embedding: AtomRefinement
-    realizers: tuple[tuple[Triple, Element], ...]
-    _by_triple: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_triple", dict(self.realizers))
+    rows: tuple[tuple[int, int, int, int], ...]
 
     base = property(lambda self: self.embedding.source)
     algebra = property(lambda self: self.embedding.target)
 
+    @cached_property
+    def realizers(self) -> tuple[tuple[Triple, Element], ...]:
+        base, alg = self.base, self.algebra
+        return tuple(
+            (Triple.from_masks(base, m1, m2, m3), Element.from_mask(alg, u))
+            for m1, m2, m3, u in self.rows
+        )
+
+    @cached_property
+    def _by_masks(self) -> dict[tuple[int, int, int], int]:
+        return {(m1, m2, m3): u for m1, m2, m3, u in self.rows}
+
+    @cached_property
+    def _handed_out(self) -> dict[tuple[int, int, int], Element]:
+        """The realizers returned so far, so a repeated lookup builds none."""
+        return {}
+
     def realizer(self, t: Triple) -> Element:
-        try:
-            return self._by_triple[t]
-        except KeyError:
-            raise NoRealizerError(f"stage does not record a realizer for {t!r}") from None
+        emb, alg = self.embedding, t.algebra
+        if alg is emb.source or alg == emb.source:
+            key = (t.m1, t.m2, t.m3)
+            u = self._handed_out.get(key)
+            if u is not None:
+                return u
+            mask = self._by_masks.get(key)
+            if mask is not None:
+                u = self._handed_out[key] = Element.from_mask(emb.target, mask)
+                return u
+        raise NoRealizerError(f"stage does not record a realizer for {t!r}")
 
 
 _BLOCK = 4  # widest tabulated solution
@@ -68,8 +103,15 @@ _BLOCK = 4  # widest tabulated solution
 
 def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
     """Extend alg far enough to realize every consistent triple over it,
-    recording one realizer per triple in lexicographic triple order."""
-    triples = sigma_consistent_triples(alg, caps.max_triples)
+    recording one realizer per triple in lexicographic triple order.
+
+    The realizer of a triple is the four-power solution of its refinement,
+    and the blocks inside the image of one sigma-orbit depend only on the
+    triple's part on that orbit.  So each orbit's 7 or 15 options are
+    solved once, the rows are every choice of one option per orbit with
+    the parts ORed together, and one sort puts them in order.
+    """
+    check_triple_count(alg, caps.max_triples)
     m, r1 = four_power_base(alg)
     total = _BLOCK * m
     if 2 * total > caps.max_atoms:
@@ -77,15 +119,19 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
             f"the stage needs {2 * total} atoms, cap is {caps.max_atoms}"
         )
     block = block_layout(alg if r1 is None else r1.target, [_BLOCK] * m)
-    ext = block.target
     emb = block if r1 is None else compose_refinements(r1, block)
 
-    found: list[tuple[Triple, Element]] = []
-    for t in triples:
-        refined = t if r1 is None else refine_triple(r1, t)
-        _, mask = four_power_blocks(refined, m, _BLOCK)
-        found.append((t, Element.from_mask(ext, mask)))
-    return EcStage(emb, tuple(found))
+    rows = [(0, 0, 0, 0)]
+    for orbit, options in zip(alg.sigma_orbits(), _orbit_options(alg)):
+        image = emb.map_mask(atoms_to_mask(orbit))
+        parts = []
+        for o in options:
+            t = Triple.from_masks(alg, *o)
+            _, mask = four_power_blocks(t if r1 is None else refine_triple(r1, t), m, _BLOCK)
+            parts.append((*o, mask & image))
+        rows = [(a | x, b | y, c | z, d | w) for a, b, c, d in rows for x, y, z, w in parts]
+    rows.sort()
+    return EcStage(emb, tuple(rows))
 
 
 def build_chain(

@@ -188,9 +188,10 @@ def count_sigma_consistent(alg: FiniteAlgebra) -> int:
     return 7**fixed * 15**cycles
 
 
-@lru_cache(maxsize=64)
-def _consistent_masks(n: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    alg = FiniteAlgebra(n, sigma)
+def _orbit_options(alg: FiniteAlgebra) -> list[list[tuple[int, int, int]]]:
+    """The (I1, I2, I3) parts a consistent triple may take on each sigma-orbit
+    of alg, as masks, orbit by orbit in order of least atom: 7 for a fixed
+    atom and 15 for a two-cycle."""
     per_orbit: list[list[tuple[int, int, int]]] = []
     for orbit in alg.sigma_orbits():
         options = []
@@ -208,8 +209,24 @@ def _consistent_masks(n: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int, i
                     continue
                 options.append((b1i * bi | b1j * bj, b2 * both, b3 * both))
         per_orbit.append(options)
+    return per_orbit
+
+
+@lru_cache(maxsize=64)
+def _consistent_masks(n: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    per_orbit = _orbit_options(FiniteAlgebra(n, sigma))
     # orbits own disjoint bits, so the sum of their parts is the union
     return tuple(sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*per_orbit)))
+
+
+def check_triple_count(alg: FiniteAlgebra, max_count: Optional[int]) -> None:
+    """Raise CapExceeded when alg has more than max_count consistent
+    triples; None means no cap."""
+    total = count_sigma_consistent(alg)
+    if max_count is not None and total > max_count:
+        raise CapExceeded(
+            f"{total} consistent triples over {alg.n} atoms exceed the cap of {max_count}"
+        )
 
 
 def sigma_consistent_triples(
@@ -217,11 +234,7 @@ def sigma_consistent_triples(
 ) -> list[Triple]:
     """All sigma-consistent triples over alg, ordered lexicographically by
     the bitmasks of (I1, I2, I3) with atom i on bit i-1."""
-    total = count_sigma_consistent(alg)
-    if max_count is not None and total > max_count:
-        raise CapExceeded(
-            f"{total} consistent triples over {alg.n} atoms exceed the cap of {max_count}"
-        )
+    check_triple_count(alg, max_count)
     return [
         Triple.from_masks(alg, m1, m2, m3)
         for m1, m2, m3 in _consistent_masks(alg.n, alg.sigma)
@@ -465,6 +478,11 @@ def in_acl(r: AtomRefinement, w: Element) -> bool:
     return is_trivial(triple_of_element(r, w)) is not None
 
 
+# Bound on the atoms of the extension realizations builds: n * 4^k over an
+# n-atom base, so three atoms allow k = 7 (49,152 atoms) but not k = 8.
+MAX_REALIZATION_ATOMS = 1 << 16
+
+
 def realizations(
     t: Triple, k: int
 ) -> tuple[FiniteAlgebra, AtomRefinement, list[Element]]:
@@ -474,6 +492,9 @@ def realizations(
     Each round adjoins a fresh witness for the current refinement of t; the
     refined triple stays non-trivial, so the new witness falls outside the
     previous algebra and in particular differs from the earlier realizers.
+    A round at most quadruples the atoms, so over an n-atom base the
+    extension has at most n * 4^k atoms; when that bound exceeds
+    MAX_REALIZATION_ATOMS nothing is built and CapExceeded is raised.
     The rounds bypass witness_abstract's cache: each tower triple is built
     once, and cached it would keep the whole tower alive.
     """
@@ -484,6 +505,12 @@ def realizations(
     if is_trivial(t) is not None:
         raise TrivialTripleError(
             f"{t!r} has a unique realizer inside the base algebra"
+        )
+    n, cap = t.algebra.n, MAX_REALIZATION_ATOMS
+    # 4^k > cap once 2k reaches the cap's bit length, so 4^k is never built
+    if 2 * k >= cap.bit_length() or n << 2 * k > cap:
+        raise CapExceeded(
+            f"{k} realizations over {n} atoms may need {n}*4^{k} atoms, cap is {cap}"
         )
     acc = identity_refinement(t.algebra)
     found: list[Element] = []

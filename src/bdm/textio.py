@@ -206,22 +206,43 @@ def format_witness(w: Witness) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_stage(stage: EcStage) -> str:
-    """Realized triples in order, then the stage algebra and embedding.
-    Over an n-atom base I1..I3 take at most 2^n values between them while
-    the stage prints a line per consistent triple, so each distinct mask is
-    formatted once per call."""
-    sets: dict[int, str] = {}
+def _memo(convert):
+    """convert, remembering its result for each argument seen."""
+    seen: dict = {}
 
-    def fmt(mask: int) -> str:
-        out = sets.get(mask)
+    def lookup(key):
+        out = seen.get(key)
         if out is None:
-            out = sets[mask] = format_mask(mask)
+            out = seen[key] = convert(key)
         return out
 
+    return lookup
+
+
+def format_stage(stage: EcStage) -> str:
+    """Realized triples in order, then the stage algebra and embedding.
+
+    Over an n-atom base I1..I3 take at most 2^n values between them while
+    the stage prints a line per consistent triple, so each distinct triple
+    mask is formatted once per call.  Realizers are all distinct: each
+    prints as the text of its nonzero bytes, and the text of each
+    (byte index, byte) is made once per call."""
+    triple_set = _memo(format_mask)
+    chunk = _memo(lambda c: ",".join(map(str, sorted_atoms(c[1] << 8 * c[0]))))
+    size = (stage.algebra.n + 7) // 8
+    full = stage.algebra.full_mask
+
+    def element(u: int) -> str:
+        if not u:
+            return "0"
+        if u == full:
+            return "1"
+        data = enumerate(u.to_bytes(size, "little"))
+        return "{" + ",".join([chunk(c) for c in data if c[1]]) + "}"
+
     lines = [
-        f"realized I1={fmt(t.m1)} I2={fmt(t.m2)} I3={fmt(t.m3)} -> {format_element(e)}"
-        for t, e in stage.realizers
+        f"realized I1={triple_set(m1)} I2={triple_set(m2)} I3={triple_set(m3)} -> {element(u)}"
+        for m1, m2, m3, u in stage.rows
     ]
     lines += extension_lines(stage.embedding)
     return "\n".join(lines) + "\n"
@@ -267,10 +288,16 @@ def witness_json(w: Witness) -> dict:
 
 
 def stage_json(stage: EcStage) -> dict:
+    """The stage as JSON values.  The atom list of each distinct triple mask
+    is built once per call and shared by every row that has the mask."""
+    triple_set = _memo(sorted_atoms)
     return {
         "realized": [
-            {"triple": triple_json(t), "element": element_json(e)}
-            for t, e in stage.realizers
+            {
+                "triple": {"I1": triple_set(m1), "I2": triple_set(m2), "I3": triple_set(m3)},
+                "element": sorted_atoms(u),
+            }
+            for m1, m2, m3, u in stage.rows
         ],
         "algebra": algebra_json(stage.algebra),
         "cells": _cells_json(stage.embedding),

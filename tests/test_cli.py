@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -324,6 +326,38 @@ def test_oracle_witness_budget_exhausted_exit_three(capsys, three_file, max_atom
     )
     assert (code, out) == (3, "")
     assert "cap" in err
+
+
+def test_realize_over_the_atom_cap_exits_three(capsys, three_file):
+    # 3 * 4^8 = 196,608 atoms are over the cap; nothing is built
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "realize", "--count", "8", "--algebra", three_file, "I1={} I2={} I3={}"
+    )
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "json_flag, digest",
+    [
+        ([], "4b7fe8776daa1f41e780d96f071a3ed204ff080aa2152a447c7ec128c06af815"),
+        (["--json"], "06d17727cc6e7fd3bcb42b13ae45f1afb17dfcb5a05195f1bf52bdaeb65aafdf"),
+    ],
+    ids=["text", "json"],
+)
+def test_extend_stage_depth_two_golden_bytes(capsys, tmp_path, json_flag, digest):
+    """The two chain stages over 2 print the same bytes as the per-triple
+    stage construction did (4,865,604 bytes of text, 7,392,217 of JSON)."""
+    two = tmp_path / "two.alg"
+    two.write_text("atoms 1\nsigma 1\n")
+    code, out, _ = run(
+        capsys, "extend-stage", "--algebra", str(two), "--depth", "2",
+        "--max-atoms", "64", "--max-triples", "100000", *json_flag,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oracle_witness_inconsistent_absent(capsys, three_file):

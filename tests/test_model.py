@@ -2,10 +2,12 @@ import pytest
 
 from bdm.algebra import (
     AtomRefinement,
+    Element,
     FOUR,
     FiniteAlgebra,
     TWO,
     algebra_over,
+    four_power,
     identity_refinement,
     twist_product,
 )
@@ -14,11 +16,15 @@ from bdm.model import build_chain, ec_stage, find_matching_element
 from bdm.solver import (
     Caps,
     Triple,
+    four_power_base,
+    four_power_blocks,
     holds_phi,
+    refine_triple,
     sigma_consistent_triples,
     triple_of_element,
     witness_abstract,
 )
+from bdm.textio import format_stage, stage_json
 
 from corpus import all_bases
 
@@ -48,6 +54,31 @@ def test_stage_realizes_every_triple(alg):
         assert holds_phi(stage.embedding, t, stage.realizer(t))
 
 
+@pytest.mark.parametrize(
+    "alg", all_bases(3) + [four_power(4)], ids=lambda a: f"n{a.n}-{a.sigma}"
+)
+def test_stage_rows_match_per_triple_blocks(alg):
+    """The slow route beside the orbit-wise rows: each recorded realizer is
+    the four-power solution of its own refined triple, assembled by
+    four_power_blocks, and it has that triple as its type."""
+    stage = ec_stage(alg, CAPS)
+    m, r1 = four_power_base(alg)
+    assert [t for t, _ in stage.realizers] == sigma_consistent_triples(alg)
+    assert [(t.m1, t.m2, t.m3, u.mask) for t, u in stage.realizers] == list(stage.rows)
+    for t, u in stage.realizers:
+        _, mask = four_power_blocks(t if r1 is None else refine_triple(r1, t), m, 4)
+        assert u.mask == mask, t
+        assert triple_of_element(stage.embedding, u) == t
+        assert stage.realizer(t) == u
+    # the same masks over an algebra with another sigma name no row
+    ident = tuple(alg.atom_indices)
+    if alg.n > 1:
+        other = FiniteAlgebra(alg.n, ident if alg.sigma != ident else (2, 1, *ident[2:]))
+        for m1, m2, m3, _ in stage.rows:
+            with pytest.raises(NoRealizerError):
+                stage.realizer(Triple.from_masks(other, m1, m2, m3))
+
+
 def test_stage_atom_cap():
     with pytest.raises(CapExceeded):
         ec_stage(TWO, Caps(max_atoms=2, max_depth=4, max_triples=10**6))
@@ -73,6 +104,25 @@ def test_build_chain_depth_two():
     chain = build_chain(TWO, 2, Caps(max_atoms=128, max_depth=4, max_triples=10**6))
     assert [s.algebra.n for s in chain] == [8, 32]
     assert chain[1].base == chain[0].algebra
+
+
+def test_stages_build_and_print_without_per_row_objects(monkeypatch):
+    """ec_stage solves each orbit's options once and the printers read the
+    mask rows, so the 50,625 rows of the second stage over 2 cost a few
+    dozen Triple and Element objects, not one of each per row."""
+    made = []
+    for cls, name in ((Triple, "from_masks"), (Element, "from_mask")):
+        def counted(*args, _make=getattr(cls, name)):
+            made.append(args)
+            return _make(*args)
+
+        monkeypatch.setattr(cls, name, staticmethod(counted))
+    chain = build_chain(TWO, 2, Caps(max_atoms=64, max_depth=4, max_triples=10**5))
+    for stage in chain:
+        format_stage(stage)
+        stage_json(stage)
+    assert len(chain[1].rows) == 50625
+    assert len(made) < 1000
 
 
 def _sends_v_to_u(rv, v, r0, u, iso):

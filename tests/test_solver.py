@@ -17,6 +17,7 @@ from bdm.errors import CapExceeded, InconsistentTripleError, TrivialTripleError
 from bdm.oracle import all_realizations_in, phi_environment, phi_formula
 from bdm.solver import (
     CASE1_ENTRIES,
+    MAX_REALIZATION_ATOMS,
     Caps,
     Triple,
     case1_witness,
@@ -295,6 +296,18 @@ def test_realizations_scale_with_their_output():
     assert len({e.mask for e in elems}) == 7
     for e in elems:
         assert triple_of_element(emb, e) == t
+
+
+@pytest.mark.parametrize("n, k", [(3, 8), (1, 9), (2, 8), (5, 7), (1, 10**9)])
+def test_realizations_over_the_atom_cap_build_nothing(n, k):
+    """n * 4^k over the cap raises before any round is built, even for a
+    count whose 4^k would not fit in memory."""
+    t = T(FiniteAlgebra(n, tuple(range(1, n + 1))), (), (), ())
+    assert n * 4 ** min(k, 20) > MAX_REALIZATION_ATOMS
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        realizations(t, k)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_realizations_leave_the_witness_cache_alone():

@@ -9,6 +9,7 @@ from bdm.errors import ParseError
 from bdm.model import EcStage, ec_stage
 from bdm.solver import Caps, Triple, witness_abstract
 from bdm.textio import (
+    algebra_json,
     element_json,
     extension_lines,
     format_algebra,
@@ -110,6 +111,22 @@ def test_stage_dump_matches_line_printers():
     assert format_stage(stage) == "\n".join(lines + extension_lines(stage.embedding)) + "\n"
 
 
+@pytest.mark.parametrize("base", [FOUR, FiniteAlgebra(3, (1, 3, 2))], ids=["four", "three"])
+def test_stage_json_matches_row_printers(base):
+    """stage_json converts each repeated triple mask once, and gives what
+    triple_json and element_json give one realizer at a time."""
+    stage = ec_stage(base, Caps(max_atoms=64, max_depth=4, max_triples=10**6))
+    masks = [m for row in stage.rows for m in row[:3]]
+    assert len(set(masks)) < len(masks)
+    assert stage_json(stage) == {
+        "realized": [
+            {"triple": triple_json(t), "element": element_json(e)} for t, e in stage.realizers
+        ],
+        "algebra": algebra_json(stage.algebra),
+        "cells": [sorted(c) for c in stage.embedding.cells],
+    }
+
+
 def ref_set(atoms) -> str:
     return "{" + ",".join(map(str, sorted(atoms))) + "}"
 
@@ -134,8 +151,8 @@ def test_printers_match_frozenset_reference(seed, max_n, density):
     stage = EcStage(
         r,
         tuple(
-            (Triple(base, *sets), Element(ext, atoms))
-            for sets, atoms in zip(stage_triples, elements)
+            (t.m1, t.m2, t.m3, Element(ext, atoms).mask)
+            for t, atoms in zip((Triple(base, *sets) for sets in stage_triples), elements)
         ),
     )
 
