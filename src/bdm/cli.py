@@ -127,7 +127,10 @@ def _cmd_decide(args) -> int:
         name, eq, value = binding.partition("=")
         if not eq:
             raise ParseError(f"--let expects NAME=ELEMENT, got {binding!r}")
-        env[name.strip()] = textio.parse_element(value, alg)
+        name = name.strip()
+        if name in env:
+            raise ParseError(f"--let binds {name!r} twice")
+        env[name] = textio.parse_element(value, alg)
     result = decide(alg, f, env, _caps(args))
     if args.json:
         _emit_json({"true": result})

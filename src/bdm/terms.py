@@ -17,6 +17,11 @@ open at once, so every printed tree of at most 500 levels parses back.
 The "dm" signature drops ' and *; parsing rejects them there.  Structural
 equality of ASTs is dataclass equality; t* and (~t)' denote the same element
 everywhere but remain distinct trees.
+
+Evaluation runs on atom masks: each subterm's value is an int, built with
+|, &, ^ full_mask and sigma_mask as in the table of the algebra module, and
+eval_formula compares masks.  Elements appear only at the edge, as the
+bindings read at variables and as the one value eval_term returns.
 """
 
 from __future__ import annotations
@@ -402,36 +407,41 @@ def format_ast(ast: Ast) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def eval_term(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> Element:
-    if isinstance(t, Const):
-        return alg.one if t.value else alg.zero
+def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> int:
+    """The atom mask of t's value in alg."""
     if isinstance(t, Var):
         try:
             e = env[t.name]
         except KeyError:
             raise ValueError(f"unbound variable {t.name!r}") from None
-        if e.algebra != alg:
+        if e.algebra is not alg and e.algebra != alg:
             raise ValueError(f"variable {t.name!r} is bound outside the algebra")
-        return e
+        return e.mask
     if isinstance(t, Join):
-        return eval_term(alg, t.left, env).join(eval_term(alg, t.right, env))
+        return _mask(alg, t.left, env) | _mask(alg, t.right, env)
     if isinstance(t, Meet):
-        return eval_term(alg, t.left, env).meet(eval_term(alg, t.right, env))
+        return _mask(alg, t.left, env) & _mask(alg, t.right, env)
     if isinstance(t, BNeg):
-        return eval_term(alg, t.arg, env).bneg()
+        return _mask(alg, t.arg, env) ^ alg.full_mask
     if isinstance(t, DMNeg):
-        return eval_term(alg, t.arg, env).dmneg()
+        return alg.sigma_mask(_mask(alg, t.arg, env)) ^ alg.full_mask
     if isinstance(t, Star):
-        return eval_term(alg, t.arg, env).star()
+        return alg.sigma_mask(_mask(alg, t.arg, env))
+    if isinstance(t, Const):
+        return alg.full_mask if t.value else 0
     raise TypeError(f"not a term: {t!r}")
 
 
+def eval_term(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> Element:
+    return Element.from_mask(alg, _mask(alg, t, env))
+
+
 def eval_formula(alg: FiniteAlgebra, f: Formula, env: Mapping[str, Element]) -> bool:
-    """Evaluate a quantifier-free formula pointwise."""
+    """Evaluate a quantifier-free formula pointwise, comparing masks."""
     if isinstance(f, Equal):
-        return eval_term(alg, f.left, env) == eval_term(alg, f.right, env)
+        return _mask(alg, f.left, env) == _mask(alg, f.right, env)
     if isinstance(f, NotEqual):
-        return eval_term(alg, f.left, env) != eval_term(alg, f.right, env)
+        return _mask(alg, f.left, env) != _mask(alg, f.right, env)
     if isinstance(f, And):
         return eval_formula(alg, f.left, env) and eval_formula(alg, f.right, env)
     if isinstance(f, Or):
@@ -474,7 +484,7 @@ def valid_identity(t1: Term, t2: Term, signature: str = "bdm") -> IdentityCheck:
     values = list(FOUR.elements())
     for combo in itertools.product(values, repeat=len(names)):
         env = dict(zip(names, combo))
-        if eval_term(FOUR, t1, env) != eval_term(FOUR, t2, env):
+        if _mask(FOUR, t1, env) != _mask(FOUR, t2, env):
             return IdentityCheck(False, env)
     return IdentityCheck(True, None)
 

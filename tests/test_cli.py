@@ -111,6 +111,22 @@ def test_decide_with_binding(capsys, algebra_files):
     assert (code, out) == (0, "true\n")
 
 
+def test_decide_repeated_binding_is_usage_error(capsys, algebra_files):
+    code, out, err = run(
+        capsys,
+        "decide",
+        "--algebra",
+        algebra_files["four"],
+        "p = 1",
+        "--let",
+        "p=0",
+        "--let",
+        " p =1",
+    )
+    assert (code, out) == (2, "")
+    assert "--let binds 'p' twice" in err
+
+
 def test_decide_cap_exit_three(capsys, algebra_files):
     code, _, err = run(
         capsys,

@@ -41,8 +41,32 @@ from bdm.solver import (
     witness_abstract,
     witness_via_four_power,
 )
+from bdm.terms import (
+    And,
+    BNeg,
+    Const,
+    DMNeg,
+    Equal,
+    Implies,
+    Join,
+    Meet,
+    Not,
+    NotEqual,
+    Or,
+    Star,
+    Var,
+    eval_formula,
+    eval_term,
+)
 
-from corpus import all_bases, random_algebra, random_refinement
+from corpus import (
+    all_bases,
+    random_algebra,
+    random_element,
+    random_qf,
+    random_refinement,
+    random_term,
+)
 
 
 @st.composite
@@ -107,6 +131,53 @@ def test_operations_match_frozenset_reference(data):
     assert x.dmneg().atoms == top(alg) - star(alg, a)
     assert alg.sigma_set(a) == star(alg, a)
     assert alg.full_set == top(alg)
+
+
+def ref_term(alg, t, env):
+    """The atom set of t's value, with env binding names to atom sets."""
+    if isinstance(t, Const):
+        return top(alg) if t.value else frozenset()
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Join):
+        return ref_term(alg, t.left, env) | ref_term(alg, t.right, env)
+    if isinstance(t, Meet):
+        return ref_term(alg, t.left, env) & ref_term(alg, t.right, env)
+    if isinstance(t, BNeg):
+        return top(alg) - ref_term(alg, t.arg, env)
+    if isinstance(t, Star):
+        return star(alg, ref_term(alg, t.arg, env))
+    assert isinstance(t, DMNeg)
+    return top(alg) - star(alg, ref_term(alg, t.arg, env))
+
+
+def ref_formula(alg, f, env):
+    if isinstance(f, Equal):
+        return ref_term(alg, f.left, env) == ref_term(alg, f.right, env)
+    if isinstance(f, NotEqual):
+        return ref_term(alg, f.left, env) != ref_term(alg, f.right, env)
+    if isinstance(f, And):
+        return ref_formula(alg, f.left, env) and ref_formula(alg, f.right, env)
+    if isinstance(f, Or):
+        return ref_formula(alg, f.left, env) or ref_formula(alg, f.right, env)
+    if isinstance(f, Implies):
+        return not ref_formula(alg, f.left, env) or ref_formula(alg, f.right, env)
+    assert isinstance(f, Not)
+    return not ref_formula(alg, f.arg, env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 3))
+def test_evaluation_matches_frozenset_reference(seed, count):
+    rng = random.Random(seed)
+    alg = random_algebra(rng, 6)
+    names = ["x", "y", "z"][:count]
+    env = {name: random_element(rng, alg) for name in names}
+    sets = {name: e.atoms for name, e in env.items()}
+    t = random_term(rng, names, depth=4)
+    assert eval_term(alg, t, env).atoms == ref_term(alg, t, sets)
+    f = random_qf(rng, names, atoms=3)
+    assert eval_formula(alg, f, env) == ref_formula(alg, f, sets)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import time
 
 import pytest
@@ -39,7 +41,7 @@ from bdm.solver import (
 )
 from bdm.terms import eval_formula, parse_formula
 
-from corpus import all_bases
+from corpus import all_bases, random_formula
 
 
 def T(alg, i1, i2, i3):
@@ -436,3 +438,21 @@ def test_caps_reject_negative_budgets(field):
     with pytest.raises(ValueError, match=field):
         Caps(**{field: -1})
     assert getattr(Caps(**{field: 0}), field) == 0
+
+
+def test_decide_verdicts_match_parent_digest():
+    """The verdicts on 300 seeded sentences over every base of at most two
+    atoms, at criterion 9's caps, are pinned by the SHA-256 of their
+    sequence, as the Element-valued evaluator computed it."""
+    caps = Caps(max_atoms=96, max_depth=4, max_triples=4000)
+    bases = all_bases(2)
+    rng = random.Random(20261018)
+    verdicts = []
+    for k in range(300):
+        f = random_formula(rng, [])
+        try:
+            verdicts.append(str(decide(bases[k % len(bases)], f, {}, caps)))
+        except CapExceeded:
+            verdicts.append("cap")
+    digest = hashlib.sha256(" ".join(verdicts).encode()).hexdigest()
+    assert digest == "dffff31fef41560755a88925b73e5ccd9bd6f5aa988894abe5550adfe2f5a22b"

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdm.algebra import FOUR, four_power, twist_product
+from bdm.algebra import FOUR, TWO, four_power, twist_product
 from bdm.errors import ParseError
 from bdm.terms import (
+    And,
     BNeg,
     Const,
     DMNeg,
@@ -188,13 +189,28 @@ def test_eval_examples():
 
 
 def test_eval_unbound_variable():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unbound variable 'x'"):
         eval_term(FOUR, x, {})
+    with pytest.raises(ValueError, match="unbound variable 'y'"):
+        eval_term(FOUR, Join(x, DMNeg(y)), {"x": FOUR.zero})
+
+
+def test_eval_binding_from_another_algebra():
+    a = FOUR.atom(1)
+    # checked only where the variable occurs
+    assert eval_term(FOUR, x, {"x": a, "y": TWO.one}) == a
+    assert eval_formula(FOUR, Equal(x, x), {"x": a, "y": TWO.one})
+    with pytest.raises(ValueError, match="'y' is bound outside the algebra"):
+        eval_term(FOUR, Meet(x, y), {"x": a, "y": TWO.one})
+    with pytest.raises(ValueError, match="'y' is bound outside the algebra"):
+        eval_formula(FOUR, Equal(x, y), {"x": a, "y": TWO.one})
 
 
 def test_eval_formula_quantifier_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quantified formulas"):
         eval_formula(FOUR, Exists("x", Equal(x, x)), {})
+    with pytest.raises(ValueError, match="quantified formulas"):
+        eval_formula(FOUR, And(Equal(y, y), Exists("x", Equal(x, y))), {"y": FOUR.one})
 
 
 def test_free_vars():
