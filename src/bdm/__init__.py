@@ -9,7 +9,6 @@ from .algebra import (
     TWO,
     algebra_over,
     amalgamate,
-    apply,
     compose_refinements,
     find_isomorphism_over,
     four_power,
@@ -52,7 +51,6 @@ from .solver import (
     refine_triple,
     sigma_consistent_triples,
     triple_of_element,
-    trivial_realizer,
     witness_abstract,
     witness_via_four_power,
 )

@@ -13,13 +13,15 @@ of the target's atoms into nonempty cells indexed by source atoms.  The
 induced element map sends an atom set to the union of its cells and preserves
 all five operations together with 0 and 1.
 
-Inside the package an atom set is an int mask with bit i-1 for atom i, so the
-operations above are |, &, ^ full_mask and sigma_mask.  The frozenset views
-(Element.atoms, AtomRefinement.cells and cell(i), FiniteAlgebra.full_set and
-sigma_set) exist only at the API edge, and the public constructors take atom
-sets; mask_to_atoms and atoms_to_mask convert between the two, and the
-printers read masks through sorted_atoms.  Every object checks its
-invariants, whichever way it was built.
+An atom set is an int mask with bit i-1 for atom i, so the operations above
+are |, &, ^ full_mask and sigma_mask.  Atom sets as collections of atom
+indices appear in two places only, because the parsers and the benchmark
+adapters speak them: the constructors Element(alg, atoms),
+AtomRefinement(source, target, cells) and solver.Triple(alg, i1, i2, i3)
+take them, range-checked by atoms_to_mask, and AtomRefinement.cell(i) and
+Triple.sets() return them as frozensets.  Everything else reads and returns
+masks; the printers read them through sorted_atoms.  Every object checks
+its invariants, whichever way it was built.
 
 All values are immutable; every operation is a pure function.  Searches that
 could return several answers (isomorphisms, generated structure) return the
@@ -36,10 +38,13 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def atoms_to_mask(atoms: Iterable[int]) -> int:
-    """The mask of an atom set: bit i-1 for atom i."""
+def atoms_to_mask(atoms: Iterable[int], n: int) -> Optional[int]:
+    """The mask of an atom set, bit i-1 for atom i, or None when an atom
+    lies outside 1..n."""
     mask = 0
     for i in atoms:
+        if not 1 <= i <= n:
+            return None
         mask |= 1 << (i - 1)
     return mask
 
@@ -123,16 +128,9 @@ class FiniteAlgebra:
             mask ^= flip | flip << d
         return mask
 
-    def sigma_set(self, atoms: frozenset[int]) -> frozenset[int]:
-        return frozenset(self.sigma[i - 1] for i in atoms)
-
     @property
     def atom_indices(self) -> range:
         return range(1, self.n + 1)
-
-    @property
-    def full_set(self) -> frozenset[int]:
-        return frozenset(self.atom_indices)
 
     @property
     def zero(self) -> "Element":
@@ -146,9 +144,6 @@ class FiniteAlgebra:
         if not 1 <= i <= self.n:
             raise ValueError(f"atom index {i} out of range 1..{self.n}")
         return Element.from_mask(self, 1 << (i - 1))
-
-    def element(self, atoms: Iterable[int]) -> "Element":
-        return Element(self, atoms)
 
     def elements(self) -> Iterator["Element"]:
         """All 2^n elements in ascending bitmask order (bit i-1 = atom i)."""
@@ -206,10 +201,11 @@ class Element:
 
     def __init__(self, algebra: FiniteAlgebra, atoms: Iterable[int]):
         atoms = frozenset(atoms)
-        if not atoms <= algebra.full_set:
+        mask = atoms_to_mask(atoms, algebra.n)
+        if mask is None:
             raise ValueError(f"atoms {sorted(atoms)} not within 1..{algebra.n}")
         _set(self, "algebra", algebra)
-        _set(self, "mask", atoms_to_mask(atoms))
+        _set(self, "mask", mask)
 
     @classmethod
     def from_mask(cls, algebra: FiniteAlgebra, mask: int) -> "Element":
@@ -223,10 +219,6 @@ class Element:
     def __repr__(self):
         body = "{" + ",".join(map(str, sorted_atoms(self.mask))) + "}"
         return f"Element({body} of n={self.algebra.n})"
-
-    @property
-    def atoms(self) -> frozenset[int]:
-        return mask_to_atoms(self.mask)
 
     @property
     def is_zero(self) -> bool:
@@ -259,27 +251,6 @@ class Element:
         return Element.from_mask(alg, alg.sigma_mask(self.mask) ^ alg.full_mask)
 
 
-_UNARY_OPS = {"bneg", "dmneg", "star"}
-_BINARY_OPS = {"join", "meet"}
-
-
-def apply(alg: FiniteAlgebra, op: str, *args: Element) -> Element:
-    """Apply a named operation (join, meet, bneg, dmneg, star) to elements
-    of alg; mixed-algebra arguments are rejected."""
-    for e in args:
-        if e.algebra != alg:
-            raise ValueError("argument does not belong to the given algebra")
-    if op in _BINARY_OPS:
-        if len(args) != 2:
-            raise ValueError(f"{op} takes two arguments")
-        return getattr(args[0], op)(args[1])
-    if op in _UNARY_OPS:
-        if len(args) != 1:
-            raise ValueError(f"{op} takes one argument")
-        return getattr(args[0], op)()
-    raise ValueError(f"unknown operation {op!r}")
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class AtomRefinement:
     """An embedding source -> target, as the partition of target atoms into
@@ -296,12 +267,13 @@ class AtomRefinement:
     cell_masks: tuple[int, ...]
 
     def __init__(self, source: FiniteAlgebra, target: FiniteAlgebra, cells):
-        cells = tuple(frozenset(c) for c in cells)
-        full = target.full_set
+        masks = []
         for i, cell in enumerate(cells, start=1):
-            if not cell <= full:
+            mask = atoms_to_mask(cell, target.n)
+            if mask is None:
                 raise ValueError(f"cell {i} is not a subset of the target atoms")
-        _init_refinement(self, source, target, tuple(atoms_to_mask(c) for c in cells))
+            masks.append(mask)
+        _init_refinement(self, source, target, tuple(masks))
 
     @classmethod
     def from_masks(
@@ -311,10 +283,6 @@ class AtomRefinement:
 
     def __repr__(self):
         return f"AtomRefinement({self.source.n} atoms -> {self.target.n} atoms)"
-
-    @property
-    def cells(self) -> tuple[frozenset[int], ...]:
-        return tuple(mask_to_atoms(m) for m in self.cell_masks)
 
     def cell(self, i: int) -> frozenset[int]:
         return mask_to_atoms(self.cell_masks[i - 1])
@@ -334,9 +302,6 @@ class AtomRefinement:
             out |= cells[low.bit_length() - 1]
             mask ^= low
         return out
-
-    def map_atoms(self, atoms: frozenset[int]) -> frozenset[int]:
-        return mask_to_atoms(self.map_mask(atoms_to_mask(atoms)))
 
     def map_element(self, e: Element) -> Element:
         if e.algebra != self.source:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import oracle as oracle_mod
 from . import textio
-from .algebra import amalgamate, atoms_to_mask, identity_refinement
+from .algebra import Element, amalgamate, identity_refinement, sorted_atoms
 from .errors import (
     BdmError,
     CapExceeded,
@@ -34,7 +34,6 @@ from .solver import (
     is_trivial,
     realizations,
     triple_of_element,
-    trivial_realizer,
     witness_abstract,
     witness_via_four_power,
 )
@@ -152,18 +151,16 @@ def _cmd_type_of(args) -> int:
 def _cmd_trivial(args) -> int:
     alg = _load_algebra(args.algebra)
     t = textio.parse_triple(args.triple, alg)
-    atoms = is_trivial(t)
+    mask = is_trivial(t)
     if args.json:
-        _emit_json(
-            {"trivial": atoms is not None}
-            | ({"I": sorted(atoms), "realizer": sorted(atoms)} if atoms is not None else {})
-        )
-        return 0 if atoms is not None else 1
-    if atoms is None:
+        atoms = {} if mask is None else {"I": sorted_atoms(mask), "realizer": sorted_atoms(mask)}
+        _emit_json({"trivial": mask is not None} | atoms)
+        return 0 if mask is not None else 1
+    if mask is None:
         print("nontrivial")
         return 1
-    realizer = trivial_realizer(t)
-    print(f"I={textio.format_mask(realizer.mask)} realizer {textio.format_element(realizer)}")
+    realizer = textio.format_element(Element.from_mask(alg, mask))
+    print(f"I={textio.format_mask(mask)} realizer {realizer}")
     return 0
 
 
@@ -296,17 +293,15 @@ def _cmd_oracle_witness(args) -> int:
 def _cmd_oracle_trivial(args) -> int:
     alg = _load_algebra(args.algebra)
     t = textio.parse_triple(args.triple, alg)
-    atoms = oracle_mod.brute_force_trivial(t)
+    mask = oracle_mod.brute_force_trivial(t)
     if args.json:
-        _emit_json(
-            {"trivial": atoms is not None}
-            | ({"I": sorted(atoms)} if atoms is not None else {})
-        )
-        return 0 if atoms is not None else 1
-    if atoms is None:
+        atoms = {} if mask is None else {"I": sorted_atoms(mask)}
+        _emit_json({"trivial": mask is not None} | atoms)
+        return 0 if mask is not None else 1
+    if mask is None:
         print("nontrivial")
         return 1
-    print(f"I={textio.format_mask(atoms_to_mask(atoms))}")
+    print(f"I={textio.format_mask(mask)}")
     return 0
 
 

@@ -123,7 +123,7 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
 
     rows = [(0, 0, 0, 0)]
     for orbit, options in zip(alg.sigma_orbits(), _orbit_options(alg)):
-        image = emb.map_mask(atoms_to_mask(orbit))
+        image = emb.map_mask(atoms_to_mask(orbit, alg.n))
         parts = []
         for o in options:
             t = Triple.from_masks(alg, *o)

@@ -24,7 +24,6 @@ from .algebra import (
     four_power,
     generated_subalgebra,
     identity_refinement,
-    mask_to_atoms,
     sorted_atoms,
 )
 from .errors import CapExceeded
@@ -182,9 +181,10 @@ def oracle_witness_search(t: Triple, max_atoms: int = 16) -> Optional[Witness]:
     return None
 
 
-def brute_force_trivial(t: Triple) -> Optional[frozenset[int]]:
+def brute_force_trivial(t: Triple) -> Optional[int]:
     """Scan all atom subsets I for the three equalities characterizing the
-    type of a base element; at most one I can match."""
+    type of a base element; at most one I can match, and its mask is
+    returned (0 for the zero element), or None."""
     alg = t.algebra
     full = alg.full_mask
     for cand in range(1 << alg.n):
@@ -194,7 +194,7 @@ def brute_force_trivial(t: Triple) -> Optional[frozenset[int]]:
             and t.m2 == full ^ (cand & sigma_cand)
             and t.m3 == cand | sigma_cand
         ):
-            return mask_to_atoms(cand)
+            return cand
     return None
 
 

@@ -37,6 +37,7 @@ from .algebra import (
     identity_refinement,
     is_four_power_shaped,
     mask_to_atoms,
+    sorted_atoms,
     twist_product,
 )
 from .errors import CapExceeded, InconsistentTripleError, TrivialTripleError
@@ -64,28 +65,26 @@ class Triple:
     m3: int
 
     def __init__(self, algebra: FiniteAlgebra, i1, i2, i3):
-        sets = [frozenset(s) for s in (i1, i2, i3)]
-        for k, atoms in enumerate(sets, start=1):
-            if not atoms <= algebra.full_set:
+        masks = []
+        for k, atoms in enumerate((i1, i2, i3), start=1):
+            mask = atoms_to_mask(atoms, algebra.n)
+            if mask is None:
                 raise ValueError(f"i{k} is not a subset of the atoms")
-        _init_triple(self, algebra, *map(atoms_to_mask, sets))
+            masks.append(mask)
+        _init_triple(self, algebra, *masks)
 
     @classmethod
     def from_masks(cls, algebra: FiniteAlgebra, m1: int, m2: int, m3: int) -> "Triple":
         return _init_triple(object.__new__(cls), algebra, m1, m2, m3)
 
-    i1 = property(lambda self: mask_to_atoms(self.m1))
-    i2 = property(lambda self: mask_to_atoms(self.m2))
-    i3 = property(lambda self: mask_to_atoms(self.m3))
-
     def __repr__(self):
-        def s(x):
-            return "{" + ",".join(map(str, sorted(x))) + "}"
+        def s(mask):
+            return "{" + ",".join(map(str, sorted_atoms(mask))) + "}"
 
-        return f"Triple(I1={s(self.i1)} I2={s(self.i2)} I3={s(self.i3)} over n={self.algebra.n})"
+        return f"Triple(I1={s(self.m1)} I2={s(self.m2)} I3={s(self.m3)} over n={self.algebra.n})"
 
     def sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        return (self.i1, self.i2, self.i3)
+        return (mask_to_atoms(self.m1), mask_to_atoms(self.m2), mask_to_atoms(self.m3))
 
 
 def _init_triple(t, algebra, m1, m2, m3):
@@ -183,9 +182,8 @@ def refine_triple(r: AtomRefinement, t: Triple) -> Triple:
 
 def count_sigma_consistent(alg: FiniteAlgebra) -> int:
     """7 options per fixed atom and 15 per two-cycle of sigma."""
-    fixed = sum(1 for o in alg.sigma_orbits() if len(o) == 1)
-    cycles = len(alg.sigma_orbits()) - fixed
-    return 7**fixed * 15**cycles
+    fixed = sum(1 for i, j in enumerate(alg.sigma, start=1) if i == j)
+    return 7**fixed * 15 ** ((alg.n - fixed) // 2)
 
 
 def _orbit_options(alg: FiniteAlgebra) -> list[list[tuple[int, int, int]]]:
@@ -295,40 +293,38 @@ def witness_abstract(t: Triple) -> Witness:
 @dataclass(frozen=True)
 class Case1Entry:
     """A solution of a consistent triple over the four-element algebra,
-    embedded diagonally into the k-th power; coordinates use 0/a/b/1.
+    embedded diagonally into the k-th power; coordinates use 0/a/b/1.  The
+    triple is held as the masks m1, m2, m3 of I1, I2, I3 (0b01 is atom 1,
+    0b10 atom 2).
 
     The mirrored entries are obtained from the I1={1} block by applying the
     star automorphism (swapping a and b and the two atoms), and are checked
     against the exhaustive oracle in the test suite.
     """
 
-    i1: frozenset[int]
-    i2: frozenset[int]
-    i3: frozenset[int]
+    m1: int
+    m2: int
+    m3: int
     coords: tuple[str, ...]
     mirrored: bool = False
 
 
-def _e(*atoms: int) -> frozenset[int]:
-    return frozenset(atoms)
-
-
 CASE1_ENTRIES: tuple[Case1Entry, ...] = (
-    Case1Entry(_e(1, 2), _e(1, 2), _e(), ("0",)),
-    Case1Entry(_e(1, 2), _e(), _e(), ("1", "0")),
-    Case1Entry(_e(1, 2), _e(), _e(1, 2), ("1",)),
-    Case1Entry(_e(1), _e(), _e(), ("b", "1", "0")),
-    Case1Entry(_e(1), _e(1, 2), _e(1, 2), ("b",)),
-    Case1Entry(_e(1), _e(1, 2), _e(), ("b", "0")),
-    Case1Entry(_e(1), _e(), _e(1, 2), ("b", "1")),
-    Case1Entry(_e(2), _e(), _e(), ("a", "1", "0"), mirrored=True),
-    Case1Entry(_e(2), _e(1, 2), _e(1, 2), ("a",), mirrored=True),
-    Case1Entry(_e(2), _e(1, 2), _e(), ("a", "0"), mirrored=True),
-    Case1Entry(_e(2), _e(), _e(1, 2), ("a", "1"), mirrored=True),
-    Case1Entry(_e(), _e(), _e(), ("a", "b", "0", "1")),
-    Case1Entry(_e(), _e(), _e(1, 2), ("a", "b", "1")),
-    Case1Entry(_e(), _e(1, 2), _e(), ("a", "b", "0")),
-    Case1Entry(_e(), _e(1, 2), _e(1, 2), ("a", "b")),
+    Case1Entry(0b11, 0b11, 0b00, ("0",)),
+    Case1Entry(0b11, 0b00, 0b00, ("1", "0")),
+    Case1Entry(0b11, 0b00, 0b11, ("1",)),
+    Case1Entry(0b01, 0b00, 0b00, ("b", "1", "0")),
+    Case1Entry(0b01, 0b11, 0b11, ("b",)),
+    Case1Entry(0b01, 0b11, 0b00, ("b", "0")),
+    Case1Entry(0b01, 0b00, 0b11, ("b", "1")),
+    Case1Entry(0b10, 0b00, 0b00, ("a", "1", "0"), mirrored=True),
+    Case1Entry(0b10, 0b11, 0b11, ("a",), mirrored=True),
+    Case1Entry(0b10, 0b11, 0b00, ("a", "0"), mirrored=True),
+    Case1Entry(0b10, 0b00, 0b11, ("a", "1"), mirrored=True),
+    Case1Entry(0b00, 0b00, 0b00, ("a", "b", "0", "1")),
+    Case1Entry(0b00, 0b00, 0b11, ("a", "b", "1")),
+    Case1Entry(0b00, 0b11, 0b00, ("a", "b", "0")),
+    Case1Entry(0b00, 0b11, 0b11, ("a", "b")),
 )
 
 # a coordinate's value as its two sides: bit 0 for a, bit 1 for b
@@ -354,8 +350,7 @@ def _solution_table(width: int) -> dict[tuple[int, int, int], tuple[int, int, in
     table = {}
     for e in CASE1_ENTRIES:
         coords = e.coords + e.coords[:1] * (width - len(e.coords))
-        key = (atoms_to_mask(e.i1), atoms_to_mask(e.i2), atoms_to_mask(e.i3))
-        table[key] = (*_side_bits(coords), len(coords))
+        table[(e.m1, e.m2, e.m3)] = (*_side_bits(coords), len(coords))
     return table
 
 
@@ -448,10 +443,11 @@ def witness_via_four_power(t: Triple) -> Witness:
 # ---------------------------------------------------------------------------
 # Triviality and closures
 
-def is_trivial(t: Triple) -> Optional[frozenset[int]]:
-    """When t is the type of a base element, return the atom set I of that
-    element (the unique realizer is then the join of the atoms in I);
-    otherwise None.
+def is_trivial(t: Triple) -> Optional[int]:
+    """When t is the type of a base element, return the mask of that
+    element's atom set I (the element is then the unique realizer);
+    otherwise None.  The zero element gives 0, so test the answer against
+    None, not for truth.
 
     The only possible I is (complement of I1) union (complement of I2); the
     three defining equalities are then verified outright.
@@ -464,12 +460,7 @@ def is_trivial(t: Triple) -> Optional[frozenset[int]]:
         and t.m2 == full ^ (cand & sigma_cand)
         and t.m3 == cand | sigma_cand
     )
-    return mask_to_atoms(cand) if ok else None
-
-
-def trivial_realizer(t: Triple) -> Optional[Element]:
-    atoms = is_trivial(t)
-    return None if atoms is None else Element(t.algebra, atoms)
+    return cand if ok else None
 
 
 def in_acl(r: AtomRefinement, w: Element) -> bool:

@@ -28,6 +28,12 @@ from bdm.terms import (
 )
 
 
+def atoms(mask: int) -> frozenset[int]:
+    """The atom set of a mask, bit i-1 for atom i: the one way the tests
+    read an element, a cell or a triple part as a set."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def involutions(n: int) -> list[tuple[int, ...]]:
     """All involutive permutations of {1..n} as image tuples."""
     out = []

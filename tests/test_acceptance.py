@@ -53,6 +53,7 @@ from bdm.textio import format_algebra, parse_algebra
 
 from corpus import (
     all_bases,
+    atoms,
     involutions,
     random_algebra,
     random_element,
@@ -94,14 +95,14 @@ def test_criterion_1_case1_table():
     checked = 0
     for entry in CASE1_ENTRIES:
         w = case1_witness(entry)
-        t = Triple(FOUR, entry.i1, entry.i2, entry.i3)
+        t = Triple.from_masks(FOUR, entry.m1, entry.m2, entry.m3)
         assert holds_phi(w.embedding, t, w.element), entry
         checked += 1
     assert checked == 15
     assert sum(1 for e in CASE1_ENTRIES if e.mirrored) == 4
     # the table covers every consistent triple over the two swapped atoms
-    keys = {(e.i1, e.i2, e.i3) for e in CASE1_ENTRIES}
-    assert keys == {(t.i1, t.i2, t.i3) for t in sigma_consistent_triples(FOUR)}
+    keys = {(e.m1, e.m2, e.m3) for e in CASE1_ENTRIES}
+    assert keys == {(t.m1, t.m2, t.m3) for t in sigma_consistent_triples(FOUR)}
     return "15 entries (11 stated + 4 mirrored)"
 
 
@@ -135,7 +136,7 @@ def test_criterion_3_types_always_consistent():
     assert _CRIT2_WITNESSES, "criterion 2 must run first"
     embeddings = {w.embedding for w in _CRIT2_WITNESSES}
     scanned = 0
-    for r in sorted(embeddings, key=lambda r: (r.target.n, r.source.n, r.cells)):
+    for r in sorted(embeddings, key=lambda r: (r.target.n, r.source.n, r.cell_masks)):
         assert scan_consistent(r), r
         scanned += 1 << r.target.n
     return f"{scanned} elements across {len(embeddings)} distinct extensions"
@@ -334,7 +335,7 @@ def _assert_valid_iso(r1, r2, iso, x, y):
         assert iso[r1.target.sigma_of(q) - 1] == r2.target.sigma_of(iso[q - 1])
     for i in r1.source.atom_indices:
         assert {iso[q - 1] for q in r1.cell(i)} == set(r2.cell(i))
-    assert {iso[q - 1] for q in x.atoms} == y.atoms
+    assert {iso[q - 1] for q in atoms(x.mask)} == atoms(y.mask)
 
 
 @criterion(11, 5.0)

@@ -176,6 +176,49 @@ def test_trivial(capsys, algebra_files):
     assert (code, out) == (1, "nontrivial\n")
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("trivial",), "I={} realizer 0\n"),
+        (("trivial", "--json"), '{"I": [], "realizer": [], "trivial": true}\n'),
+        (("oracle", "trivial"), "I={}\n"),
+        (("oracle", "trivial", "--json"), '{"I": [], "trivial": true}\n'),
+    ],
+    ids=["trivial", "trivial-json", "oracle-trivial", "oracle-trivial-json"],
+)
+def test_trivial_zero_element(capsys, algebra_files, argv, want):
+    # the zero element is trivial although its atom mask, 0, is falsy
+    triple = "I1={1,2} I2={1,2} I3={}"
+    assert run(capsys, *argv, "--algebra", algebra_files["four"], triple) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("type-of", "{0}"), "atoms [0] not within 1..2"),
+        (("type-of", "{3}"), "atoms [3] not within 1..2"),
+        (("consistent", "I1={3} I2={} I3={}"), "i1 is not a subset of the atoms"),
+        (("consistent", "I1={} I2={0} I3={}"), "i2 is not a subset of the atoms"),
+    ],
+    ids=["element-0", "element-3", "i1-3", "i2-0"],
+)
+def test_atoms_out_of_range_are_usage_errors(capsys, algebra_files, argv, message):
+    # atom 0 must be refused before it becomes a negative shift
+    cmd, operand = argv
+    got = run(capsys, cmd, "--algebra", algebra_files["four"], operand)
+    assert got == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("cell", ["{0,1}", "{1,3}"])
+def test_embedding_cell_out_of_range_is_usage_error(capsys, algebra_files, tmp_path, cell):
+    emb = tmp_path / "emb.ref"
+    emb.write_text(
+        f"source atoms 1\nsource sigma 1\ntarget atoms 2\ntarget sigma 2 1\ncell 1: {cell}\n"
+    )
+    got = run(capsys, "type-of", "--algebra", algebra_files["two"], "{1}", "--embedding", str(emb))
+    assert got == (2, "", "error: cell 1 is not a subset of the target atoms\n")
+
+
 def test_realize(capsys, algebra_files):
     code, out, _ = run(
         capsys,

@@ -24,7 +24,6 @@ from bdm.algebra import (
     compose_refinements,
     four_power,
     generated_subalgebra,
-    mask_to_atoms,
 )
 from bdm.errors import NoRealizerError
 from bdm.model import ec_stage
@@ -61,6 +60,7 @@ from bdm.terms import (
 
 from corpus import (
     all_bases,
+    atoms,
     random_algebra,
     random_element,
     random_qf,
@@ -123,14 +123,13 @@ def test_operations_match_frozenset_reference(data):
     alg = data.draw(algebras())
     a, b = data.draw(subsets(alg)), data.draw(subsets(alg))
     x, y = Element(alg, a), Element(alg, b)
-    assert x.atoms == a and x.mask == sum(1 << (i - 1) for i in a)
-    assert x.join(y).atoms == a | b
-    assert x.meet(y).atoms == a & b
-    assert x.bneg().atoms == top(alg) - a
-    assert x.star().atoms == star(alg, a)
-    assert x.dmneg().atoms == top(alg) - star(alg, a)
-    assert alg.sigma_set(a) == star(alg, a)
-    assert alg.full_set == top(alg)
+    assert atoms(x.mask) == a and x.mask == sum(1 << (i - 1) for i in a)
+    assert atoms(x.join(y).mask) == a | b
+    assert atoms(x.meet(y).mask) == a & b
+    assert atoms(x.bneg().mask) == top(alg) - a
+    assert atoms(x.star().mask) == star(alg, a)
+    assert atoms(x.dmneg().mask) == top(alg) - star(alg, a)
+    assert atoms(alg.full_mask) == top(alg)
 
 
 def ref_term(alg, t, env):
@@ -173,9 +172,9 @@ def test_evaluation_matches_frozenset_reference(seed, count):
     alg = random_algebra(rng, 6)
     names = ["x", "y", "z"][:count]
     env = {name: random_element(rng, alg) for name in names}
-    sets = {name: e.atoms for name, e in env.items()}
+    sets = {name: atoms(e.mask) for name, e in env.items()}
     t = random_term(rng, names, depth=4)
-    assert eval_term(alg, t, env).atoms == ref_term(alg, t, sets)
+    assert atoms(eval_term(alg, t, env).mask) == ref_term(alg, t, sets)
     f = random_qf(rng, names, atoms=3)
     assert eval_formula(alg, f, env) == ref_formula(alg, f, sets)
 
@@ -187,7 +186,7 @@ def test_generated_subalgebra_matches_frozenset_reference(data):
     gens = data.draw(st.lists(subsets(alg), max_size=3))
     sub, sub_r = generated_subalgebra(alg, [Element(alg, g) for g in gens])
     blocks = ref_blocks(alg, gens)
-    assert sub_r.cells == tuple(blocks)
+    assert tuple(map(atoms, sub_r.cell_masks)) == tuple(blocks)
     assert sub.sigma == tuple(blocks.index(star(alg, b)) + 1 for b in blocks)
 
 
@@ -196,13 +195,13 @@ def test_generated_subalgebra_matches_frozenset_reference(data):
 def test_preimage_and_triple_match_frozenset_reference(data):
     alg = data.draw(algebras())
     r = random_refinement(random.Random(data.draw(st.integers(0, 10**9))), alg, max_cell=2)
-    cells = r.cells
+    cells = tuple(map(atoms, r.cell_masks))
     assert AtomRefinement(alg, r.target, cells) == r
-    atoms = data.draw(subsets(r.target))
-    u = Element(r.target, atoms)
+    a = data.draw(subsets(r.target))
+    u = Element(r.target, a)
     pre = r.preimage(u)
-    assert (None if pre is None else pre.atoms) == ref_preimage(cells, atoms)
-    assert triple_of_element(r, u).sets() == ref_triple(r.target, cells, atoms)
+    assert (None if pre is None else atoms(pre.mask)) == ref_preimage(cells, a)
+    assert triple_of_element(r, u).sets() == ref_triple(r.target, cells, a)
 
 
 BASES = [TWO, FOUR, FiniteAlgebra(2, (1, 2))]
@@ -231,7 +230,7 @@ def test_sigma_mask_matches_set_route(seed, max_n, density):
     rng = random.Random(seed)
     alg = random_algebra(rng, max_n)
     mask = sum(1 << i for i in range(alg.n) if rng.random() < density)
-    assert alg.sigma_mask(mask) == atoms_to_mask(alg.sigma_set(mask_to_atoms(mask)))
+    assert alg.sigma_mask(mask) == atoms_to_mask(star(alg, atoms(mask)), alg.n)
 
 
 def test_refinement_check_rejects_swapped_cells_in_witness_tower():
@@ -254,9 +253,7 @@ def test_refinement_check_rejects_swapped_cells_in_witness_tower():
 # The four-power solutions written as "0/a/b/1" coordinate strings, one
 # tabulated entry per coordinate, turned into a mask at the end.
 _SIDES = {"0": 0, "a": 1, "b": 2, "1": 3}
-_ENTRIES = {
-    (atoms_to_mask(e.i1), atoms_to_mask(e.i2), atoms_to_mask(e.i3)): e for e in CASE1_ENTRIES
-}
+_ENTRIES = {(e.m1, e.m2, e.m3): e for e in CASE1_ENTRIES}
 
 
 def coordinate_strings(t: Triple, m: int, width: int = 0) -> list[tuple[str, ...]]:

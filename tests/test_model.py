@@ -26,7 +26,7 @@ from bdm.solver import (
 )
 from bdm.textio import format_stage, stage_json
 
-from corpus import all_bases
+from corpus import all_bases, atoms
 
 CAPS = Caps(max_atoms=64, max_depth=4, max_triples=10**6)
 
@@ -130,7 +130,8 @@ def _sends_v_to_u(rv, v, r0, u, iso):
     atoms under v onto the atoms under u."""
     _, v_blocks, _ = algebra_over(rv, [v])
     _, u_blocks, _ = algebra_over(r0, [u])
-    return {iso[q - 1] for q in v_blocks.preimage(v).atoms} == u_blocks.preimage(u).atoms
+    v_atoms, u_atoms = atoms(v_blocks.preimage(v).mask), atoms(u_blocks.preimage(u).mask)
+    return {iso[q - 1] for q in v_atoms} == u_atoms
 
 
 def test_find_matching_element_square_root():

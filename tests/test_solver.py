@@ -6,6 +6,7 @@ import pytest
 
 from bdm.algebra import (
     compose_refinements,
+    Element,
     FOUR,
     FiniteAlgebra,
     TWO,
@@ -35,13 +36,13 @@ from bdm.solver import (
     refine_triple,
     sigma_consistent_triples,
     triple_of_element,
-    trivial_realizer,
     witness_abstract,
     witness_via_four_power,
+    _consistent_masks,
 )
 from bdm.terms import eval_formula, parse_formula
 
-from corpus import all_bases, random_formula
+from corpus import all_bases, atoms, random_formula
 
 
 def T(alg, i1, i2, i3):
@@ -70,6 +71,11 @@ def test_consistent_triple_enumeration():
     assert masks == sorted(masks)
     assert len(sigma_consistent_triples(FOUR)) == 15
     assert len(sigma_consistent_triples(FiniteAlgebra(2, (1, 2)))) == 49
+
+
+def test_consistent_triple_count_matches_enumeration():
+    for alg in all_bases(3):
+        assert count_sigma_consistent(alg) == len(_consistent_masks(alg.n, alg.sigma)), alg
 
 
 def test_consistent_triple_cap():
@@ -163,7 +169,7 @@ def test_case1_table_against_oracle():
     # solution in the stated power
     for entry in CASE1_ENTRIES:
         w = case1_witness(entry)
-        t = Triple(FOUR, entry.i1, entry.i2, entry.i3)
+        t = Triple.from_masks(FOUR, entry.m1, entry.m2, entry.m3)
         assert holds_phi(w.embedding, t, w.element)
         assert w.element in all_realizations_in(w.embedding, t)
     assert sum(e.mirrored for e in CASE1_ENTRIES) == 4
@@ -220,14 +226,15 @@ def test_refine_preserves_consistency():
 
 def test_is_trivial_examples():
     got = is_trivial(T(FOUR, {2}, {1, 2}, {1, 2}))
-    assert got == {1}
-    assert trivial_realizer(T(FOUR, {2}, {1, 2}, {1, 2})) == FOUR.atom(1)
+    assert atoms(got) == {1}
+    assert Element.from_mask(FOUR, got) == FOUR.atom(1)
 
     assert is_trivial(T(TWO, (), {1}, {1})) is None
 
     # the type of the top element
-    assert is_trivial(T(TWO, {1}, (), {1})) == {1}
-    assert trivial_realizer(T(TWO, {1}, (), {1})) == TWO.one
+    got = is_trivial(T(TWO, {1}, (), {1}))
+    assert atoms(got) == {1}
+    assert Element.from_mask(TWO, got) == TWO.one
 
 
 def test_trivial_matches_type_of_base_elements():
@@ -235,7 +242,7 @@ def test_trivial_matches_type_of_base_elements():
         rid = identity_refinement(alg)
         for u in alg.elements():
             t = triple_of_element(rid, u)
-            assert is_trivial(t) == u.atoms
+            assert is_trivial(t) == u.mask
 
 
 def test_trivial_unique_realizer():

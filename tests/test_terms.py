@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdm.algebra import FOUR, TWO, four_power, twist_product
+from bdm.algebra import FOUR, TWO, Element, four_power, twist_product
 from bdm.errors import ParseError
 from bdm.terms import (
     And,
@@ -184,8 +184,8 @@ def test_eval_examples():
     assert eval_term(FOUR, DMNeg(x), {"x": a}) == a
     assert eval_term(FOUR, parse_term("x + x'"), {"x": a}) == FOUR.one
     sq = four_power(2)
-    ab = sq.element({1, 4})  # (a, b)
-    assert eval_term(sq, Star(x), {"x": ab}) == sq.element({2, 3})  # (b, a)
+    ab = Element(sq, {1, 4})  # (a, b)
+    assert eval_term(sq, Star(x), {"x": ab}) == Element(sq, {2, 3})  # (b, a)
 
 
 def test_eval_unbound_variable():
@@ -277,8 +277,8 @@ def test_eval_commutes_with_refinements():
     for _ in range(50):
         t = random_term(rng, ["x", "y"], 3)
         env = {
-            "x": FOUR.element({1}),
-            "y": FOUR.element({2}),
+            "x": Element(FOUR, {1}),
+            "y": Element(FOUR, {2}),
         }
         big_env = {k: r.map_element(v) for k, v in env.items()}
         assert r.map_element(eval_term(FOUR, t, env)) == eval_term(r.target, t, big_env)

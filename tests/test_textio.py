@@ -26,7 +26,7 @@ from bdm.textio import (
     triple_json,
 )
 
-from corpus import random_algebra
+from corpus import atoms, random_algebra
 
 
 def test_algebra_round_trip():
@@ -123,7 +123,7 @@ def test_stage_json_matches_row_printers(base):
             {"triple": triple_json(t), "element": element_json(e)} for t, e in stage.realizers
         ],
         "algebra": algebra_json(stage.algebra),
-        "cells": [sorted(c) for c in stage.embedding.cells],
+        "cells": [sorted(atoms(c)) for c in stage.embedding.cell_masks],
     }
 
 
