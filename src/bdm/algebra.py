@@ -64,6 +64,11 @@ def sorted_atoms(mask: int) -> list[int]:
     return out
 
 
+def format_mask(mask: int) -> str:
+    """The atom set of a mask as `{i1,i2,...}`, `{}` when empty."""
+    return "{" + ",".join(map(str, sorted_atoms(mask))) + "}"
+
+
 def mask_to_atoms(mask: int) -> frozenset[int]:
     """The atom set of a mask."""
     return frozenset(sorted_atoms(mask))
@@ -217,8 +222,7 @@ class Element:
         return e
 
     def __repr__(self):
-        body = "{" + ",".join(map(str, sorted_atoms(self.mask))) + "}"
-        return f"Element({body} of n={self.algebra.n})"
+        return f"Element({format_mask(self.mask)} of n={self.algebra.n})"
 
     @property
     def is_zero(self) -> bool:

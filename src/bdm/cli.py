@@ -436,19 +436,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except CapExceeded as e:
         print(f"resource cap exceeded: {e}", file=sys.stderr)
         return 3
     except (InconsistentTripleError, TrivialTripleError, NoRealizerError) as e:
         print(f"no result: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, BdmError) as e:
+    except (OSError, ValueError, BdmError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -13,9 +13,12 @@ A stage stores its record as masks: one (I1, I2, I3, realizer) row per
 consistent triple, in lexicographic order.  The realizer's blocks inside
 the image of a sigma-orbit depend only on the triple's part on that orbit,
 so ec_stage solves each orbit's 7 or 15 options once and builds the rows
-with one OR per row plus one sort; printing then reads the rows.
-EcStage.realizers, the (Triple, Element) view of the rows, is built on
-first access.
+with one OR per row plus one sort; printing reads the rows, and a lookup
+bisects them.  EcStage.realizers, the (Triple, Element) view of the rows,
+is built on first access.
+
+The back-and-forth step find_matching_element mirrors an element of any
+extension of a stage's base inside the stage, through the stage's record.
 
 Chains iterate the stage construction; only the finite stages are ever
 materialized.
@@ -23,9 +26,9 @@ materialized.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 from .algebra import (
     AtomRefinement,
@@ -36,7 +39,6 @@ from .algebra import (
     compose_refinements,
 )
 from .errors import CapExceeded, NoRealizerError
-from .oracle import find_realizer
 from .solver import (
     Caps,
     DEFAULT_CAPS,
@@ -75,26 +77,13 @@ class EcStage:
             for m1, m2, m3, u in self.rows
         )
 
-    @cached_property
-    def _by_masks(self) -> dict[tuple[int, int, int], int]:
-        return {(m1, m2, m3): u for m1, m2, m3, u in self.rows}
-
-    @cached_property
-    def _handed_out(self) -> dict[tuple[int, int, int], Element]:
-        """The realizers returned so far, so a repeated lookup builds none."""
-        return {}
-
     def realizer(self, t: Triple) -> Element:
-        emb, alg = self.embedding, t.algebra
-        if alg is emb.source or alg == emb.source:
+        emb, rows = self.embedding, self.rows
+        if t.algebra is emb.source or t.algebra == emb.source:
             key = (t.m1, t.m2, t.m3)
-            u = self._handed_out.get(key)
-            if u is not None:
-                return u
-            mask = self._by_masks.get(key)
-            if mask is not None:
-                u = self._handed_out[key] = Element.from_mask(emb.target, mask)
-                return u
+            i = bisect_left(rows, key)
+            if i < len(rows) and rows[i][:3] == key:
+                return Element.from_mask(emb.target, rows[i][3])
         raise NoRealizerError(f"stage does not record a realizer for {t!r}")
 
 
@@ -118,8 +107,7 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
         raise CapExceeded(
             f"the stage needs {2 * total} atoms, cap is {caps.max_atoms}"
         )
-    block = block_layout(alg if r1 is None else r1.target, [_BLOCK] * m)
-    emb = block if r1 is None else compose_refinements(r1, block)
+    emb = compose_refinements(r1, block_layout(r1.target, [_BLOCK] * m))
 
     rows = [(0, 0, 0, 0)]
     for orbit, options in zip(alg.sigma_orbits(), _orbit_options(alg)):
@@ -127,7 +115,7 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
         parts = []
         for o in options:
             t = Triple.from_masks(alg, *o)
-            _, mask = four_power_blocks(t if r1 is None else refine_triple(r1, t), m, _BLOCK)
+            _, mask = four_power_blocks(refine_triple(r1, t), m, _BLOCK)
             parts.append((*o, mask & image))
         rows = [(a | x, b | y, c | z, d | w) for a, b, c, d in rows for x, y, z, w in parts]
     rows.sort()
@@ -157,29 +145,20 @@ def build_chain(
 
 
 def find_matching_element(
-    stage: Union[EcStage, AtomRefinement],
-    rv: AtomRefinement,
-    v: Element,
+    stage: EcStage, rv: AtomRefinement, v: Element
 ) -> tuple[Element, tuple[int, ...]]:
     """Mirror an element of one extension inside a stage over the same base.
 
-    Given a stage (or a bare refinement) over A0 and an element v of another
-    extension of A0, produce u in the stage with the same type over A0 and
-    the isomorphism between the subalgebras A0<v> and A0<u> over A0 that
-    sends v to u, as an atom bijection; it is the unique one, and the one
-    the back-and-forth extends a partial map with.  A bare refinement whose
-    target lacks a realizer raises NoRealizerError.
+    Given a stage over A0 and an element v of another extension of A0,
+    return the stage's recorded realizer u of v's type over A0 and the
+    isomorphism between the subalgebras A0<v> and A0<u> over A0 that sends
+    v to u, as an atom bijection; it is the unique one, and the one the
+    back-and-forth extends a partial map with.
     """
-    r0 = stage.embedding if isinstance(stage, EcStage) else stage
+    r0 = stage.embedding
     if r0.source != rv.source:
         raise ValueError("the stage and the element share no base algebra")
-    t = triple_of_element(rv, v)
-    if isinstance(stage, EcStage):
-        u = stage.realizer(t)
-    else:
-        u = find_realizer(r0, t)
-        if u is None:
-            raise NoRealizerError(f"no element of the given algebra realizes {t!r}")
+    u = stage.realizer(triple_of_element(rv, v))
     keys_v = _atom_keys(rv, v)
     keys_u = _atom_keys(r0, u)
     assert len(keys_v) == len(keys_u)  # equal types give equal key sets

@@ -23,7 +23,6 @@ from .algebra import (
     compose_refinements,
     four_power,
     generated_subalgebra,
-    identity_refinement,
     sorted_atoms,
 )
 from .errors import CapExceeded
@@ -171,7 +170,7 @@ def oracle_witness_search(t: Triple, max_atoms: int = 16) -> Optional[Witness]:
     order, or None."""
     if max_atoms < 0:
         raise ValueError(f"max_atoms must be nonnegative, got {max_atoms}")
-    r = four_power_base(t.algebra)[1] or identity_refinement(t.algebra)
+    r = four_power_base(t.algebra)[1]
     while r.target.n <= max_atoms:
         found = find_realizer(r, t)
         if found is not None:

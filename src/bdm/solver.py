@@ -32,12 +32,12 @@ from .algebra import (
     FiniteAlgebra,
     atoms_to_mask,
     compose_refinements,
+    format_mask,
     four_power,
     generated_subalgebra,
     identity_refinement,
     is_four_power_shaped,
     mask_to_atoms,
-    sorted_atoms,
     twist_product,
 )
 from .errors import CapExceeded, InconsistentTripleError, TrivialTripleError
@@ -78,10 +78,8 @@ class Triple:
         return _init_triple(object.__new__(cls), algebra, m1, m2, m3)
 
     def __repr__(self):
-        def s(mask):
-            return "{" + ",".join(map(str, sorted_atoms(mask))) + "}"
-
-        return f"Triple(I1={s(self.m1)} I2={s(self.m2)} I3={s(self.m3)} over n={self.algebra.n})"
+        i1, i2, i3 = map(format_mask, (self.m1, self.m2, self.m3))
+        return f"Triple(I1={i1} I2={i2} I3={i3} over n={self.algebra.n})"
 
     def sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         return (mask_to_atoms(self.m1), mask_to_atoms(self.m2), mask_to_atoms(self.m3))
@@ -248,7 +246,7 @@ _KIND_XXBAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_NXSTAR = range(4)
 _KIND_STAR = (_KIND_NXSTAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_XXBAR)
 
 
-# Bound on each witness cache, so a long-lived process does not grow without
+# Bound on the witness cache, so a long-lived process does not grow without
 # limit; one pass of a decide run over a few small bases needs about 900.
 _WITNESS_CACHE_SIZE = 4096
 
@@ -354,11 +352,11 @@ def _solution_table(width: int) -> dict[tuple[int, int, int], tuple[int, int, in
     return table
 
 
-def four_power_base(alg: FiniteAlgebra) -> tuple[int, Optional[AtomRefinement]]:
+def four_power_base(alg: FiniteAlgebra) -> tuple[int, AtomRefinement]:
     """The exponent m and the embedding of alg into four_power(m); the
-    embedding is None when alg already has that layout."""
+    embedding is the identity when alg already has that layout."""
     if is_four_power_shaped(alg):
-        return alg.n // 2, None
+        return alg.n // 2, identity_refinement(alg)
     return alg.n, twist_product(alg)[1]
 
 
@@ -420,7 +418,6 @@ def case1_witness(entry: Case1Entry) -> Witness:
     return Witness(diagonal_refinement(k), element_in_power(k, entry.coords))
 
 
-@lru_cache(maxsize=_WITNESS_CACHE_SIZE)
 def witness_via_four_power(t: Triple) -> Witness:
     """Realize a consistent triple inside a power of the four-element
     algebra.
@@ -433,11 +430,9 @@ def witness_via_four_power(t: Triple) -> Witness:
     if not is_sigma_consistent(t):
         raise InconsistentTripleError(f"{t!r} violates the consistency conditions")
     m, r1 = four_power_base(t.algebra)
-    refined = t if r1 is None else refine_triple(r1, t)
-    widths, mask = four_power_blocks(refined, m)
-    block = block_layout(refined.algebra, widths)
-    embedding = block if r1 is None else compose_refinements(r1, block)
-    return Witness(embedding, Element.from_mask(block.target, mask))
+    widths, mask = four_power_blocks(refine_triple(r1, t), m)
+    block = block_layout(r1.target, widths)
+    return Witness(compose_refinements(r1, block), Element.from_mask(block.target, mask))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import AtomRefinement, Element, FiniteAlgebra, sorted_atoms
+from .algebra import AtomRefinement, Element, FiniteAlgebra, format_mask, sorted_atoms
 from .errors import ParseError
 from .model import EcStage
 from .solver import Triple, Witness
@@ -91,11 +91,6 @@ def _parse_atom_set(text: str, what: str = "set") -> frozenset[int]:
     if not inner:
         return frozenset()
     return frozenset(int(p) for p in inner.split(","))
-
-
-def format_mask(mask: int) -> str:
-    """The atom set of a mask as `{i1,i2,...}`."""
-    return "{" + ",".join(map(str, sorted_atoms(mask))) + "}"
 
 
 def parse_element(text: str, alg: FiniteAlgebra) -> Element:

@@ -35,3 +35,28 @@ def _unused_imports(path):
 def test_no_unused_imports():
     assert FILES
     assert [hit for path in FILES for hit in _unused_imports(path)] == []
+
+
+def _imports_oracle(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module in ("oracle", "bdm.oracle") or (
+                node.module in (None, "bdm") and "oracle" in names
+            ):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "bdm.oracle" for alias in node.names):
+                return True
+    return False
+
+
+def test_oracle_is_a_leaf():
+    """The brute-force oracle checks the library from outside: only the CLI
+    and the package's re-exports import it."""
+    importers = sorted(
+        path.name
+        for path in ROOT.joinpath("src", "bdm").glob("*.py")
+        if _imports_oracle(ast.parse(path.read_text(), str(path)))
+    )
+    assert importers == ["__init__.py", "cli.py"]

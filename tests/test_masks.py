@@ -284,8 +284,7 @@ def test_stage_realizers_match_coordinate_strings(alg):
     m, r1 = four_power_base(alg)
     assert stage.algebra == four_power(4 * m)
     for t, e in stage.realizers:
-        refined = t if r1 is None else refine_triple(r1, t)
-        coords = [c for block in coordinate_strings(refined, m, 4) for c in block]
+        coords = [c for block in coordinate_strings(refine_triple(r1, t), m, 4) for c in block]
         assert e.mask == coords_mask(coords, 4 * m)
 
 
@@ -293,10 +292,9 @@ def test_stage_realizers_match_coordinate_strings(alg):
 def test_four_power_witness_matches_coordinate_strings(alg):
     m, r1 = four_power_base(alg)
     for t in sigma_consistent_triples(alg):
-        w = witness_via_four_power.__wrapped__(t)  # past the cache: build it here
-        refined = t if r1 is None else refine_triple(r1, t)
-        blocks = coordinate_strings(refined, m)
+        w = witness_via_four_power(t)
+        blocks = coordinate_strings(refine_triple(r1, t), m)
         total = sum(map(len, blocks))
-        block = block_layout(refined.algebra, [len(b) for b in blocks])
-        assert w.embedding == (block if r1 is None else compose_refinements(r1, block))
+        block = block_layout(r1.target, [len(b) for b in blocks])
+        assert w.embedding == compose_refinements(r1, block)
         assert w.element.mask == coords_mask([c for b in blocks for c in b], total)

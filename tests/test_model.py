@@ -8,7 +8,6 @@ from bdm.algebra import (
     TWO,
     algebra_over,
     four_power,
-    identity_refinement,
     twist_product,
 )
 from bdm.errors import CapExceeded, NoRealizerError
@@ -16,13 +15,14 @@ from bdm.model import build_chain, ec_stage, find_matching_element
 from bdm.solver import (
     Caps,
     Triple,
+    count_sigma_consistent,
     four_power_base,
     four_power_blocks,
     holds_phi,
+    is_sigma_consistent,
     refine_triple,
     sigma_consistent_triples,
     triple_of_element,
-    witness_abstract,
 )
 from bdm.textio import format_stage, stage_json
 
@@ -66,7 +66,7 @@ def test_stage_rows_match_per_triple_blocks(alg):
     assert [t for t, _ in stage.realizers] == sigma_consistent_triples(alg)
     assert [(t.m1, t.m2, t.m3, u.mask) for t, u in stage.realizers] == list(stage.rows)
     for t, u in stage.realizers:
-        _, mask = four_power_blocks(t if r1 is None else refine_triple(r1, t), m, 4)
+        _, mask = four_power_blocks(refine_triple(r1, t), m, 4)
         assert u.mask == mask, t
         assert triple_of_element(stage.embedding, u) == t
         assert stage.realizer(t) == u
@@ -77,6 +77,27 @@ def test_stage_rows_match_per_triple_blocks(alg):
         for m1, m2, m3, _ in stage.rows:
             with pytest.raises(NoRealizerError):
                 stage.realizer(Triple.from_masks(other, m1, m2, m3))
+
+
+@pytest.mark.parametrize("alg", all_bases(3), ids=lambda a: f"n{a.n}-{a.sigma}")
+def test_stage_lookup_every_mask_triple(alg):
+    """Every one of the 2^(3n) mask triples: a recorded triple gets its
+    row's realizer, any other raises, including keys past the last row."""
+    stage = ec_stage(alg, CAPS)
+    recorded = {(m1, m2, m3): u for m1, m2, m3, u in stage.rows}
+    assert len(recorded) == count_sigma_consistent(alg)
+    size = 1 << alg.n
+    for m1 in range(size):
+        for m2 in range(size):
+            for m3 in range(size):
+                t = Triple.from_masks(alg, m1, m2, m3)
+                u = recorded.get((m1, m2, m3))
+                if u is None:
+                    assert not is_sigma_consistent(t)
+                    with pytest.raises(NoRealizerError):
+                        stage.realizer(t)
+                else:
+                    assert stage.realizer(t) == Element.from_mask(stage.algebra, u)
 
 
 def test_stage_atom_cap():
@@ -163,21 +184,6 @@ def test_find_matching_element_image_element():
     assert u == stage.embedding.map_element(TWO.one)
     assert iso == (1,)
     assert _sends_v_to_u(rv, v, stage.embedding, u, iso)
-
-
-def test_find_matching_element_missing_realizer():
-    _, rv = twist_product(TWO)
-    with pytest.raises(NoRealizerError):
-        find_matching_element(identity_refinement(TWO), rv, FOUR.atom(1))
-
-
-def test_find_matching_element_bare_refinement():
-    # a large enough hand-made extension works without a stage record
-    w = witness_abstract(Triple(TWO, frozenset(), frozenset({1}), frozenset({1})))
-    _, rv = twist_product(TWO)
-    u, iso = find_matching_element(w.embedding, rv, FOUR.atom(1))
-    assert triple_of_element(w.embedding, u) == triple_of_element(rv, FOUR.atom(1))
-    assert _sends_v_to_u(rv, FOUR.atom(1), w.embedding, u, iso)
 
 
 def test_stage_base_mismatch():
