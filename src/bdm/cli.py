@@ -4,6 +4,13 @@ Exit codes: 0 for true/satisfiable/success, 1 for false/unsatisfiable/absent,
 2 for usage or parse errors, 3 for an exhausted resource budget, 4 for an
 internal error.  Results go to stdout, diagnostics to stderr; identical
 inputs produce byte-identical output.
+
+Each `_cmd_*` handler returns `(code, out)`: `out` is the text to print,
+ending in a newline, or under `--json` a value that `main` prints as one
+line of JSON with sorted keys.  `main` is the only writer to stdout.  It
+writes a handler's output in one call inside the `try` around the handler,
+so a command that fails prints nothing to stdout, and a failed write (a
+closed pipe) exits 2 like any other OSError.
 """
 
 from __future__ import annotations
@@ -40,13 +47,12 @@ from .solver import (
 from .terms import format_ast, parse_formula, parse_term, translate_dm, valid_identity
 
 
-def _emit_json(obj) -> int:
-    print(json.dumps(obj, sort_keys=True))
-    return 0
-
-
 def _load_algebra(path: str):
     return textio.parse_algebra(Path(path).read_text())
+
+
+def _load_triple(args):
+    return textio.parse_triple(args.triple, _load_algebra(args.algebra))
 
 
 def _load_refinement(path: str):
@@ -88,37 +94,28 @@ def _add_json(p):
 # ---------------------------------------------------------------------------
 # handlers
 
-def _cmd_check(args) -> int:
+def _verdict(args, key: str, ok: bool):
+    """A yes/no answer: exit 0 for true, 1 for false."""
+    return (0 if ok else 1), ({key: ok} if args.json else "true\n" if ok else "false\n")
+
+
+def _cmd_check(args):
     alg = _load_algebra(args.algebra)
-    if args.json:
-        return _emit_json(textio.algebra_json(alg))
-    sys.stdout.write(textio.format_algebra(alg))
-    return 0
+    return 0, textio.algebra_json(alg) if args.json else textio.format_algebra(alg)
 
 
-def _cmd_consistent(args) -> int:
-    alg = _load_algebra(args.algebra)
-    t = textio.parse_triple(args.triple, alg)
-    ok = is_sigma_consistent(t)
-    if args.json:
-        _emit_json({"consistent": ok})
-    else:
-        print("true" if ok else "false")
-    return 0 if ok else 1
+def _cmd_consistent(args):
+    return _verdict(args, "consistent", is_sigma_consistent(_load_triple(args)))
 
 
-def _cmd_witness(args) -> int:
-    alg = _load_algebra(args.algebra)
-    t = textio.parse_triple(args.triple, alg)
+def _cmd_witness(args):
+    t = _load_triple(args)
     build = witness_abstract if args.via == "abstract" else witness_via_four_power
     w = build(t)
-    if args.json:
-        return _emit_json(textio.witness_json(w))
-    sys.stdout.write(textio.format_witness(w))
-    return 0
+    return 0, textio.witness_json(w) if args.json else textio.format_witness(w)
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args):
     alg = _load_algebra(args.algebra)
     f = parse_formula(args.formula)
     env = {}
@@ -130,90 +127,66 @@ def _cmd_decide(args) -> int:
         if name in env:
             raise ParseError(f"--let binds {name!r} twice")
         env[name] = textio.parse_element(value, alg)
-    result = decide(alg, f, env, _caps(args))
-    if args.json:
-        _emit_json({"true": result})
-    else:
-        print("true" if result else "false")
-    return 0 if result else 1
+    return _verdict(args, "true", decide(alg, f, env, _caps(args)))
 
 
-def _cmd_type_of(args) -> int:
+def _cmd_type_of(args):
     r = _load_embedding(args)
     u = textio.parse_element(args.element, r.target)
     t = triple_of_element(r, u)
-    if args.json:
-        return _emit_json(textio.triple_json(t))
-    print(textio.format_triple(t))
-    return 0
+    return 0, textio.triple_json(t) if args.json else textio.format_triple(t) + "\n"
 
 
-def _cmd_trivial(args) -> int:
-    alg = _load_algebra(args.algebra)
-    t = textio.parse_triple(args.triple, alg)
-    mask = is_trivial(t)
-    if args.json:
-        atoms = {} if mask is None else {"I": sorted_atoms(mask), "realizer": sorted_atoms(mask)}
-        _emit_json({"trivial": mask is not None} | atoms)
-        return 0 if mask is not None else 1
+def _triviality(args, find, realizer: bool):
+    """`trivial` and `oracle trivial`: the mask of the base element
+    realizing the triple, which only the first also prints as a realizer."""
+    t = _load_triple(args)
+    mask = find(t)
     if mask is None:
-        print("nontrivial")
-        return 1
-    realizer = textio.format_element(Element.from_mask(alg, mask))
-    print(f"I={textio.format_mask(mask)} realizer {realizer}")
-    return 0
-
-
-def _cmd_realize(args) -> int:
-    alg = _load_algebra(args.algebra)
-    t = textio.parse_triple(args.triple, alg)
-    _, emb, elems = realizations(t, args.count)
+        return 1, {"trivial": False} if args.json else "nontrivial\n"
     if args.json:
-        return _emit_json(
-            textio.extension_json(emb) | {"elements": [textio.element_json(e) for e in elems]}
-        )
-    lines = textio.extension_lines(emb)
-    lines += [f"element {textio.format_element(e)}" for e in elems]
-    print("\n".join(lines))
-    return 0
+        atoms = sorted_atoms(mask)
+        return 0, {"trivial": True, "I": atoms} | ({"realizer": atoms} if realizer else {})
+    text = f"I={textio.format_mask(mask)}"
+    if realizer:
+        text += f" realizer {textio.format_element(Element.from_mask(t.algebra, mask))}"
+    return 0, text + "\n"
 
 
-def _cmd_acl(args) -> int:
+def _cmd_trivial(args):
+    return _triviality(args, is_trivial, realizer=True)
+
+
+def _cmd_realize(args):
+    _, emb, elems = realizations(_load_triple(args), args.count)
+    if args.json:
+        elements = [textio.element_json(e) for e in elems]
+        return 0, textio.extension_json(emb) | {"elements": elements}
+    lines = textio.extension_lines(emb) + [f"element {textio.format_element(e)}" for e in elems]
+    return 0, "\n".join(lines) + "\n"
+
+
+def _cmd_acl(args):
     r = _load_embedding(args)
     w = textio.parse_element(args.element, r.target)
-    ok = in_acl(r, w)
-    if args.json:
-        _emit_json({"in_acl": ok})
-    else:
-        print("true" if ok else "false")
-    return 0 if ok else 1
+    return _verdict(args, "in_acl", in_acl(r, w))
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args):
     t1 = parse_term(args.term1, args.signature)
     t2 = parse_term(args.term2, args.signature)
     check = valid_identity(t1, t2, args.signature)
-    if args.json:
-        obj = {"valid": check.valid}
-        if not check.valid:
-            obj["counterexample"] = {
-                name: textio.element_json(e)
-                for name, e in check.counterexample.items()
-            }
-        _emit_json(obj)
-        return 0 if check.valid else 1
     if check.valid:
-        print("valid")
-        return 0
-    parts = " ".join(
-        f"{name}={textio.format_element(e)}"
-        for name, e in sorted(check.counterexample.items())
-    )
-    print(f"invalid: {parts}" if parts else "invalid")
-    return 1
+        return 0, {"valid": True} if args.json else "valid\n"
+    cex = sorted(check.counterexample.items())
+    if args.json:
+        return 1, {"valid": False,
+                   "counterexample": {name: textio.element_json(e) for name, e in cex}}
+    parts = " ".join(f"{name}={textio.format_element(e)}" for name, e in cex)
+    return 1, f"invalid: {parts}\n" if parts else "invalid\n"
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args):
     f = parse_formula(args.formula)
     try:
         text = format_ast(translate_dm(f, to=args.to))
@@ -221,96 +194,61 @@ def _cmd_translate(args) -> int:
         # each complement adds two levels, and the translation and the
         # printer recurse once per level
         raise ParseError("formula nested too deeply", 0) from None
-    if args.json:
-        return _emit_json({"formula": text})
-    print(text)
-    return 0
+    return 0, {"formula": text} if args.json else text + "\n"
 
 
-def _cmd_amalgamate(args) -> int:
+def _cmd_amalgamate(args):
     r1 = _load_refinement(args.left)
     r2 = _load_refinement(args.right)
     amalgam, s1, s2 = amalgamate(r1, r2)
     if args.json:
-        return _emit_json(
-            {
-                "amalgam": textio.algebra_json(amalgam),
-                "left": textio.refinement_json(s1),
-                "right": textio.refinement_json(s2),
-            }
-        )
-    sys.stdout.write(textio.format_algebra(amalgam))
-    sys.stdout.write("left\n" + textio.format_refinement(s1))
-    sys.stdout.write("right\n" + textio.format_refinement(s2))
-    return 0
+        return 0, {
+            "amalgam": textio.algebra_json(amalgam),
+            "left": textio.refinement_json(s1),
+            "right": textio.refinement_json(s2),
+        }
+    return 0, (textio.format_algebra(amalgam) + "left\n" + textio.format_refinement(s1)
+               + "right\n" + textio.format_refinement(s2))
 
 
-def _cmd_extend_stage(args) -> int:
+def _cmd_extend_stage(args):
     alg = _load_algebra(args.algebra)
     stages = build_chain(alg, args.depth, _caps(args))
     if args.json:
-        return _emit_json({"stages": [textio.stage_json(s) for s in stages]})
-    for i, stage in enumerate(stages, start=1):
-        print(f"stage {i}")
-        sys.stdout.write(textio.format_stage(stage))
-    return 0
+        return 0, {"stages": [textio.stage_json(s) for s in stages]}
+    return 0, "".join(
+        f"stage {i}\n{textio.format_stage(stage)}" for i, stage in enumerate(stages, start=1)
+    )
 
 
-def _cmd_oracle_realizations(args) -> int:
+def _cmd_oracle_realizations(args):
     r = _load_embedding(args)
     t = textio.parse_triple(args.triple, r.source)
     found = oracle_mod.all_realizations_in(r, t)
+    code = 0 if found else 1
     if args.json:
-        _emit_json({"elements": [textio.element_json(e) for e in found]})
-        return 0 if found else 1
-    if not found:
-        print("none")
-        return 1
-    for e in found:
-        print(textio.format_element(e))
-    return 0
+        return code, {"elements": [textio.element_json(e) for e in found]}
+    return code, "".join(f"{textio.format_element(e)}\n" for e in found) or "none\n"
 
 
-def _cmd_oracle_witness(args) -> int:
-    alg = _load_algebra(args.algebra)
-    t = textio.parse_triple(args.triple, alg)
+def _cmd_oracle_witness(args):
+    t = _load_triple(args)
     w = oracle_mod.oracle_witness_search(t, max_atoms=args.max_atoms)
-    if w is None:
-        if is_sigma_consistent(t):
-            # a realizer exists, so the search ran out of atoms
-            raise CapExceeded(f"no witness found within {args.max_atoms} atoms")
-        if args.json:
-            _emit_json({"witness": None})
-        else:
-            print("absent")
-        return 1
-    if args.json:
-        return _emit_json({"witness": textio.witness_json(w)})
-    sys.stdout.write(textio.format_witness(w))
-    return 0
+    if w is not None:
+        return 0, {"witness": textio.witness_json(w)} if args.json else textio.format_witness(w)
+    if is_sigma_consistent(t):
+        # a realizer exists, so the search ran out of atoms
+        raise CapExceeded(f"no witness found within {args.max_atoms} atoms")
+    return 1, {"witness": None} if args.json else "absent\n"
 
 
-def _cmd_oracle_trivial(args) -> int:
-    alg = _load_algebra(args.algebra)
-    t = textio.parse_triple(args.triple, alg)
-    mask = oracle_mod.brute_force_trivial(t)
-    if args.json:
-        atoms = {} if mask is None else {"I": sorted_atoms(mask)}
-        _emit_json({"trivial": mask is not None} | atoms)
-        return 0 if mask is not None else 1
-    if mask is None:
-        print("nontrivial")
-        return 1
-    print(f"I={textio.format_mask(mask)}")
-    return 0
+def _cmd_oracle_trivial(args):
+    return _triviality(args, oracle_mod.brute_force_trivial, realizer=False)
 
 
-def _cmd_oracle_count_free(args) -> int:
+def _cmd_oracle_count_free(args):
     count = oracle_mod.free_function_count(args.k)
-    if args.json:
-        return _emit_json({"count": count})
-    print(count)
-    return 0
+    return 0, {"count": count} if args.json else f"{count}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, out = args.func(args)
+        sys.stdout.write(json.dumps(out, sort_keys=True) + "\n" if args.json else out)
+        return code
     except CapExceeded as e:
         print(f"resource cap exceeded: {e}", file=sys.stderr)
         return 3

@@ -246,13 +246,7 @@ _KIND_XXBAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_NXSTAR = range(4)
 _KIND_STAR = (_KIND_NXSTAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_XXBAR)
 
 
-# Bound on the witness cache, so a long-lived process does not grow without
-# limit; one pass of a decide run over a few small bases needs about 900.
-_WITNESS_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_WITNESS_CACHE_SIZE)
-def witness_abstract(t: Triple) -> Witness:
+def _witness_abstract(t: Triple) -> Witness:
     """Build the one-generated extension realizing a consistent triple.
 
     For each base atom i the extension splits atom i into the nonzero ones
@@ -283,6 +277,12 @@ def witness_abstract(t: Triple) -> Witness:
     ext = FiniteAlgebra(len(index), tuple(sigma))
     embedding = AtomRefinement.from_masks(alg, ext, tuple(cells))
     return Witness(embedding, Element.from_mask(ext, element))
+
+
+# Bound on the witness cache, so a long-lived process does not grow without
+# limit; one pass of a decide run over a few small bases needs about 900.
+_WITNESS_CACHE_SIZE = 4096
+witness_abstract = lru_cache(maxsize=_WITNESS_CACHE_SIZE)(_witness_abstract)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +481,9 @@ def realizations(
     A round at most quadruples the atoms, so over an n-atom base the
     extension has at most n * 4^k atoms; when that bound exceeds
     MAX_REALIZATION_ATOMS nothing is built and CapExceeded is raised.
-    The rounds bypass witness_abstract's cache: each tower triple is built
-    once, and cached it would keep the whole tower alive.
+    The rounds call the uncached builder behind witness_abstract: each
+    tower triple is built once, and cached it would keep the whole tower
+    alive.
     """
     if k < 1:
         raise ValueError("at least one realizer must be requested")
@@ -501,7 +502,7 @@ def realizations(
     acc = identity_refinement(t.algebra)
     found: list[Element] = []
     for _ in range(k):
-        w = witness_abstract.__wrapped__(refine_triple(acc, t))
+        w = _witness_abstract(refine_triple(acc, t))
         found = [w.embedding.map_element(e) for e in found]
         found.append(w.element)
         acc = compose_refinements(acc, w.embedding)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .algebra import FOUR, Element, FiniteAlgebra
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +469,11 @@ class IdentityCheck:
         return self.valid
 
 
+# Bound on the variables of an identity: k variables take 4^k assignments,
+# so ten allow 2^20 and each more multiplies the time by four.
+MAX_IDENTITY_VARIABLES = 10
+
+
 def valid_identity(t1: Term, t2: Term, signature: str = "bdm") -> IdentityCheck:
     """Decide whether t1 = t2 holds under every assignment into the
     four-element algebra; a failing assignment is reported.
@@ -476,11 +481,18 @@ def valid_identity(t1: Term, t2: Term, signature: str = "bdm") -> IdentityCheck:
     Truth in the four-element algebra settles truth in every algebra here:
     both signatures' varieties are generated by it.  Assignments run in
     ascending bitmask order per variable, variables sorted by name, so the
-    reported counterexample is deterministic.
+    reported counterexample is deterministic.  With more than
+    MAX_IDENTITY_VARIABLES variables CapExceeded is raised before any
+    assignment is tried.
     """
     if signature == "dm" and not (in_dm_signature(t1) and in_dm_signature(t2)):
         raise ValueError("terms use operations outside the dm signature")
     names = sorted(term_vars(t1) | term_vars(t2))
+    if len(names) > MAX_IDENTITY_VARIABLES:
+        raise CapExceeded(
+            f"{len(names)} variables need 4^{len(names)} assignments, "
+            f"cap is {MAX_IDENTITY_VARIABLES} variables"
+        )
     values = list(FOUR.elements())
     for combo in itertools.product(values, repeat=len(names)):
         env = dict(zip(names, combo))

@@ -264,6 +264,16 @@ def test_equiv(capsys):
     assert code == 2
 
 
+def test_equiv_over_the_variable_cap_exits_three(capsys):
+    # 11 variables would take 4^11 assignments; none is tried
+    term = " + ".join(f"v{i}" for i in range(11))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "equiv", term, term)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "cap" in err
+
+
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "y . (x . x*) = 0", "--to", "dm")
     assert code == 0
@@ -504,3 +514,126 @@ def test_translation_to_dm_reads_back(capsys):
     assert code == 0
     code, out, _ = run(capsys, "translate", "--to", "bdm", dm.rstrip("\n"))
     assert (code, out) == (0, dm)
+
+
+# Every subcommand, with a false, absent or nontrivial answer for each
+# yes/no command and one exit-2 and one exit-3 case.  TWO, FOUR, THREE and
+# EMB stand for the fixture files.
+GOLDEN_COMMANDS = [
+    ("check", "--algebra", "FOUR"),
+    ("consistent", "--algebra", "FOUR", "I1={1,2} I2={1,2} I3={}"),
+    ("consistent", "--algebra", "FOUR", "I1={1,2} I2={1,2} I3={1,2}"),
+    ("witness", "--algebra", "THREE", "I1={1} I2={2,3} I3={2,3}"),
+    ("witness", "--via", "power4", "--algebra", "FOUR", "I1={} I2={} I3={}"),
+    ("witness", "--algebra", "FOUR", "I1={1,2} I2={1,2} I3={1,2}"),
+    ("decide", "--algebra", "TWO", "exists x. (~x = x & x != 0 & x != 1)"),
+    ("decide", "--algebra", "TWO", "forall x. (x + ~x = 1)"),
+    ("decide", "--algebra", "FOUR", "exists x. (x . y != 0)", "--let", "y={1}"),
+    ("decide", "--algebra", "TWO", "exists x. (x != x)", "--max-atoms", "1"),
+    ("decide", "--algebra", "TWO", "exists x. ("),
+    ("type-of", "--algebra", "FOUR", "{1}"),
+    ("type-of", "--algebra", "TWO", "{1}", "--embedding", "EMB"),
+    ("trivial", "--algebra", "FOUR", "I1={2} I2={1,2} I3={1,2}"),
+    ("trivial", "--algebra", "TWO", "I1={} I2={1} I3={1}"),
+    ("realize", "--algebra", "TWO", "I1={} I2={1} I3={1}", "--count", "2"),
+    ("acl", "--algebra", "TWO", "1", "--embedding", "EMB"),
+    ("acl", "--algebra", "TWO", "{1}", "--embedding", "EMB"),
+    ("equiv", "~(x + y)", "~x . ~y"),
+    ("equiv", "x + ~x", "1"),
+    ("equiv", "0", "1"),
+    ("translate", "y . (x . x*) = 0", "--to", "dm"),
+    ("amalgamate", "--left", "EMB", "--right", "EMB"),
+    ("extend-stage", "--algebra", "TWO", "--max-atoms", "64"),
+    ("oracle", "realizations", "--algebra", "FOUR", "I1={1,2} I2={1,2} I3={}"),
+    ("oracle", "realizations", "--algebra", "FOUR", "I1={} I2={} I3={}"),
+    ("oracle", "witness", "--algebra", "FOUR", "I1={} I2={} I3={}"),
+    ("oracle", "witness", "--algebra", "FOUR", "I1={1,2} I2={1,2} I3={1,2}"),
+    ("oracle", "trivial", "--algebra", "FOUR", "I1={2} I2={1,2} I3={1,2}"),
+    ("oracle", "trivial", "--algebra", "TWO", "I1={} I2={1} I3={1}"),
+    ("oracle", "count-free", "2"),
+    ("oracle", "count-free", "5"),
+]
+
+# per command in GOLDEN_COMMANDS: (exit code, sha256 of stdout) in text
+# mode, then under --json
+GOLDEN = [
+    ((0, "39a015fba83cb96d0396ef3073dba547859ec8d239cf129cc9df81ce1d30be5a"),
+     (0, "e309a4906e164c2754997c1b8238e54c8d112a94c18e0d154e52c6ab76336979")),
+    ((0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+     (0, "1f666df3647e5b51ed964f382e1ec42e7a7eeb8965cecf6c0eaf5c5dff600ddd")),
+    ((1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+     (1, "d77c9bf502c516e428511b5802062a88d4e40246901e40ed464de5c00f27ac0f")),
+    ((0, "ce6441290489b48fac42ca73776e8b331f9888459f7d02e74e110d26ba8eec19"),
+     (0, "9d107d17ae843d6a1f1e8401163b7e2832dd376f8aa3b429e5aaa832d0b3ee2c")),
+    ((0, "cd63224014b36ab5c243de2df6dc67d9e41949bddb504671d5f207ff7b263429"),
+     (0, "dcf744841273c97f68f8f8aac61e081bf7b333ffc4800e788b92970239e15488")),
+    ((1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    ((0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+     (0, "f7a099552c62eb42f009e9a71fc08894c7c6e74ed3491eec33e50b1b8ea299b1")),
+    ((1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+     (1, "05ad75af967c80c9f151ee6afa59837d3d4db702d9a25ded5d351b92777b8a4c")),
+    ((0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+     (0, "f7a099552c62eb42f009e9a71fc08894c7c6e74ed3491eec33e50b1b8ea299b1")),
+    ((3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    ((2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    ((0, "75b15a40d69a8cf12665a1bb0df9298212eca2e670f47bfdd5863303cf77eabb"),
+     (0, "aed8fc78a696a66099084e1d478a4a96ac8bc8f354c38c7dd7d018a55e5b0dc8")),
+    ((0, "c1d4184f9833a675f189d9c36af2af4f6accefdcd69b96908dbaa090b0fa1071"),
+     (0, "4ac4b221accf95143ea4a04e8aa23d296a333f18ecbd0bd51eecf49040de9236")),
+    ((0, "466fd9c76f7b165988df4eeb9aaae6931009914db1de96c7b797fd7bf0ae26e4"),
+     (0, "be0ebf310f5f2df5b0a38418773725519e5a20a6f4ba7c2454eac4d51f5b1969")),
+    ((1, "1d9def7429b78638a969e7eeafaf1123c51bcbb53da672a91862fa664012b855"),
+     (1, "9e7836a9616490ccf59eef949a7507976d9c36f5f162aba4c570ff89193f3e8f")),
+    ((0, "8841cfc79d3ca0433e6c28128db9f2d3515366cee9d162800ca88ec4e514e75b"),
+     (0, "57d99a7bec56032c2117601ae18434650882a8053bc81991ae0d6e56b69d1fb2")),
+    ((0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+     (0, "06df3b314eb89e01b1aab8dc4c3f021648734dc9883651db06bdfb38bc564861")),
+    ((1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+     (1, "82cdc9d44693b3ce434a6cc7da9ae3c7735f7d3ef59433ef6071b803a5a15628")),
+    ((0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+     (0, "fccaf2ed64f84e2c5d0cabbc97265b1721f8843b9ab2e4fe784d8b28c3fba40f")),
+    ((1, "a4653600aa17663deb21f9f4f6307bed244c1a93ca656b3eddc6b032b1fd7456"),
+     (1, "748c90595ac2650aa8f3d94adedfc2cfd28ae2e8b3ae39b2c93bdb4c0fe236e6")),
+    ((1, "28fca28ef02d08bd61931c03999b7a5b822392132867682e88b2db492ee9f087"),
+     (1, "79b13fe0826aef8a5b80778d326129b8a9f64057fd60e2e48d46276c41399c36")),
+    ((0, "adedd12bffe8ef5e74a19a8809cf42d21614e90ba2bcbe004e28022b828582f2"),
+     (0, "7235d410de70d684d310c07ce53402562bc190adba63ce7c95f689aa96912c6a")),
+    ((0, "f779ebefe5d7f98cfd436baad6861c982d34e04a80066b6052c245c69aa2bd2a"),
+     (0, "ece35ae8326580f665c66df4be161a0ec078b47660762a10b0aea794e870e707")),
+    ((0, "a5485283f801273e57a1aaed98ced946514e8596f01b53ea93d0e6becb60f881"),
+     (0, "074f0c84420dffee2dec97883e0d8f2ce80c4710ddafea62db3583e9625f2c45")),
+    ((0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+     (0, "eaac924ebbcc511f0e2ef0c52fddaf5b4b19d970d542b3d3a3d90a23d427ccb4")),
+    ((1, "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+     (1, "b20b4be20e3e23b67eb53f4ab7a86039ac19d4a6e5a4924959b6d3392a339d40")),
+    ((0, "a6c7ad74c1df864d9417a9e977c13845bbb2e5f6ab05fe0150f9fe124a38e2a4"),
+     (0, "ba36b1f61217ff3b4031d88c124ca0b7a3ea2dff0a2c7f171f8117846e2fe5ab")),
+    ((1, "7925d3e9a9613a093e5eb4054b32aa39de910d2b03ba7e8046c3b4550b8de1e4"),
+     (1, "21b9970bcdd6538d0e43119c43d8dbe1503654a973becf18b532b04a1dc3d250")),
+    ((0, "ca50b417a886403b0d8d0db4bb47d36b2788294a2a2fba8a572a46d9d437cda2"),
+     (0, "0209a3773eeb57d65b0833cc0d112d3a318362892558e938cfeeaa1dee4a4426")),
+    ((1, "1d9def7429b78638a969e7eeafaf1123c51bcbb53da672a91862fa664012b855"),
+     (1, "9e7836a9616490ccf59eef949a7507976d9c36f5f162aba4c570ff89193f3e8f")),
+    ((0, "0f3633c0ecb81f7639c3fe70873b438e74fb8960c68f7c39e6a8eac795e70a32"),
+     (0, "8cd080d2489499eacaac5fb30d072c3f9cbcfb8e79ec929434795c9a5352b897")),
+    ((3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+]
+
+
+def test_every_subcommand_bytes(capsys, algebra_files, three_file, tmp_path):
+    emb = tmp_path / "emb.ref"
+    emb.write_text(
+        "source atoms 1\nsource sigma 1\ntarget atoms 2\ntarget sigma 2 1\ncell 1: {1,2}\n"
+    )
+    files = {"TWO": algebra_files["two"], "FOUR": algebra_files["four"],
+             "THREE": three_file, "EMB": str(emb)}
+    got = []
+    for argv in GOLDEN_COMMANDS:
+        argv = [files.get(a, a) for a in argv]
+        runs = [run(capsys, *argv, *flags) for flags in ([], ["--json"])]
+        got.append(tuple((code, hashlib.sha256(out.encode()).hexdigest()) for code, out, _ in runs))
+    assert got == GOLDEN

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdm.algebra import FOUR, TWO, Element, four_power, twist_product
-from bdm.errors import ParseError
+from bdm.errors import CapExceeded, ParseError
 from bdm.terms import (
+    MAX_IDENTITY_VARIABLES,
     And,
     BNeg,
     Const,
@@ -229,6 +230,12 @@ def test_valid_identity_examples():
 
 def test_valid_identity_star_involution():
     assert valid_identity(parse_term("x**"), x).valid
+
+
+def test_valid_identity_over_the_variable_cap_raises():
+    names = [f"v{i}" for i in range(MAX_IDENTITY_VARIABLES + 1)]
+    with pytest.raises(CapExceeded):
+        valid_identity(parse_term(" + ".join(names)), parse_term(" + ".join(reversed(names))))
 
 
 def test_valid_identity_dm_signature_guard():

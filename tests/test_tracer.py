@@ -11,9 +11,9 @@ import pytest
 import bdm
 import bdm.cli
 import bdm.textio
-from bdm.algebra import TWO, twist_product
+from bdm.algebra import TWO, FiniteAlgebra, twist_product
 from bdm.model import ec_stage
-from bdm.solver import Caps
+from bdm.solver import Caps, Triple
 from bdm.terms import parse_formula
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -68,3 +68,17 @@ def test_tracer_records_spans(spans):
     # uninstall puts the originals back
     assert not hasattr(bdm.model.find_matching_element, "__wrapped__")
     assert not hasattr(vars(bdm.model.EcStage)["realizer"], "__wrapped__")
+
+
+def test_traced_realizations_leave_the_witness_cache_alone(spans):
+    """The tracer wraps witness_abstract outside its cache; realizations
+    must not reach the cache through that wrapper."""
+    t = Triple(FiniteAlgebra(3, (1, 3, 2)), frozenset(), frozenset(), frozenset())
+    before = bdm.solver.witness_abstract.cache_info().currsize
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        bdm.solver.realizations(t, 3)
+    finally:
+        tracer.uninstall()
+    assert bdm.solver.witness_abstract.cache_info().currsize == before
