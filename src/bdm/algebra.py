@@ -31,7 +31,6 @@ their 1-based atom indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 _new = object.__new__
@@ -74,36 +73,96 @@ def mask_to_atoms(mask: int) -> frozenset[int]:
     return frozenset(sorted_atoms(mask))
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteAlgebra:
+class Frozen:
+    """Base of the package's immutable objects.  A subclass names its fields
+    in __slots__; the constructor sets them once, in that order, and
+    assigning or deleting one afterwards raises AttributeError.  Equality
+    is identity unless a subclass defines it."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}"
+            )
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the fields with setattr
+        return _restore, (type(self), self._fields())
+
+
+def _restore(cls, values):
+    """A pickled or copied Frozen object, rebuilt from its fields."""
+    obj = _new(cls)
+    Frozen.__init__(obj, *values)
+    return obj
+
+
+class Value(Frozen):
+    """A Frozen object equal to another of its own class with equal fields,
+    hashed by its fields and printed as Class(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FiniteAlgebra(Frozen):
     """A finite Boole-De Morgan algebra given by an atom count and the
-    involution of the star map on atoms (1-indexed images)."""
+    involution of the star map on atoms (1-indexed images).  Two algebras
+    are equal when their sigmas are, whatever their names."""
 
-    n: int
-    sigma: tuple[int, ...]
-    name: Optional[str] = field(default=None, compare=False)
-    full_mask: int = field(init=False, repr=False, compare=False)
-    # sigma as (d, low) pairs: it swaps each atom in low with the atom d above
-    _swaps: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    # full_mask and _swaps are derived from sigma, and _hash is the hash of
+    # sigma; sigma has n entries, so it decides equality on its own
+    __slots__ = ("n", "sigma", "name", "full_mask", "_swaps", "_hash")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, sigma, name: Optional[str] = None):
+        if n < 1:
             raise ValueError("an algebra needs at least one atom")
-        if not isinstance(self.sigma, tuple):
-            _set(self, "sigma", tuple(self.sigma))
-        if len(self.sigma) != self.n:
-            raise ValueError(f"sigma must list an image for each of the {self.n} atoms")
-        if sorted(self.sigma) != list(range(1, self.n + 1)):
+        sigma = tuple(sigma)
+        if len(sigma) != n:
+            raise ValueError(f"sigma must list an image for each of the {n} atoms")
+        if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError("sigma is not a permutation of the atoms")
-        for i in range(1, self.n + 1):
-            if self.sigma[self.sigma[i - 1] - 1] != i:
+        for i in range(1, n + 1):
+            if sigma[sigma[i - 1] - 1] != i:
                 raise ValueError("sigma is not an involution")
-        _set(self, "full_mask", (1 << self.n) - 1)
+        # sigma as (d, low) pairs: it swaps each atom in low with the atom d above
         swaps: dict[int, int] = {}
-        for i, j in enumerate(self.sigma, start=1):
+        for i, j in enumerate(sigma, start=1):
             if j > i:
                 swaps[j - i] = swaps.get(j - i, 0) | 1 << (i - 1)
-        _set(self, "_swaps", tuple(swaps.items()))
+        super().__init__(n, sigma, name, (1 << n) - 1, tuple(swaps.items()), hash(sigma))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.sigma == other.sigma
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"FiniteAlgebra(n={self.n}, sigma={self.sigma})"
@@ -197,12 +256,10 @@ def is_four_power_shaped(alg: FiniteAlgebra) -> bool:
     return all(alg.sigma_of(i) == m + i for i in range(1, m + 1))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Element:
+class Element(Frozen):
     """An element of a FiniteAlgebra: the mask of the atoms below it."""
 
-    algebra: FiniteAlgebra
-    mask: int
+    __slots__ = ("algebra", "mask")
 
     def __init__(self, algebra: FiniteAlgebra, atoms: Iterable[int]):
         atoms = frozenset(atoms)
@@ -220,6 +277,15 @@ class Element:
         _set(e, "algebra", algebra)
         _set(e, "mask", mask)
         return e
+
+    # written out: Value's loop over the fields costs several times as much
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.algebra == other.algebra
+
+    def __hash__(self):
+        return hash((self.algebra, self.mask))
 
     def __repr__(self):
         return f"Element({format_mask(self.mask)} of n={self.algebra.n})"
@@ -255,8 +321,7 @@ class Element:
         return Element.from_mask(alg, alg.sigma_mask(self.mask) ^ alg.full_mask)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AtomRefinement:
+class AtomRefinement(Value):
     """An embedding source -> target, as the partition of target atoms into
     cells indexed by source atoms; cell_masks[i-1] is the cell of atom i.
 
@@ -266,9 +331,7 @@ class AtomRefinement:
     join, meet, both negations and star.
     """
 
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    cell_masks: tuple[int, ...]
+    __slots__ = ("source", "target", "cell_masks")
 
     def __init__(self, source: FiniteAlgebra, target: FiniteAlgebra, cells):
         masks = []

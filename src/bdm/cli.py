@@ -8,14 +8,15 @@ inputs produce byte-identical output.
 Each `_cmd_*` handler returns `(code, out)`: `out` is the text to print,
 ending in a newline, or under `--json` a value that `main` prints as one
 line of JSON with sorted keys.  `main` is the only writer to stdout.  It
-writes a handler's output in one call inside the `try` around the handler,
-so a command that fails prints nothing to stdout, and a failed write (a
-closed pipe) exits 2 like any other OSError.
+writes a handler's output with `_write` inside the `try` around the
+handler, so a command that fails prints nothing to stdout, and a failed
+write (a closed pipe) exits 2 like any other OSError.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -370,11 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str) -> None:
+    """Write text to stdout.  Unbuffered (`python -u`), the text layer
+    writes straight to the raw file and drops the count of a short write,
+    which is what a pipe returns when its reader leaves; so the bytes go to
+    the raw file until all are out or a write fails."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data):]
+    else:
+        out.write(text)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, out = args.func(args)
-        sys.stdout.write(json.dumps(out, sort_keys=True) + "\n" if args.json else out)
+        _write(json.dumps(out, sort_keys=True) + "\n" if args.json else out)
         return code
     except CapExceeded as e:
         print(f"resource cap exceeded: {e}", file=sys.stderr)

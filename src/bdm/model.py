@@ -27,13 +27,13 @@ materialized.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
     AtomRefinement,
     Element,
     FiniteAlgebra,
+    Frozen,
     algebra_over,
     atoms_to_mask,
     compose_refinements,
@@ -53,8 +53,7 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True)
-class EcStage:
+class EcStage(Frozen):
     """A finite extension realizing every consistent triple over its base,
     with one recorded realizer per triple; the base and the stage algebra
     are the embedding's source and target.
@@ -63,8 +62,13 @@ class EcStage:
     triple in lexicographic order; realizers is the same record as
     (Triple, Element) pairs, built on first access."""
 
-    embedding: AtomRefinement
-    rows: tuple[tuple[int, int, int, int], ...]
+    # no __slots__: realizers is cached in the instance dict
+    def __init__(self, embedding: AtomRefinement, rows: tuple[tuple[int, int, int, int], ...]):
+        object.__setattr__(self, "embedding", embedding)
+        object.__setattr__(self, "rows", rows)
+
+    def __reduce__(self):
+        return EcStage, (self.embedding, self.rows)
 
     base = property(lambda self: self.embedding.source)
     algebra = property(lambda self: self.embedding.target)

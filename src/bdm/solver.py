@@ -21,7 +21,6 @@ the base.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
@@ -30,6 +29,8 @@ from .algebra import (
     Element,
     FOUR,
     FiniteAlgebra,
+    Frozen,
+    Value,
     atoms_to_mask,
     compose_refinements,
     format_mask,
@@ -54,15 +55,11 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Triple:
+class Triple(Frozen):
     """A candidate one-variable type over an algebra: three atom subsets,
     held as the masks m1, m2, m3 of I1, I2, I3."""
 
-    algebra: FiniteAlgebra
-    m1: int
-    m2: int
-    m3: int
+    __slots__ = ("algebra", "m1", "m2", "m3")
 
     def __init__(self, algebra: FiniteAlgebra, i1, i2, i3):
         masks = []
@@ -76,6 +73,18 @@ class Triple:
     @classmethod
     def from_masks(cls, algebra: FiniteAlgebra, m1: int, m2: int, m3: int) -> "Triple":
         return _init_triple(object.__new__(cls), algebra, m1, m2, m3)
+
+    # written out rather than Value's loop over the fields: the witness
+    # cache hashes and compares a triple on every lookup
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m1, self.m2, self.m3, self.algebra) == (
+            other.m1, other.m2, other.m3, other.algebra
+        )
+
+    def __hash__(self):
+        return hash((self.algebra, self.m1, self.m2, self.m3))
 
     def __repr__(self):
         i1, i2, i3 = map(format_mask, (self.m1, self.m2, self.m3))
@@ -96,32 +105,29 @@ def _init_triple(t, algebra, m1, m2, m3):
     return t
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """An extension of the base with a distinguished element realizing a
     triple along the embedding; the base and the extension are the
     embedding's source and target."""
 
-    embedding: AtomRefinement
-    element: Element
+    __slots__ = ("embedding", "element")
 
     base = property(lambda self: self.embedding.source)
     extension = property(lambda self: self.embedding.target)
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(Value):
     """Resource budgets: atoms per intermediate algebra, quantifier nesting,
     and enumerated triples per algebra."""
 
-    max_atoms: int = 12
-    max_depth: int = 4
-    max_triples: int = 20000
+    __slots__ = ("max_atoms", "max_depth", "max_triples")
 
-    def __post_init__(self):
-        for name in ("max_atoms", "max_depth", "max_triples"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+    def __init__(self, max_atoms: int = 12, max_depth: int = 4, max_triples: int = 20000):
+        values = (max_atoms, max_depth, max_triples)
+        for name, value in zip(self.__slots__, values):
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        super().__init__(*values)
 
 
 DEFAULT_CAPS = Caps()
@@ -288,8 +294,7 @@ witness_abstract = lru_cache(maxsize=_WITNESS_CACHE_SIZE)(_witness_abstract)
 # ---------------------------------------------------------------------------
 # Witness construction through powers of the four-element algebra
 
-@dataclass(frozen=True)
-class Case1Entry:
+class Case1Entry(Value):
     """A solution of a consistent triple over the four-element algebra,
     embedded diagonally into the k-th power; coordinates use 0/a/b/1.  The
     triple is held as the masks m1, m2, m3 of I1, I2, I3 (0b01 is atom 1,
@@ -300,11 +305,10 @@ class Case1Entry:
     against the exhaustive oracle in the test suite.
     """
 
-    m1: int
-    m2: int
-    m3: int
-    coords: tuple[str, ...]
-    mirrored: bool = False
+    __slots__ = ("m1", "m2", "m3", "coords", "mirrored")
+
+    def __init__(self, m1: int, m2: int, m3: int, coords: tuple[str, ...], mirrored: bool = False):
+        super().__init__(m1, m2, m3, coords, mirrored)
 
 
 CASE1_ENTRIES: tuple[Case1Entry, ...] = (

@@ -14,9 +14,10 @@ the printer read this grammar from one table, _PRINT.
 Parsing rejects a tree of more than 500 levels and more than 500 parentheses
 open at once, so every printed tree of at most 500 levels parses back.
 
-The "dm" signature drops ' and *; parsing rejects them there.  Structural
-equality of ASTs is dataclass equality; t* and (~t)' denote the same element
-everywhere but remain distinct trees.
+The "dm" signature drops ' and *; parsing rejects them there.  Two trees
+are equal when they have the same node classes and leaves in the same
+shape; t* and (~t)' denote the same element everywhere but remain distinct
+trees.
 
 Evaluation runs on atom masks: each subterm's value is an int, built with
 |, &, ^ full_mask and sigma_mask as in the table of the algebra module, and
@@ -28,111 +29,90 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .algebra import FOUR, Element, FiniteAlgebra
+from .algebra import FOUR, Element, FiniteAlgebra, Value
 from .errors import CapExceeded, ParseError
 
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
+#
+# A node's constructor takes its __slots__ fields in order.  Term nodes hold
+# terms; Equal and NotEqual hold two terms, the other formula nodes hold
+# formulas, and a quantifier's var is a variable name.
 
 
-class Term:
+class Term(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    value: int  # 0 or 1
+    __slots__ = ("value",)  # 0 or 1
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Join(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Meet(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class BNeg(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class DMNeg(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Star(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
 ZERO = Const(0)
 ONE = Const(1)
 
 
-class Formula:
+class Formula(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Equal(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class NotEqual(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class ForAll(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
 
 
 Ast = Union[Term, Formula]
@@ -162,7 +142,7 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 def _children(node: Ast) -> list[Ast]:
     """The AST-valued fields of a node, in field order."""
-    return [v for v in vars(node).values() if isinstance(v, (Term, Formula))]
+    return [v for v in node._fields() if isinstance(v, (Term, Formula))]
 
 
 def _nodes(ast: Ast):
@@ -385,14 +365,14 @@ def parse_formula(text: str, signature: str = "bdm") -> Formula:
 # Printing
 
 def _fmt(node: Ast, level: int) -> str:
-    # CPython 3.11 counts a call into most C functions (vars, str.format,
-    # dict methods; not type) against the recursion limit, so a leaf is
-    # printed with operators only and needs no stack beyond its own frame.
+    # One frame per level: the calls that read a node's fields return
+    # before the recursion goes deeper, so a 500-level tree prints within
+    # the default limit of 1,000 frames.
     try:
         own, template, child_levels = _PRINT[type(node)]
     except KeyError:
         raise TypeError(f"not a term or formula: {node!r}") from None
-    fields = {**node.__dict__}
+    fields = dict(zip(node.__slots__, node._fields()))
     for name in child_levels:
         fields[name] = _fmt(fields[name], child_levels[name])
     s = template % fields
@@ -458,12 +438,13 @@ def eval_formula(alg: FiniteAlgebra, f: Formula, env: Mapping[str, Element]) -> 
 # ---------------------------------------------------------------------------
 # Identity checking
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Value):
     """Outcome of an identity check; truthy iff the identity is valid."""
 
-    valid: bool
-    counterexample: Optional[dict[str, Element]]
+    __slots__ = ("valid", "counterexample")
+
+    def __init__(self, valid: bool, counterexample: Optional[dict[str, Element]]):
+        super().__init__(valid, counterexample)
 
     def __bool__(self) -> bool:
         return self.valid

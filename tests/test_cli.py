@@ -368,6 +368,26 @@ def test_oracle_scans_never_import_numpy(algebra_files):
     assert done.returncode == 0, done.stderr
 
 
+def test_reader_leaving_early_is_a_broken_pipe(algebra_files):
+    """Unbuffered, stdout's text layer drops the count of a short write; a
+    reader that closes the pipe after 10 bytes must still get exit 2 and
+    the broken pipe on stderr, not exit 0 with the output cut."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    argv = ["extend-stage", "--algebra", algebra_files["two"], "--depth", "2",
+            "--max-atoms", "64", "--max-triples", "100000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "bdm.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 2, err
+    assert "Broken pipe" in err
+
+
 def test_json_outputs_parse(capsys, algebra_files):
     for argv in [
         ("consistent", "--algebra", algebra_files["four"], "I1={} I2={} I3={}", "--json"),

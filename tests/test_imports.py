@@ -6,6 +6,9 @@ anywhere in the same file.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,3 +63,17 @@ def test_oracle_is_a_leaf():
         if _imports_oracle(ast.parse(path.read_text(), str(path)))
     )
     assert importers == ["__init__.py", "cli.py"]
+
+
+def test_cli_start_imports_no_dataclasses():
+    """Every `bdm` process imports the CLI; importing `dataclasses` (which
+    pulls in `inspect`) and generating the classes' methods with it took a
+    fifth of a short command's wall time."""
+    script = "import sys, bdm.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
