@@ -8,9 +8,11 @@ inputs produce byte-identical output.
 Each `_cmd_*` handler returns `(code, out)`: `out` is the text to print,
 ending in a newline, or under `--json` a value that `main` prints as one
 line of JSON with sorted keys.  `main` is the only writer to stdout.  It
-writes a handler's output with `_write` inside the `try` around the
+writes and flushes a handler's output inside the `try` around the
 handler, so a command that fails prints nothing to stdout, and a failed
-write (a closed pipe) exits 2 like any other OSError.
+write (a closed pipe) exits 2 like any other OSError.  After a broken pipe
+stdout is pointed at the null device, so the interpreter's own flush at
+exit has nothing left to fail on.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -391,6 +394,7 @@ def main(argv=None) -> int:
     try:
         code, out = args.func(args)
         _write(json.dumps(out, sort_keys=True) + "\n" if args.json else out)
+        sys.stdout.flush()
         return code
     except CapExceeded as e:
         print(f"resource cap exceeded: {e}", file=sys.stderr)
@@ -398,6 +402,12 @@ def main(argv=None) -> int:
     except (InconsistentTripleError, TrivialTripleError, NoRealizerError) as e:
         print(f"no result: {e}", file=sys.stderr)
         return 1
+    except BrokenPipeError as e:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, BdmError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -543,38 +543,40 @@ def decide(
 
 
 def _decide(alg, f, env, caps, depth):
-    if isinstance(f, And):
+    cls = f.__class__
+    if cls is And:
         return _decide(alg, f.left, env, caps, depth) and _decide(alg, f.right, env, caps, depth)
-    if isinstance(f, Or):
+    if cls is Or:
         return _decide(alg, f.left, env, caps, depth) or _decide(alg, f.right, env, caps, depth)
-    if isinstance(f, Not):
+    if cls is Not:
         return not _decide(alg, f.arg, env, caps, depth)
-    if isinstance(f, Implies):
+    if cls is Implies:
         return (not _decide(alg, f.left, env, caps, depth)) or _decide(
             alg, f.right, env, caps, depth
         )
-    if isinstance(f, ForAll):
+    if cls is ForAll:
         return not _decide(alg, Exists(f.var, Not(f.body)), env, caps, depth)
-    if isinstance(f, Exists):
+    if cls is Exists:
         if depth >= caps.max_depth:
             raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
         relevant = sorted(free_vars(f.body) - {f.var})
         sub, sub_r = generated_subalgebra(alg, [env[name] for name in relevant])
-        env_sub = {}
+        # each parameter as the mask of its preimage in sub; per triple it is
+        # mapped with map_mask, skipping map_element's per-binding check
+        params = []
         for name in relevant:
             pre = sub_r.preimage(env[name])
             assert pre is not None  # generators are unions of their own blocks
-            env_sub[name] = pre
+            params.append((name, pre.mask))
         for t in sigma_consistent_triples(sub, caps.max_triples):
             w = witness_abstract(t)
-            ext = w.embedding.target
+            r = w.embedding
+            ext = r.target
             if ext.n > caps.max_atoms:
                 raise CapExceeded(
                     f"witness extension needs {ext.n} atoms, cap is {caps.max_atoms}"
                 )
-            new_env = {
-                name: w.embedding.map_element(value) for name, value in env_sub.items()
-            }
+            new_env = {name: Element.from_mask(ext, r.map_mask(m)) for name, m in params}
             new_env[f.var] = w.element
             if _decide(ext, f.body, new_env, caps, depth + 1):
                 return True

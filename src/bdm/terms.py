@@ -17,7 +17,9 @@ open at once, so every printed tree of at most 500 levels parses back.
 The "dm" signature drops ' and *; parsing rejects them there.  Two trees
 are equal when they have the same node classes and leaves in the same
 shape; t* and (~t)' denote the same element everywhere but remain distinct
-trees.
+trees.  The node classes are final: evaluation, free_vars and the printer
+dispatch on a node's exact class, as equality does, so an instance of a
+subclass is not a node.
 
 Evaluation runs on atom masks: each subterm's value is an int, built with
 |, &, ^ full_mask and sigma_mask as in the table of the algebra module, and
@@ -119,23 +121,25 @@ Ast = Union[Term, Formula]
 
 
 def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         return frozenset({t.name})
-    if isinstance(t, (Join, Meet)):
+    if cls is Join or cls is Meet:
         return term_vars(t.left) | term_vars(t.right)
-    if isinstance(t, (BNeg, DMNeg, Star)):
+    if cls is BNeg or cls is DMNeg or cls is Star:
         return term_vars(t.arg)
     return frozenset()
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Equal, NotEqual)):
+    cls = f.__class__
+    if cls is Equal or cls is NotEqual:
         return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, (And, Or, Implies)):
+    if cls is And or cls is Or or cls is Implies:
         return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Not):
+    if cls is Not:
         return free_vars(f.arg)
-    if isinstance(f, (Exists, ForAll)):
+    if cls is Exists or cls is ForAll:
         return free_vars(f.body) - {f.var}
     raise TypeError(f"not a formula: {f!r}")
 
@@ -389,7 +393,8 @@ def format_ast(ast: Ast) -> str:
 
 def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> int:
     """The atom mask of t's value in alg."""
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         try:
             e = env[t.name]
         except KeyError:
@@ -397,17 +402,17 @@ def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> int:
         if e.algebra is not alg and e.algebra != alg:
             raise ValueError(f"variable {t.name!r} is bound outside the algebra")
         return e.mask
-    if isinstance(t, Join):
+    if cls is Join:
         return _mask(alg, t.left, env) | _mask(alg, t.right, env)
-    if isinstance(t, Meet):
+    if cls is Meet:
         return _mask(alg, t.left, env) & _mask(alg, t.right, env)
-    if isinstance(t, BNeg):
+    if cls is BNeg:
         return _mask(alg, t.arg, env) ^ alg.full_mask
-    if isinstance(t, DMNeg):
+    if cls is DMNeg:
         return alg.sigma_mask(_mask(alg, t.arg, env)) ^ alg.full_mask
-    if isinstance(t, Star):
+    if cls is Star:
         return alg.sigma_mask(_mask(alg, t.arg, env))
-    if isinstance(t, Const):
+    if cls is Const:
         return alg.full_mask if t.value else 0
     raise TypeError(f"not a term: {t!r}")
 
@@ -418,19 +423,20 @@ def eval_term(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> Elemen
 
 def eval_formula(alg: FiniteAlgebra, f: Formula, env: Mapping[str, Element]) -> bool:
     """Evaluate a quantifier-free formula pointwise, comparing masks."""
-    if isinstance(f, Equal):
+    cls = f.__class__
+    if cls is Equal:
         return _mask(alg, f.left, env) == _mask(alg, f.right, env)
-    if isinstance(f, NotEqual):
+    if cls is NotEqual:
         return _mask(alg, f.left, env) != _mask(alg, f.right, env)
-    if isinstance(f, And):
+    if cls is And:
         return eval_formula(alg, f.left, env) and eval_formula(alg, f.right, env)
-    if isinstance(f, Or):
+    if cls is Or:
         return eval_formula(alg, f.left, env) or eval_formula(alg, f.right, env)
-    if isinstance(f, Not):
+    if cls is Not:
         return not eval_formula(alg, f.arg, env)
-    if isinstance(f, Implies):
+    if cls is Implies:
         return (not eval_formula(alg, f.left, env)) or eval_formula(alg, f.right, env)
-    if isinstance(f, (Exists, ForAll)):
+    if cls is Exists or cls is ForAll:
         raise ValueError("quantified formulas need the decision procedure")
     raise TypeError(f"not a formula: {f!r}")
 

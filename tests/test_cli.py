@@ -388,6 +388,29 @@ def test_reader_leaving_early_is_a_broken_pipe(algebra_files):
     assert "Broken pipe" in err
 
 
+def test_buffered_short_answer_to_a_gone_reader_is_a_broken_pipe(algebra_files):
+    """Buffered, a short answer stays in stdout's buffer until it is
+    flushed; a reader that has already gone must give exit 2 and the
+    broken pipe on stderr, not the interpreter's exit 120 at shutdown."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bdm.cli", "extend-stage",
+             "--algebra", algebra_files["two"], "--depth", "1"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "Broken pipe" in err
+    assert "Exception ignored" not in err
+
+
 def test_json_outputs_parse(capsys, algebra_files):
     for argv in [
         ("consistent", "--algebra", algebra_files["four"], "I1={} I2={} I3={}", "--json"),

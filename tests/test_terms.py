@@ -14,6 +14,7 @@ from bdm.terms import (
     DMNeg,
     Equal,
     Exists,
+    ForAll,
     Join,
     Meet,
     Star,
@@ -211,7 +212,48 @@ def test_eval_formula_quantifier_rejected():
     with pytest.raises(ValueError, match="quantified formulas"):
         eval_formula(FOUR, Exists("x", Equal(x, x)), {})
     with pytest.raises(ValueError, match="quantified formulas"):
+        eval_formula(FOUR, ForAll("x", Equal(x, x)), {})
+    with pytest.raises(ValueError, match="quantified formulas"):
         eval_formula(FOUR, And(Equal(y, y), Exists("x", Equal(x, y))), {"y": FOUR.one})
+
+
+def test_evaluators_reject_what_is_not_their_sort():
+    env = {"x": FOUR.one}
+    for not_a_node in (None, 0, "x", FOUR.one):
+        with pytest.raises(TypeError, match="not a term"):
+            eval_term(FOUR, not_a_node, env)
+        with pytest.raises(TypeError, match="not a term"):
+            eval_term(FOUR, Join(x, not_a_node), env)
+        with pytest.raises(TypeError, match="not a formula"):
+            eval_formula(FOUR, not_a_node, env)
+        with pytest.raises(TypeError, match="not a formula"):
+            free_vars(not_a_node)
+    for term in (x, Join(x, x), Const(1), Star(x)):
+        with pytest.raises(TypeError, match="not a formula"):
+            eval_formula(FOUR, term, env)
+        with pytest.raises(TypeError, match="not a formula"):
+            eval_formula(FOUR, And(Equal(x, x), term), env)
+        with pytest.raises(TypeError, match="not a formula"):
+            free_vars(term)
+    with pytest.raises(TypeError, match="not a term"):
+        eval_term(FOUR, Equal(x, x), env)
+
+
+def test_node_classes_are_final_for_the_evaluators():
+    """The evaluators dispatch on the exact class of a node, as Value
+    equality does, so an instance of a subclass is not a node."""
+
+    class MyJoin(Join):
+        pass
+
+    class MyEqual(Equal):
+        pass
+
+    with pytest.raises(TypeError, match="not a term"):
+        eval_term(FOUR, MyJoin(x, x), {"x": FOUR.one})
+    with pytest.raises(TypeError, match="not a formula"):
+        eval_formula(FOUR, MyEqual(x, x), {"x": FOUR.one})
+    assert MyJoin(x, x) != Join(x, x)
 
 
 def test_free_vars():
