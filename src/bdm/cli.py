@@ -6,8 +6,10 @@ internal error.  Results go to stdout, diagnostics to stderr; identical
 inputs produce byte-identical output.
 
 Each `_cmd_*` handler returns `(code, out)`: `out` is the text to print,
-ending in a newline, or under `--json` a value that `main` prints as one
-line of JSON with sorted keys.  `main` is the only writer to stdout.  It
+ending in a newline, or under `--json` a dict that `main` prints as one
+line of JSON with sorted keys.  `extend-stage --json`, whose answer runs to
+megabytes, returns an iterator of pieces of that line instead, which
+`main` writes as they are made.  `main` is the only writer to stdout.  It
 writes and flushes a handler's output inside the `try` around the
 handler, so a command that fails prints nothing to stdout, and a failed
 write (a closed pipe) exits 2 like any other OSError.  After a broken pipe
@@ -219,7 +221,7 @@ def _cmd_extend_stage(args):
     alg = _load_algebra(args.algebra)
     stages = build_chain(alg, args.depth, _caps(args))
     if args.json:
-        return 0, {"stages": [textio.stage_json(s) for s in stages]}
+        return 0, textio.stages_json_text(stages)
     return 0, "".join(
         f"stage {i}\n{textio.format_stage(stage)}" for i, stage in enumerate(stages, start=1)
     )
@@ -393,7 +395,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, out = args.func(args)
-        _write(json.dumps(out, sort_keys=True) + "\n" if args.json else out)
+        if isinstance(out, dict):
+            out = [json.dumps(out, sort_keys=True) + "\n"]
+        elif isinstance(out, str):
+            out = [out]
+        for text in out:
+            _write(text)
         sys.stdout.flush()
         return code
     except CapExceeded as e:

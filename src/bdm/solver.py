@@ -75,7 +75,9 @@ class Triple(Frozen):
         return _init_triple(object.__new__(cls), algebra, m1, m2, m3)
 
     # written out rather than Value's loop over the fields: the witness
-    # cache hashes and compares a triple on every lookup
+    # cache hashes a triple on every lookup.  decide looks up the shared
+    # triples of sigma_consistent_triples, so a hit finds its key by
+    # identity and __eq__ runs only for a triple built elsewhere
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -214,33 +216,66 @@ def _orbit_options(alg: FiniteAlgebra) -> list[list[tuple[int, int, int]]]:
     return per_orbit
 
 
-@lru_cache(maxsize=64)
-def _consistent_masks(n: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    per_orbit = _orbit_options(FiniteAlgebra(n, sigma))
-    # orbits own disjoint bits, so the sum of their parts is the union
-    return tuple(sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*per_orbit)))
-
-
-def check_triple_count(alg: FiniteAlgebra, max_count: Optional[int]) -> None:
-    """Raise CapExceeded when alg has more than max_count consistent
-    triples; None means no cap."""
+def check_triple_count(alg: FiniteAlgebra, max_count: Optional[int]) -> int:
+    """The number of consistent triples over alg; raise CapExceeded when it
+    is above max_count, where None means no cap."""
     total = count_sigma_consistent(alg)
     if max_count is not None and total > max_count:
         raise CapExceeded(
             f"{total} consistent triples over {alg.n} atoms exceed the cap of {max_count}"
         )
+    return total
+
+
+def _consistent_triples(sigma: tuple[int, ...]) -> tuple[Triple, ...]:
+    """Every consistent triple over FiniteAlgebra(len(sigma), sigma), in
+    lexicographic order of the masks, all over that one new algebra."""
+    alg = FiniteAlgebra(len(sigma), sigma)
+    # orbits own disjoint bits, so the sum of their parts is the union
+    masks = sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*_orbit_options(alg)))
+    return tuple(Triple.from_masks(alg, m1, m2, m3) for m1, m2, m3 in masks)
+
+
+# Bound on the triples the enumeration cache holds over all its shapes, at
+# about 72 B each, so under 10 MB; a shape with more is built on each call.
+_TRIPLE_CACHE_CAP = 1 << 17
+_cached_triples = 0  # the triples _canonical_triples holds
+
+
+@lru_cache(maxsize=None)
+def _canonical_triples(sigma: tuple[int, ...]) -> tuple[Triple, ...]:
+    """_consistent_triples, cached per sigma.  A miss that would take the
+    cache past _TRIPLE_CACHE_CAP triples empties it first."""
+    global _cached_triples
+    triples = _consistent_triples(sigma)
+    held = _canonical_triples.cache_info().currsize
+    if not held or _cached_triples + len(triples) > _TRIPLE_CACHE_CAP:
+        # an empty cache may have been cleared from outside
+        if held:
+            _canonical_triples.cache_clear()
+        _cached_triples = 0
+    _cached_triples += len(triples)
+    return triples
 
 
 def sigma_consistent_triples(
     alg: FiniteAlgebra, max_count: Optional[int] = None
 ) -> list[Triple]:
     """All sigma-consistent triples over alg, ordered lexicographically by
-    the bitmasks of (I1, I2, I3) with atom i on bit i-1."""
-    check_triple_count(alg, max_count)
-    return [
-        Triple.from_masks(alg, m1, m2, m3)
-        for m1, m2, m3 in _consistent_masks(alg.n, alg.sigma)
-    ]
+    the bitmasks of (I1, I2, I3) with atom i on bit i-1.
+
+    The triples are over one algebra equal to alg, shared by every call
+    with the same sigma and unnamed, so equal algebras get the very same
+    Triple objects and the witness cache finds them by identity.  Each call
+    returns a new list.  The shared triples are cached up to 2^17 of them
+    over all shapes (_TRIPLE_CACHE_CAP); a miss that would pass that total
+    empties the cache first, and a shape with more triples than the cap is
+    built anew, over a new algebra, on each call.  A count above max_count
+    raises CapExceeded before anything is built.
+    """
+    if check_triple_count(alg, max_count) > _TRIPLE_CACHE_CAP:
+        return list(_consistent_triples(alg.sigma))
+    return list(_canonical_triples(alg.sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ byte-stable.
 
 from __future__ import annotations
 
+import json
 import re
+from typing import Iterator
 
 from .algebra import AtomRefinement, Element, FiniteAlgebra, format_mask, sorted_atoms
 from .errors import ParseError
@@ -214,17 +216,28 @@ def _memo(convert):
     return lookup
 
 
+def _atom_text(sep: str):
+    """A function giving the atoms of a mask as decimals joined by sep.
+    Masks in a stage are read a byte at a time, and the text of each
+    (byte index, byte) is made once per _atom_text call."""
+    chunk = _memo(lambda c: sep.join(map(str, sorted_atoms(c[1] << 8 * c[0]))))
+
+    def text(u: int) -> str:
+        data = enumerate(u.to_bytes((u.bit_length() + 7) // 8, "little"))
+        return sep.join([chunk(c) for c in data if c[1]])
+
+    return text
+
+
 def format_stage(stage: EcStage) -> str:
     """Realized triples in order, then the stage algebra and embedding.
 
     Over an n-atom base I1..I3 take at most 2^n values between them while
     the stage prints a line per consistent triple, so each distinct triple
     mask is formatted once per call.  Realizers are all distinct: each
-    prints as the text of its nonzero bytes, and the text of each
-    (byte index, byte) is made once per call."""
+    prints as the text of its nonzero bytes (see _atom_text)."""
     triple_set = _memo(format_mask)
-    chunk = _memo(lambda c: ",".join(map(str, sorted_atoms(c[1] << 8 * c[0]))))
-    size = (stage.algebra.n + 7) // 8
+    atoms = _atom_text(",")
     full = stage.algebra.full_mask
 
     def element(u: int) -> str:
@@ -232,8 +245,7 @@ def format_stage(stage: EcStage) -> str:
             return "0"
         if u == full:
             return "1"
-        data = enumerate(u.to_bytes(size, "little"))
-        return "{" + ",".join([chunk(c) for c in data if c[1]]) + "}"
+        return "{" + atoms(u) + "}"
 
     lines = [
         f"realized I1={triple_set(m1)} I2={triple_set(m2)} I3={triple_set(m3)} -> {element(u)}"
@@ -297,3 +309,34 @@ def stage_json(stage: EcStage) -> dict:
         "algebra": algebra_json(stage.algebra),
         "cells": _cells_json(stage.embedding),
     }
+
+
+# rows per piece of stages_json_text
+_JSON_ROWS = 4096
+
+
+def stages_json_text(stages: list[EcStage]) -> Iterator[str]:
+    """The text of json.dumps({"stages": [stage_json(s) for s in stages]},
+    sort_keys=True) followed by a newline, in pieces of at most _JSON_ROWS
+    rows, each made when the one before has been taken.  Rows are written
+    from their masks as format_stage writes them, each distinct triple mask
+    once per stage; the rest of a stage goes through json.dumps."""
+    yield '{"stages": ['
+    for k, stage in enumerate(stages):
+        # "realized" sorts after "algebra" and "cells", so it closes the object
+        head = json.dumps(
+            {"algebra": algebra_json(stage.algebra), "cells": _cells_json(stage.embedding)},
+            sort_keys=True,
+        )
+        yield (", " if k else "") + head[:-1] + ', "realized": ['
+        atoms = _atom_text(", ")
+        triple_set = _memo(lambda m: "[" + atoms(m) + "]")
+        rows = stage.rows
+        for start in range(0, len(rows), _JSON_ROWS):
+            yield (", " if start else "") + ", ".join([
+                f'{{"element": [{atoms(u)}], "triple": {{"I1": {triple_set(m1)}, '
+                f'"I2": {triple_set(m2)}, "I3": {triple_set(m3)}}}}}'
+                for m1, m2, m3, u in rows[start:start + _JSON_ROWS]
+            ])
+        yield "]}"
+    yield "]}\n"

@@ -16,6 +16,7 @@ from bdm.algebra import (
     identity_refinement,
     twist_product,
 )
+from bdm import solver
 from bdm.errors import CapExceeded, InconsistentTripleError, TrivialTripleError
 from bdm.oracle import all_realizations_in, phi_environment, phi_formula
 from bdm.solver import (
@@ -38,7 +39,6 @@ from bdm.solver import (
     triple_of_element,
     witness_abstract,
     witness_via_four_power,
-    _consistent_masks,
 )
 from bdm.terms import eval_formula, parse_formula
 
@@ -75,12 +75,96 @@ def test_consistent_triple_enumeration():
 
 def test_consistent_triple_count_matches_enumeration():
     for alg in all_bases(3):
-        assert count_sigma_consistent(alg) == len(_consistent_masks(alg.n, alg.sigma)), alg
+        assert count_sigma_consistent(alg) == len(sigma_consistent_triples(alg)), alg
 
 
 def test_consistent_triple_cap():
     with pytest.raises(CapExceeded):
         sigma_consistent_triples(FiniteAlgebra(2, (1, 2)), max_count=10)
+
+
+def test_equal_algebras_share_their_triples():
+    """Equal algebras, one named and one not, get the very same Triple
+    objects in the same order, over one unnamed algebra equal to both."""
+    named = FiniteAlgebra(3, (1, 3, 2), name="three")
+    plain = FiniteAlgebra(3, (1, 3, 2))
+    first, second = sigma_consistent_triples(named), sigma_consistent_triples(plain)
+    assert len(first) == count_sigma_consistent(named) == 105
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert [(t.m1, t.m2, t.m3) for t in first] == sorted((t.m1, t.m2, t.m3) for t in first)
+    shared = first[0].algebra
+    assert shared == named and shared is not named and shared is not plain
+    assert shared.name is None
+    assert all(t.algebra is shared for t in first)
+
+
+def test_each_enumeration_is_a_new_list():
+    alg = FiniteAlgebra(2, (1, 2))
+    ts = sigma_consistent_triples(alg)
+    expected = list(ts)
+    assert sigma_consistent_triples(alg) is not ts
+    ts.reverse()
+    ts.append(T(alg, {1, 2}, {1, 2}, {1, 2}))
+    del ts[:5]
+    assert sigma_consistent_triples(alg) == expected
+
+
+def test_triple_count_cap_builds_and_caches_nothing(monkeypatch):
+    built = []
+    monkeypatch.setattr(Triple, "from_masks", classmethod(lambda *a: built.append(a)))
+    solver._canonical_triples.cache_clear()
+    with pytest.raises(CapExceeded):
+        sigma_consistent_triples(FiniteAlgebra(2, (1, 2)), max_count=48)
+    with pytest.raises(CapExceeded):
+        sigma_consistent_triples(FiniteAlgebra(16, tuple(range(1, 17))), max_count=4000)
+    info = solver._canonical_triples.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert built == []
+
+
+def test_enumeration_cache_stays_within_its_cap(monkeypatch):
+    """Past the cap a miss empties the cache before it adds its shape, and a
+    shape over the cap alone is never cached, so the triples held, read
+    from the sizes of the shapes enumerated, never pass the cap."""
+    monkeypatch.setattr(solver, "_TRIPLE_CACHE_CAP", 70)
+    solver._canonical_triples.cache_clear()
+    cached = solver._canonical_triples.cache_info
+    sizes = {(1,): 7, (1, 2): 49, (2, 1): 15, (1, 2, 3): 343}
+    # 7 + 49 + 15 is past 70
+    for sigma, cap_clears in [((1,), False), ((1, 2), False), ((2, 1), True)]:
+        before = cached().currsize
+        sigma_consistent_triples(FiniteAlgebra(len(sigma), sigma))
+        assert cached().currsize == (1 if cap_clears else before + 1)
+        assert solver._cached_triples <= 70
+    assert solver._cached_triples == sizes[(2, 1)]
+    big = FiniteAlgebra(3, (1, 2, 3))
+    first, second = sigma_consistent_triples(big), sigma_consistent_triples(big)
+    assert first == second and len(first) == sizes[(1, 2, 3)]
+    assert first[0] is not second[0]
+    assert cached().currsize == 1 and solver._cached_triples == sizes[(2, 1)]
+    # the one shape held is a hit, and an external clear resets the count
+    hits = cached().hits
+    sigma_consistent_triples(FOUR)
+    assert cached().hits == hits + 1
+    solver._canonical_triples.cache_clear()
+    sigma_consistent_triples(TWO)
+    assert cached().currsize == 1 and solver._cached_triples == sizes[(1,)]
+
+
+def test_second_decide_builds_no_triple(monkeypatch):
+    """Once decide has enumerated a shape, deciding the same sentence again
+    builds no Triple: it reuses the shared ones, and the witness cache hits."""
+    f = parse_formula("exists x. (exists y. (x . y* != 0 & ~x = x & y != x))")
+    first = decide(FOUR, f, {}, CAPS)
+    built = []
+    from_masks = Triple.from_masks.__func__
+    monkeypatch.setattr(
+        Triple, "from_masks", classmethod(lambda *a: built.append(a) or from_masks(*a))
+    )
+    hits = witness_abstract.cache_info().hits
+    assert decide(FiniteAlgebra(2, (2, 1)), f, {}, CAPS) == first
+    assert built == []
+    assert witness_abstract.cache_info().hits > hits
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 
 from bdm.algebra import FOUR, Element, FiniteAlgebra, TWO, generated_subalgebra, twist_product
 from bdm.errors import ParseError
-from bdm.model import EcStage, ec_stage
+from bdm import textio
+from bdm.model import EcStage, build_chain, ec_stage
 from bdm.solver import Caps, Triple, witness_abstract
 from bdm.textio import (
     algebra_json,
@@ -23,6 +26,7 @@ from bdm.textio import (
     parse_refinement,
     parse_triple,
     stage_json,
+    stages_json_text,
     triple_json,
 )
 
@@ -125,6 +129,21 @@ def test_stage_json_matches_row_printers(base):
         "algebra": algebra_json(stage.algebra),
         "cells": [sorted(atoms(c)) for c in stage.embedding.cell_masks],
     }
+
+
+@pytest.mark.parametrize(
+    "base, depth",
+    [(TWO, 0), (TWO, 1), (FOUR, 1), (FiniteAlgebra(3, (1, 3, 2), name="three"), 1), (TWO, 2)],
+)
+def test_stages_json_text_is_the_json_of_stage_json(monkeypatch, base, depth):
+    """The pieces join to the line json.dumps prints for stage_json, and a
+    stage comes in one piece per _JSON_ROWS rows, plus its head and tail."""
+    monkeypatch.setattr(textio, "_JSON_ROWS", 1000)
+    chain = build_chain(base, depth, Caps(max_atoms=64, max_depth=4, max_triples=10**5))
+    pieces = list(stages_json_text(chain))
+    expected = json.dumps({"stages": [stage_json(s) for s in chain]}, sort_keys=True) + "\n"
+    assert "".join(pieces) == expected
+    assert len(pieces) == 2 + sum(2 + math.ceil(len(s.rows) / 1000) for s in chain)
 
 
 def ref_set(atoms) -> str:
