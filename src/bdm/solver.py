@@ -29,7 +29,6 @@ from .algebra import (
     Element,
     FOUR,
     FiniteAlgebra,
-    Frozen,
     Value,
     atoms_to_mask,
     compose_refinements,
@@ -55,7 +54,7 @@ from .terms import (
 )
 
 
-class Triple(Frozen):
+class Triple(Value):
     """A candidate one-variable type over an algebra: three atom subsets,
     held as the masks m1, m2, m3 of I1, I2, I3."""
 
@@ -73,20 +72,6 @@ class Triple(Frozen):
     @classmethod
     def from_masks(cls, algebra: FiniteAlgebra, m1: int, m2: int, m3: int) -> "Triple":
         return _init_triple(object.__new__(cls), algebra, m1, m2, m3)
-
-    # written out rather than Value's loop over the fields: the witness
-    # cache hashes a triple on every lookup.  decide looks up the shared
-    # triples of sigma_consistent_triples, so a hit finds its key by
-    # identity and __eq__ runs only for a triple built elsewhere
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m1, self.m2, self.m3, self.algebra) == (
-            other.m1, other.m2, other.m3, other.algebra
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.m1, self.m2, self.m3))
 
     def __repr__(self):
         i1, i2, i3 = map(format_mask, (self.m1, self.m2, self.m3))
@@ -227,55 +212,17 @@ def check_triple_count(alg: FiniteAlgebra, max_count: Optional[int]) -> int:
     return total
 
 
-def _consistent_triples(sigma: tuple[int, ...]) -> tuple[Triple, ...]:
-    """Every consistent triple over FiniteAlgebra(len(sigma), sigma), in
-    lexicographic order of the masks, all over that one new algebra."""
-    alg = FiniteAlgebra(len(sigma), sigma)
-    # orbits own disjoint bits, so the sum of their parts is the union
-    masks = sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*_orbit_options(alg)))
-    return tuple(Triple.from_masks(alg, m1, m2, m3) for m1, m2, m3 in masks)
-
-
-# Bound on the triples the enumeration cache holds over all its shapes, at
-# about 72 B each, so under 10 MB; a shape with more is built on each call.
-_TRIPLE_CACHE_CAP = 1 << 17
-_cached_triples = 0  # the triples _canonical_triples holds
-
-
-@lru_cache(maxsize=None)
-def _canonical_triples(sigma: tuple[int, ...]) -> tuple[Triple, ...]:
-    """_consistent_triples, cached per sigma.  A miss that would take the
-    cache past _TRIPLE_CACHE_CAP triples empties it first."""
-    global _cached_triples
-    triples = _consistent_triples(sigma)
-    held = _canonical_triples.cache_info().currsize
-    if not held or _cached_triples + len(triples) > _TRIPLE_CACHE_CAP:
-        # an empty cache may have been cleared from outside
-        if held:
-            _canonical_triples.cache_clear()
-        _cached_triples = 0
-    _cached_triples += len(triples)
-    return triples
-
-
 def sigma_consistent_triples(
     alg: FiniteAlgebra, max_count: Optional[int] = None
 ) -> list[Triple]:
     """All sigma-consistent triples over alg, ordered lexicographically by
-    the bitmasks of (I1, I2, I3) with atom i on bit i-1.
-
-    The triples are over one algebra equal to alg, shared by every call
-    with the same sigma and unnamed, so equal algebras get the very same
-    Triple objects and the witness cache finds them by identity.  Each call
-    returns a new list.  The shared triples are cached up to 2^17 of them
-    over all shapes (_TRIPLE_CACHE_CAP); a miss that would pass that total
-    empties the cache first, and a shape with more triples than the cap is
-    built anew, over a new algebra, on each call.  A count above max_count
-    raises CapExceeded before anything is built.
-    """
-    if check_triple_count(alg, max_count) > _TRIPLE_CACHE_CAP:
-        return list(_consistent_triples(alg.sigma))
-    return list(_canonical_triples(alg.sigma))
+    the bitmasks of (I1, I2, I3) with atom i on bit i-1: a new list of new
+    triples on each call.  A count above max_count raises CapExceeded before
+    anything is built."""
+    check_triple_count(alg, max_count)
+    # orbits own disjoint bits, so the sum of their parts is the union
+    masks = sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*_orbit_options(alg)))
+    return [Triple.from_masks(alg, m1, m2, m3) for m1, m2, m3 in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +234,7 @@ _KIND_XXBAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_NXSTAR = range(4)
 _KIND_STAR = (_KIND_NXSTAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_XXBAR)
 
 
-def _witness_abstract(t: Triple) -> Witness:
+def witness_abstract(t: Triple) -> Witness:
     """Build the one-generated extension realizing a consistent triple.
 
     For each base atom i the extension splits atom i into the nonzero ones
@@ -318,12 +265,6 @@ def _witness_abstract(t: Triple) -> Witness:
     ext = FiniteAlgebra(len(index), tuple(sigma))
     embedding = AtomRefinement.from_masks(alg, ext, tuple(cells))
     return Witness(embedding, Element.from_mask(ext, element))
-
-
-# Bound on the witness cache, so a long-lived process does not grow without
-# limit; one pass of a decide run over a few small bases needs about 900.
-_WITNESS_CACHE_SIZE = 4096
-witness_abstract = lru_cache(maxsize=_WITNESS_CACHE_SIZE)(_witness_abstract)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +461,6 @@ def realizations(
     A round at most quadruples the atoms, so over an n-atom base the
     extension has at most n * 4^k atoms; when that bound exceeds
     MAX_REALIZATION_ATOMS nothing is built and CapExceeded is raised.
-    The rounds call the uncached builder behind witness_abstract: each
-    tower triple is built once, and cached it would keep the whole tower
-    alive.
     """
     if k < 1:
         raise ValueError("at least one realizer must be requested")
@@ -541,7 +479,7 @@ def realizations(
     acc = identity_refinement(t.algebra)
     found: list[Element] = []
     for _ in range(k):
-        w = _witness_abstract(refine_triple(acc, t))
+        w = witness_abstract(refine_triple(acc, t))
         found = [w.embedding.map_element(e) for e in found]
         found.append(w.element)
         acc = compose_refinements(acc, w.embedding)
@@ -550,6 +488,20 @@ def realizations(
 
 # ---------------------------------------------------------------------------
 # Decision procedure
+
+# Shapes with at most this many consistent triples keep their witnesses in
+# _shape_witnesses; at under 900 B a witness its 8 entries stay near 15 MB.
+_SHAPE_TRIPLES = 2048
+
+
+@lru_cache(maxsize=8)
+def _shape_witnesses(sigma: tuple[int, ...]) -> tuple[Witness, ...]:
+    """The abstract witness of every consistent triple over
+    FiniteAlgebra(len(sigma), sigma), in triple order.  decide's one cache:
+    only the shape of the subalgebra a quantifier ranges over matters."""
+    alg = FiniteAlgebra(len(sigma), sigma)
+    return tuple(map(witness_abstract, sigma_consistent_triples(alg)))
+
 
 def decide(
     params: FiniteAlgebra,
@@ -560,12 +512,15 @@ def decide(
     """Truth value of f in every existentially closed extension of params.
 
     The answer does not depend on the chosen extension: the theory of these
-    models is complete once the parameters are fixed.  Quantifiers are
-    resolved by enumerating consistent triples over the subalgebra generated
-    by the values of the variables still in play, building the abstract
-    witness for each, and recursing with the parameters moved along the
-    witness embedding; universal quantifiers reduce to negated existentials.
-    Exhausted budgets raise CapExceeded rather than defaulting to false.
+    models is complete once the parameters are fixed.  A quantifier is
+    resolved by walking the abstract witnesses of the consistent triples
+    over the subalgebra generated by the values of the variables still in
+    play, recursing with the parameters moved along each witness embedding:
+    an existential holds when some witness satisfies its body, a universal
+    fails when some witness refutes it.  The witnesses of the last 8 shapes
+    of at most _SHAPE_TRIPLES triples are kept; a larger shape's are built
+    as they are tried.  Exhausted budgets raise CapExceeded, before anything
+    is built, rather than defaulting to false.
     """
     env = dict(env) if env else {}
     missing = free_vars(f) - set(env)
@@ -589,31 +544,37 @@ def _decide(alg, f, env, caps, depth):
         return (not _decide(alg, f.left, env, caps, depth)) or _decide(
             alg, f.right, env, caps, depth
         )
-    if cls is ForAll:
-        return not _decide(alg, Exists(f.var, Not(f.body)), env, caps, depth)
-    if cls is Exists:
+    if cls is Exists or cls is ForAll:
         if depth >= caps.max_depth:
             raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
         relevant = sorted(free_vars(f.body) - {f.var})
         sub, sub_r = generated_subalgebra(alg, [env[name] for name in relevant])
-        # each parameter as the mask of its preimage in sub; per triple it is
+        count = check_triple_count(sub, caps.max_triples)
+        # the first triple, (0, 0, 0), splits every atom in four: the largest
+        if 4 * sub.n > caps.max_atoms:
+            raise CapExceeded(
+                f"witness extension needs {4 * sub.n} atoms, cap is {caps.max_atoms}"
+            )
+        # each parameter as the mask of its preimage in sub; per witness it is
         # mapped with map_mask, skipping map_element's per-binding check
         params = []
         for name in relevant:
             pre = sub_r.preimage(env[name])
             assert pre is not None  # generators are unions of their own blocks
             params.append((name, pre.mask))
-        for t in sigma_consistent_triples(sub, caps.max_triples):
-            w = witness_abstract(t)
+        if count <= _SHAPE_TRIPLES:
+            witnesses = _shape_witnesses(sub.sigma)
+        else:
+            witnesses = map(witness_abstract, sigma_consistent_triples(sub))
+        # an existential stops at the first witness of its body, a universal
+        # at the first counterexample
+        stop = cls is Exists
+        for w in witnesses:
             r = w.embedding
             ext = r.target
-            if ext.n > caps.max_atoms:
-                raise CapExceeded(
-                    f"witness extension needs {ext.n} atoms, cap is {caps.max_atoms}"
-                )
             new_env = {name: Element.from_mask(ext, r.map_mask(m)) for name, m in params}
             new_env[f.var] = w.element
-            if _decide(ext, f.body, new_env, caps, depth + 1):
-                return True
-        return False
+            if _decide(ext, f.body, new_env, caps, depth + 1) == stop:
+                return stop
+        return not stop
     return eval_formula(alg, f, env)

@@ -141,6 +141,14 @@ def test_decide_cap_exit_three(capsys, algebra_files):
     assert "cap" in err
 
 
+def test_deeply_nested_forall_is_decided(capsys, algebra_files):
+    formula = "forall x. (" * 400 + "x != x" + ")" * 400
+    code, out, _ = run(
+        capsys, "decide", "--algebra", algebra_files["two"], "--max-depth", "1000", formula
+    )
+    assert (code, out) == (1, "false\n")
+
+
 def test_decide_parse_error(capsys, algebra_files):
     code, _, err = run(capsys, "decide", "--algebra", algebra_files["two"], "exists x. (")
     assert code == 2

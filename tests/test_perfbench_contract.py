@@ -51,7 +51,14 @@ def test_tracer_targets_resolve(spans):
     for module, attr in spans.TARGETS:
         assert callable(_resolve(module, attr)), (module, attr)
     assert ("model", "EcStage.realizer") in spans.TARGETS
-    assert callable(_resolve(*spans.CACHED).cache_info)
+    assert callable(_resolve(*spans.CACHED))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # how the benchmark reads a witness function that keeps no cache
+        assert tracer.cache_counts() == (0, 0)
+    finally:
+        tracer.uninstall()
 
 
 def test_every_package_name_the_benchmark_uses_exists():

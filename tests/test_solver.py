@@ -83,21 +83,6 @@ def test_consistent_triple_cap():
         sigma_consistent_triples(FiniteAlgebra(2, (1, 2)), max_count=10)
 
 
-def test_equal_algebras_share_their_triples():
-    """Equal algebras, one named and one not, get the very same Triple
-    objects in the same order, over one unnamed algebra equal to both."""
-    named = FiniteAlgebra(3, (1, 3, 2), name="three")
-    plain = FiniteAlgebra(3, (1, 3, 2))
-    first, second = sigma_consistent_triples(named), sigma_consistent_triples(plain)
-    assert len(first) == count_sigma_consistent(named) == 105
-    assert all(a is b for a, b in zip(first, second, strict=True))
-    assert [(t.m1, t.m2, t.m3) for t in first] == sorted((t.m1, t.m2, t.m3) for t in first)
-    shared = first[0].algebra
-    assert shared == named and shared is not named and shared is not plain
-    assert shared.name is None
-    assert all(t.algebra is shared for t in first)
-
-
 def test_each_enumeration_is_a_new_list():
     alg = FiniteAlgebra(2, (1, 2))
     ts = sigma_consistent_triples(alg)
@@ -109,51 +94,9 @@ def test_each_enumeration_is_a_new_list():
     assert sigma_consistent_triples(alg) == expected
 
 
-def test_triple_count_cap_builds_and_caches_nothing(monkeypatch):
-    built = []
-    monkeypatch.setattr(Triple, "from_masks", classmethod(lambda *a: built.append(a)))
-    solver._canonical_triples.cache_clear()
-    with pytest.raises(CapExceeded):
-        sigma_consistent_triples(FiniteAlgebra(2, (1, 2)), max_count=48)
-    with pytest.raises(CapExceeded):
-        sigma_consistent_triples(FiniteAlgebra(16, tuple(range(1, 17))), max_count=4000)
-    info = solver._canonical_triples.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-    assert built == []
-
-
-def test_enumeration_cache_stays_within_its_cap(monkeypatch):
-    """Past the cap a miss empties the cache before it adds its shape, and a
-    shape over the cap alone is never cached, so the triples held, read
-    from the sizes of the shapes enumerated, never pass the cap."""
-    monkeypatch.setattr(solver, "_TRIPLE_CACHE_CAP", 70)
-    solver._canonical_triples.cache_clear()
-    cached = solver._canonical_triples.cache_info
-    sizes = {(1,): 7, (1, 2): 49, (2, 1): 15, (1, 2, 3): 343}
-    # 7 + 49 + 15 is past 70
-    for sigma, cap_clears in [((1,), False), ((1, 2), False), ((2, 1), True)]:
-        before = cached().currsize
-        sigma_consistent_triples(FiniteAlgebra(len(sigma), sigma))
-        assert cached().currsize == (1 if cap_clears else before + 1)
-        assert solver._cached_triples <= 70
-    assert solver._cached_triples == sizes[(2, 1)]
-    big = FiniteAlgebra(3, (1, 2, 3))
-    first, second = sigma_consistent_triples(big), sigma_consistent_triples(big)
-    assert first == second and len(first) == sizes[(1, 2, 3)]
-    assert first[0] is not second[0]
-    assert cached().currsize == 1 and solver._cached_triples == sizes[(2, 1)]
-    # the one shape held is a hit, and an external clear resets the count
-    hits = cached().hits
-    sigma_consistent_triples(FOUR)
-    assert cached().hits == hits + 1
-    solver._canonical_triples.cache_clear()
-    sigma_consistent_triples(TWO)
-    assert cached().currsize == 1 and solver._cached_triples == sizes[(1,)]
-
-
 def test_second_decide_builds_no_triple(monkeypatch):
-    """Once decide has enumerated a shape, deciding the same sentence again
-    builds no Triple: it reuses the shared ones, and the witness cache hits."""
+    """Once decide has walked a shape, deciding the same sentence again
+    builds no Triple and no witness: the shape table holds them."""
     f = parse_formula("exists x. (exists y. (x . y* != 0 & ~x = x & y != x))")
     first = decide(FOUR, f, {}, CAPS)
     built = []
@@ -161,10 +104,13 @@ def test_second_decide_builds_no_triple(monkeypatch):
     monkeypatch.setattr(
         Triple, "from_masks", classmethod(lambda *a: built.append(a) or from_masks(*a))
     )
-    hits = witness_abstract.cache_info().hits
+    witnessed = []
+    monkeypatch.setattr(
+        solver, "witness_abstract", lambda t: witnessed.append(t) or witness_abstract(t)
+    )
     assert decide(FiniteAlgebra(2, (2, 1)), f, {}, CAPS) == first
     assert built == []
-    assert witness_abstract.cache_info().hits > hits
+    assert witnessed == []
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +353,9 @@ def test_realizations_leave_the_witness_cache_alone():
     """Tower witnesses are built once each; cached, they kept every large
     extension alive after the call."""
     t = T(FiniteAlgebra(3, (1, 3, 2)), (), (), ())
-    before = witness_abstract.cache_info()
+    before = solver._shape_witnesses.cache_info()
     realizations(t, 6)
-    assert witness_abstract.cache_info() == before
+    assert solver._shape_witnesses.cache_info() == before
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +428,86 @@ def test_decide_atom_cap_distinct_from_false():
     # starved caps: error, not false
     with pytest.raises(CapExceeded):
         decide(TWO, f, caps=Caps(max_atoms=1, max_depth=4, max_triples=10**6))
+
+
+def _atoms_bound(alg):
+    """A body true for every x that mentions p1..pn, and an environment
+    binding them to the atoms of alg, so a quantifier over the body ranges
+    over alg's own shape."""
+    env = {f"p{i}": alg.atom(i) for i in alg.atom_indices}
+    return " & ".join(f"{name} = {name}" for name in env) + " & x = x", env
+
+
+@pytest.mark.parametrize(
+    "caps, message",
+    [
+        (Caps(max_atoms=0, max_depth=0, max_triples=0), "quantifier depth 0 exhausted"),
+        (Caps(max_atoms=0, max_depth=4, max_triples=6), "7 consistent triples over 1 atoms"),
+        (Caps(max_atoms=1, max_depth=4, max_triples=7),
+         "witness extension needs 4 atoms, cap is 1"),
+    ],
+)
+def test_decide_caps_raise_before_anything_is_built(monkeypatch, caps, message):
+    """Depth, then the triple count, then the atoms of the first (largest)
+    extension are checked before any triple or witness is built or looked
+    up."""
+    def build(*args):
+        raise AssertionError("built past an exhausted cap")
+
+    solver._shape_witnesses.cache_clear()
+    monkeypatch.setattr(solver, "witness_abstract", build)
+    monkeypatch.setattr(Triple, "from_masks", classmethod(build))
+    before = solver._shape_witnesses.cache_info()
+    with pytest.raises(CapExceeded, match=message):
+        decide(TWO, parse_formula("exists x. (x != x)"), caps=caps)
+    assert solver._shape_witnesses.cache_info() == before
+
+
+def test_shape_table_keeps_at_most_eight_shapes():
+    sigmas = [(1,), (2, 1), (1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1),
+              (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1), (1, 2, 4, 3)]
+    solver._shape_witnesses.cache_clear()
+    for sigma in sigmas:
+        alg = FiniteAlgebra(len(sigma), sigma)
+        body, env = _atoms_bound(alg)
+        assert decide(alg, parse_formula(f"exists x. ({body})"), env, CAPS)
+    info = solver._shape_witnesses.cache_info()
+    assert info.misses == len(sigmas)
+    assert info.currsize == 8
+
+
+def test_shape_past_the_table_bound_is_answered_and_not_kept(monkeypatch):
+    alg = FiniteAlgebra(2, (1, 2))
+    assert count_sigma_consistent(alg) == 49
+    f = parse_formula("exists x. (x . p1 != 0 & x . p2 = 0 & x* = x & x != p1)")
+    env = {"p1": alg.atom(1), "p2": alg.atom(2)}
+    expected = decide(alg, f, env, CAPS)
+    solver._shape_witnesses.cache_clear()
+    monkeypatch.setattr(solver, "_SHAPE_TRIPLES", 10)
+    assert decide(alg, f, env, CAPS) == expected
+    info = solver._shape_witnesses.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_equal_algebras_share_one_shape_entry():
+    """The table is keyed by sigma alone, so a named algebra and an equal
+    unnamed one find the same witnesses."""
+    named = FiniteAlgebra(3, (1, 3, 2), name="three")
+    plain = FiniteAlgebra(3, (1, 3, 2))
+    solver._shape_witnesses.cache_clear()
+    answers = []
+    for alg in (named, plain):
+        body, env = _atoms_bound(alg)
+        answers.append(decide(alg, parse_formula(f"exists x. ({body})"), env, CAPS))
+    info = solver._shape_witnesses.cache_info()
+    assert answers == [True, True]
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_deeply_nested_forall_is_decided():
+    """A universal costs one frame per level, as an existential does."""
+    f = parse_formula("forall x. (" * 498 + "x != x" + ")" * 498)
+    assert decide(TWO, f, caps=Caps(max_depth=1000)) is False
 
 
 def test_decide_model_completeness_spot():
