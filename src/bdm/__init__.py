@@ -38,11 +38,8 @@ from .solver import (
     Case1Entry,
     Triple,
     Witness,
-    case1_witness,
     count_sigma_consistent,
     decide,
-    diagonal_refinement,
-    element_in_power,
     holds_phi,
     in_acl,
     is_sigma_consistent,

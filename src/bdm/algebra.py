@@ -354,12 +354,6 @@ class AtomRefinement(Value):
     def cell(self, i: int) -> frozenset[int]:
         return mask_to_atoms(self.cell_masks[i - 1])
 
-    @property
-    def is_identity(self) -> bool:
-        return self.source == self.target and self.cell_masks == tuple(
-            1 << i for i in range(self.source.n)
-        )
-
     def map_mask(self, mask: int) -> int:
         """The union of the cells of the source atoms in mask."""
         cells = self.cell_masks

@@ -75,21 +75,12 @@ def _load_embedding(args):
     return r
 
 
-def _caps(args) -> Caps:
-    return Caps(
-        max_atoms=args.max_atoms,
-        max_depth=args.max_depth,
-        max_triples=args.max_triples,
-    )
-
-
 def _add_algebra(p):
     p.add_argument("--algebra", required=True, metavar="FILE", help="algebra file")
 
 
 def _add_caps(p):
     p.add_argument("--max-atoms", type=int, default=DEFAULT_CAPS.max_atoms, metavar="N")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_CAPS.max_depth, metavar="N")
     p.add_argument("--max-triples", type=int, default=DEFAULT_CAPS.max_triples, metavar="N")
 
 
@@ -133,7 +124,8 @@ def _cmd_decide(args):
         if name in env:
             raise ParseError(f"--let binds {name!r} twice")
         env[name] = textio.parse_element(value, alg)
-    return _verdict(args, "true", decide(alg, f, env, _caps(args)))
+    caps = Caps(max_atoms=args.max_atoms, max_depth=args.max_depth, max_triples=args.max_triples)
+    return _verdict(args, "true", decide(alg, f, env, caps))
 
 
 def _cmd_type_of(args):
@@ -219,7 +211,9 @@ def _cmd_amalgamate(args):
 
 def _cmd_extend_stage(args):
     alg = _load_algebra(args.algebra)
-    stages = build_chain(alg, args.depth, _caps(args))
+    # a stage has no quantifiers, so it takes no depth budget
+    caps = Caps(max_atoms=args.max_atoms, max_triples=args.max_triples)
+    stages = build_chain(alg, args.depth, caps)
     if args.json:
         return 0, textio.stages_json_text(stages)
     return 0, "".join(
@@ -288,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_algebra(p)
     p.add_argument("formula")
     p.add_argument("--let", action="append", metavar="NAME=ELEMENT")
+    p.add_argument("--max-depth", type=int, default=DEFAULT_CAPS.max_depth, metavar="N")
     _add_caps(p)
     _add_json(p)
     p.set_defaults(func=_cmd_decide)

@@ -13,21 +13,22 @@ Two independent constructions produce a realizer for every consistent
 triple: witness_abstract builds the one-generated extension directly from
 the presence pattern of the four products u.u~, u.u*, u'.u~, u'.u*, and
 witness_via_four_power pushes the base into a power of the four-element
-algebra and assembles a solution coordinatewise from a fixed lookup table.
-Each route validates the other; tests compare them up to isomorphism over
-the base.
+algebra and assembles a solution coordinatewise from a fixed lookup table,
+CASE1_ENTRIES.  witness_via_four_power is the one builder of four-power
+witnesses: over the four-element algebra itself it gives each entry's
+solution in the entry's power.  Each route validates the other; tests
+compare them up to isomorphism over the base.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .algebra import (
     AtomRefinement,
     Element,
-    FOUR,
     FiniteAlgebra,
     Value,
     atoms_to_mask,
@@ -212,14 +213,11 @@ def check_triple_count(alg: FiniteAlgebra, max_count: Optional[int]) -> int:
     return total
 
 
-def sigma_consistent_triples(
-    alg: FiniteAlgebra, max_count: Optional[int] = None
-) -> list[Triple]:
+def sigma_consistent_triples(alg: FiniteAlgebra) -> list[Triple]:
     """All sigma-consistent triples over alg, ordered lexicographically by
     the bitmasks of (I1, I2, I3) with atom i on bit i-1: a new list of new
-    triples on each call.  A count above max_count raises CapExceeded before
-    anything is built."""
-    check_triple_count(alg, max_count)
+    triples on each call.  Callers that take a triple budget check it first
+    with check_triple_count."""
     # orbits own disjoint bits, so the sum of their parts is the union
     masks = sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*_orbit_options(alg)))
     return [Triple.from_masks(alg, m1, m2, m3) for m1, m2, m3 in masks]
@@ -305,20 +303,6 @@ CASE1_ENTRIES: tuple[Case1Entry, ...] = (
     Case1Entry(0b00, 0b11, 0b11, ("a", "b")),
 )
 
-# a coordinate's value as its two sides: bit 0 for a, bit 1 for b
-_COORD_SIDES = {"0": 0, "a": 1, "b": 2, "1": 3}
-
-
-def _side_bits(coords: Iterable[str]) -> tuple[int, int]:
-    """The a-side and the b-side bits of a list of 0/a/b/1 coordinates: bit
-    j of each is set when coordinate j lies above a, respectively b."""
-    a = b = 0
-    for j, c in enumerate(coords):
-        sides = _COORD_SIDES[c]
-        a |= (sides & 1) << j
-        b |= (sides >> 1) << j
-    return a, b
-
 
 @lru_cache(maxsize=None)
 def _solution_table(width: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
@@ -328,7 +312,10 @@ def _solution_table(width: int) -> dict[tuple[int, int, int], tuple[int, int, in
     table = {}
     for e in CASE1_ENTRIES:
         coords = e.coords + e.coords[:1] * (width - len(e.coords))
-        table[(e.m1, e.m2, e.m3)] = (*_side_bits(coords), len(coords))
+        # bit j of a (of b) is set when coordinate j lies above a (above b)
+        a = sum(1 << j for j, c in enumerate(coords) if c in "a1")
+        b = sum(1 << j for j, c in enumerate(coords) if c in "b1")
+        table[(e.m1, e.m2, e.m3)] = (a, b, len(coords))
     return table
 
 
@@ -375,27 +362,6 @@ def block_layout(power: FiniteAlgebra, widths: list[int]) -> AtomRefinement:
         cells[m + i] = cells[i] << total
         offset += k
     return AtomRefinement.from_masks(power, four_power(total), tuple(cells))
-
-
-def element_in_power(k: int, coords: Iterable[str]) -> Element:
-    """The element of four_power(k) with the given coordinates."""
-    coords = tuple(coords)
-    if len(coords) != k:
-        raise ValueError("one coordinate per factor is required")
-    a, b = _side_bits(coords)
-    return Element.from_mask(four_power(k), a | b << k)
-
-
-def diagonal_refinement(k: int) -> AtomRefinement:
-    """The diagonal embedding of the four-element algebra into its k-th
-    power: a goes to (a,...,a) and b to (b,...,b)."""
-    return block_layout(FOUR, [k])
-
-
-def case1_witness(entry: Case1Entry) -> Witness:
-    """The tabulated solution as a witness over the four-element algebra."""
-    k = len(entry.coords)
-    return Witness(diagonal_refinement(k), element_in_power(k, entry.coords))
 
 
 def witness_via_four_power(t: Triple) -> Witness:

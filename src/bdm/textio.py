@@ -64,19 +64,34 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     unknown = set(fields) - {"atoms", "sigma", "name"}
     if unknown:
         raise ParseError(f"unknown line {sorted(unknown)[0]!r} in algebra")
+    return _read_algebra(fields)
+
+
+def _read_algebra(fields: dict[str, str], prefix: str = "") -> FiniteAlgebra:
+    """The algebra of the prefix + "atoms", "sigma" and "name" fields, the
+    first two present: how algebra and refinement files read an algebra."""
     try:
-        n = int(fields["atoms"])
+        n = int(fields[prefix + "atoms"])
     except ValueError:
-        raise ParseError("atom count must be an integer") from None
-    sigma = _parse_int_list(fields["sigma"].split(), "sigma")
+        raise ParseError(f"{prefix}atom count must be an integer") from None
+    sigma = _parse_int_list(fields[prefix + "sigma"].split(), prefix + "sigma")
     try:
-        return FiniteAlgebra(n, tuple(sigma), fields.get("name"))
+        return FiniteAlgebra(n, tuple(sigma), fields.get(prefix + "name"))
     except ValueError as e:
         raise ParseError(str(e)) from None
 
 
+def _algebra_lines(alg: FiniteAlgebra, prefix: str = "") -> list[str]:
+    """The atoms and sigma lines of alg, each key after prefix."""
+    return [f"{prefix}atoms {alg.n}", f"{prefix}sigma " + " ".join(map(str, alg.sigma))]
+
+
+def _cell_lines(r: AtomRefinement) -> list[str]:
+    return [f"cell {i}: {format_mask(m)}" for i, m in enumerate(r.cell_masks, start=1)]
+
+
 def format_algebra(alg: FiniteAlgebra) -> str:
-    lines = [f"atoms {alg.n}", "sigma " + " ".join(map(str, alg.sigma))]
+    lines = _algebra_lines(alg)
     if alg.name:
         lines.append(f"name {alg.name}")
     return "\n".join(lines) + "\n"
@@ -158,17 +173,8 @@ def parse_refinement(text: str) -> AtomRefinement:
     for key in ("source atoms", "source sigma", "target atoms", "target sigma"):
         if key not in fields:
             raise ParseError(f"refinement is missing the {key!r} line")
-    try:
-        source = FiniteAlgebra(
-            int(fields["source atoms"]),
-            tuple(_parse_int_list(fields["source sigma"].split(), "source sigma")),
-        )
-        target = FiniteAlgebra(
-            int(fields["target atoms"]),
-            tuple(_parse_int_list(fields["target sigma"].split(), "target sigma")),
-        )
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    source = _read_algebra(fields, "source ")
+    target = _read_algebra(fields, "target ")
     if set(cells) != set(source.atom_indices):
         raise ParseError("refinement needs one cell line per source atom")
     try:
@@ -178,22 +184,14 @@ def parse_refinement(text: str) -> AtomRefinement:
 
 
 def format_refinement(r: AtomRefinement) -> str:
-    lines = [
-        f"source atoms {r.source.n}",
-        "source sigma " + " ".join(map(str, r.source.sigma)),
-        f"target atoms {r.target.n}",
-        "target sigma " + " ".join(map(str, r.target.sigma)),
-    ]
-    lines += [f"cell {i}: {format_mask(m)}" for i, m in enumerate(r.cell_masks, start=1)]
-    return "\n".join(lines) + "\n"
+    lines = _algebra_lines(r.source, "source ") + _algebra_lines(r.target, "target ")
+    return "\n".join(lines + _cell_lines(r)) + "\n"
 
 
 def extension_lines(r: AtomRefinement) -> list[str]:
     """The target algebra's atoms and sigma lines, then one cell line per
     source atom: how witnesses, stages and realizers print an extension."""
-    lines = [f"atoms {r.target.n}", "sigma " + " ".join(map(str, r.target.sigma))]
-    lines += [f"cell {i}: {format_mask(m)}" for i, m in enumerate(r.cell_masks, start=1)]
-    return lines
+    return _algebra_lines(r.target) + _cell_lines(r)
 
 
 def format_witness(w: Witness) -> str:

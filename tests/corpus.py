@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from bdm.algebra import AtomRefinement, Element, FiniteAlgebra
+from bdm.algebra import AtomRefinement, Element, FiniteAlgebra, four_power
 from bdm.terms import (
     And,
     BNeg,
@@ -32,6 +32,27 @@ def atoms(mask: int) -> frozenset[int]:
     """The atom set of a mask, bit i-1 for atom i: the one way the tests
     read an element, a cell or a triple part as a set."""
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+# A coordinate of a power of the four-element algebra as its two sides: bit
+# 0 for a, bit 1 for b.
+_SIDES = {"0": 0, "a": 1, "b": 2, "1": 3}
+
+
+def coords_mask(coords, total: int) -> int:
+    """The mask in four_power(total) of the element whose first coordinates
+    are the 0/a/b/1 strings coords and whose others are 0."""
+    mask = 0
+    for j, c in enumerate(coords):
+        mask |= (_SIDES[c] & 1) << j | (_SIDES[c] >> 1) << (total + j)
+    return mask
+
+
+def power_element(coords) -> Element:
+    """The element of four_power(len(coords)) with the given 0/a/b/1
+    coordinates."""
+    k = len(coords)
+    return Element.from_mask(four_power(k), coords_mask(coords, k))
 
 
 def involutions(n: int) -> list[tuple[int, ...]]:

@@ -151,13 +151,13 @@ def test_generated_subalgebra_diagonal_of_square():
 def test_generated_subalgebra_atom_generates_four():
     sub, r = generated_subalgebra(FOUR, [FOUR.atom(1)])
     assert sub == FOUR
-    assert r.is_identity
+    assert r == identity_refinement(FOUR)
 
 
 def test_generated_subalgebra_all_atoms_identity():
     for alg in all_bases(3):
         sub, r = generated_subalgebra(alg, [alg.atom(i) for i in alg.atom_indices])
-        assert sub == alg and r.is_identity
+        assert sub == alg and r == identity_refinement(alg)
 
 
 def test_amalgamate_two_copies_of_four():

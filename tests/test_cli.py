@@ -503,6 +503,15 @@ def test_negative_budget_is_usage_error(capsys, algebra_files, argv):
     assert "nonnegative" in err
 
 
+def test_extend_stage_takes_no_depth_budget(capsys, algebra_files):
+    # only decide has quantifiers to bound
+    with pytest.raises(SystemExit) as stop:
+        main(["extend-stage", "--algebra", algebra_files["two"], "--max-depth", "1"])
+    out = capsys.readouterr()
+    assert (stop.value.code, out.out) == (2, "")
+    assert "--max-depth" in out.err
+
+
 def test_deep_nesting_is_parse_error(capsys, algebra_files):
     formula = "(" * 3000 + "x = x" + ")" * 3000
     code, out, err = run(capsys, "decide", "--algebra", algebra_files["two"], formula)

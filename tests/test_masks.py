@@ -61,6 +61,7 @@ from bdm.terms import (
 from corpus import (
     all_bases,
     atoms,
+    coords_mask,
     random_algebra,
     random_element,
     random_qf,
@@ -252,7 +253,6 @@ def test_refinement_check_rejects_swapped_cells_in_witness_tower():
 
 # The four-power solutions written as "0/a/b/1" coordinate strings, one
 # tabulated entry per coordinate, turned into a mask at the end.
-_SIDES = {"0": 0, "a": 1, "b": 2, "1": 3}
 _ENTRIES = {(e.m1, e.m2, e.m3): e for e in CASE1_ENTRIES}
 
 
@@ -265,13 +265,6 @@ def coordinate_strings(t: Triple, m: int, width: int = 0) -> list[tuple[str, ...
         c = _ENTRIES[key].coords
         blocks.append(c + c[:1] * (width - len(c)))
     return blocks
-
-
-def coords_mask(coords: list[str], total: int) -> int:
-    mask = 0
-    for j, c in enumerate(coords):
-        mask |= (_SIDES[c] & 1) << j | (_SIDES[c] >> 1) << (total + j)
-    return mask
 
 
 REALIZER_BASES = all_bases(3) + [four_power(4)]

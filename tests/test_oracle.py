@@ -24,8 +24,7 @@ from bdm.oracle import (
 )
 from bdm.solver import (
     Triple,
-    diagonal_refinement,
-    element_in_power,
+    block_layout,
     holds_phi,
     is_trivial,
     sigma_consistent_triples,
@@ -33,7 +32,7 @@ from bdm.solver import (
     witness_abstract,
 )
 
-from corpus import all_bases, atoms
+from corpus import all_bases, atoms, power_element
 
 
 def T(alg, i1, i2, i3):
@@ -84,9 +83,9 @@ def test_inconsistent_triples_never_realized():
 
 def test_all_realizations_diagonal_square():
     t = T(FOUR, {1, 2}, (), ())
-    found = all_realizations_in(diagonal_refinement(2), t)
-    assert element_in_power(2, ("1", "0")) in found
-    assert element_in_power(2, ("0", "1")) in found
+    found = all_realizations_in(block_layout(FOUR, [2]), t)
+    assert power_element(("1", "0")) in found
+    assert power_element(("0", "1")) in found
     # ascending bitmask order
     masks = [e.mask for e in found]
     assert masks == sorted(masks)
@@ -182,7 +181,7 @@ def test_oracle_witness_search_everywhere_nonzero_pattern():
     w = oracle_witness_search(t, max_atoms=16)
     assert w.extension == four_power(4)
     # the tabulated coordinate solution appears among the realizers
-    assert element_in_power(4, ("a", "b", "0", "1")) in all_realizations_in(
+    assert power_element(("a", "b", "0", "1")) in all_realizations_in(
         w.embedding, t
     )
 

@@ -24,11 +24,10 @@ from bdm.solver import (
     MAX_REALIZATION_ATOMS,
     Caps,
     Triple,
-    case1_witness,
+    block_layout,
+    check_triple_count,
     count_sigma_consistent,
     decide,
-    diagonal_refinement,
-    element_in_power,
     holds_phi,
     in_acl,
     is_sigma_consistent,
@@ -42,7 +41,7 @@ from bdm.solver import (
 )
 from bdm.terms import eval_formula, parse_formula
 
-from corpus import all_bases, atoms, random_formula
+from corpus import all_bases, atoms, power_element, random_formula
 
 
 def T(alg, i1, i2, i3):
@@ -80,7 +79,7 @@ def test_consistent_triple_count_matches_enumeration():
 
 def test_consistent_triple_cap():
     with pytest.raises(CapExceeded):
-        sigma_consistent_triples(FiniteAlgebra(2, (1, 2)), max_count=10)
+        check_triple_count(FiniteAlgebra(2, (1, 2)), 10)
 
 
 def test_each_enumeration_is_a_new_list():
@@ -128,8 +127,8 @@ def test_triple_of_element_examples():
 def test_holds_phi_examples():
     rid = identity_refinement(FOUR)
     assert holds_phi(rid, T(FOUR, {1, 2}, {1, 2}, ()), FOUR.zero)
-    diag = diagonal_refinement(2)
-    one_zero = element_in_power(2, ("1", "0"))
+    diag = block_layout(FOUR, [2])
+    one_zero = power_element(("1", "0"))
     assert holds_phi(diag, T(FOUR, {1, 2}, (), ()), one_zero)
     assert not holds_phi(rid, T(FOUR, {1}, {1, 2}, {1, 2}), FOUR.atom(1))
     assert holds_phi(rid, T(FOUR, {1}, {1, 2}, {1, 2}), FOUR.atom(2))
@@ -174,18 +173,18 @@ def test_witness_abstract_rejects_inconsistent():
 def test_witness_via_four_power_examples():
     w = witness_via_four_power(T(FOUR, {1}, {1, 2}, {1, 2}))
     assert w.extension == FOUR and w.element == FOUR.atom(2)
-    assert w.embedding.is_identity
+    assert w.embedding == identity_refinement(FOUR)
 
     t = T(FOUR, (), (), {1, 2})
     w = witness_via_four_power(t)
     assert w.extension == four_power(3)
-    assert w.element == element_in_power(3, ("a", "b", "1"))
+    assert w.element == power_element(("a", "b", "1"))
     assert holds_phi(w.embedding, t, w.element)
 
     t = T(FOUR, (), (), ())
     w = witness_via_four_power(t)
     assert w.extension == four_power(4)
-    assert w.element == element_in_power(4, ("a", "b", "0", "1"))
+    assert w.element == power_element(("a", "b", "0", "1"))
     assert holds_phi(w.embedding, t, w.element)
 
 
@@ -198,8 +197,10 @@ def test_case1_table_against_oracle():
     # every tabulated solution, including the mirrored block, is the stated
     # solution in the stated power
     for entry in CASE1_ENTRIES:
-        w = case1_witness(entry)
         t = Triple.from_masks(FOUR, entry.m1, entry.m2, entry.m3)
+        w = witness_via_four_power(t)
+        assert w.embedding == block_layout(FOUR, [len(entry.coords)])
+        assert w.element == power_element(entry.coords)
         assert holds_phi(w.embedding, t, w.element)
         assert w.element in all_realizations_in(w.embedding, t)
     assert sum(e.mirrored for e in CASE1_ENTRIES) == 4

@@ -50,7 +50,7 @@ def test_algebra_parse_errors():
         parse_algebra("atoms 2\n")
     with pytest.raises(ParseError):
         parse_algebra("atoms 2\nsigma 1 1\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^atom count must be an integer$"):
         parse_algebra("atoms x\nsigma 1\n")
     with pytest.raises(ParseError):
         parse_algebra("atoms 1\nsigma 1\nbogus 3\n")
@@ -87,6 +87,17 @@ def test_refinement_round_trip():
     assert parse_refinement(text) == r
     with pytest.raises(ParseError):
         parse_refinement("source atoms 1\nsource sigma 1\n")
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_refinement_atom_count_reads_like_an_algebra(side):
+    """A refinement's algebras are read as algebra files are, so a bad atom
+    count gets the algebra reader's message."""
+    lines = {"source atoms": "1", "source sigma": "1", "target atoms": "2", "target sigma": "2 1"}
+    lines[f"{side} atoms"] = "x"
+    text = "".join(f"{key} {value}\n" for key, value in lines.items()) + "cell 1: {1,2}\n"
+    with pytest.raises(ParseError, match=f"^{side} atom count must be an integer$"):
+        parse_refinement(text)
 
 
 def test_witness_dump():
