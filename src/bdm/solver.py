@@ -42,17 +42,7 @@ from .algebra import (
     twist_product,
 )
 from .errors import CapExceeded, InconsistentTripleError, TrivialTripleError
-from .terms import (
-    And,
-    Exists,
-    ForAll,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    eval_formula,
-    free_vars,
-)
+from .terms import And, Exists, Formula, Implies, Not, Or, _binding_mask, _holds, _scan
 
 
 class Triple(Value):
@@ -487,60 +477,75 @@ def decide(
     of at most _SHAPE_TRIPLES triples are kept; a larger shape's are built
     as they are tried.  Exhausted budgets raise CapExceeded, before anything
     is built, rather than defaulting to false.
+
+    The sentence is read once per call, without recursion: the read checks
+    its sorts, its depth (ParseError beyond the parser's 500 levels) and its
+    free names, and plans each quantifier's names in play and each
+    quantifier-free subformula, which is evaluated in one call.  Elements
+    appear only here, at the edge: each binding is checked and turned into
+    its atom mask once, and below it the bindings are masks.
     """
+    names, plan = _scan(f)
     env = dict(env) if env else {}
-    missing = free_vars(f) - set(env)
+    missing = names - env.keys()
     if missing:
         raise ValueError(f"unbound free variables: {', '.join(sorted(missing))}")
-    for name, value in env.items():
-        if value.algebra != params:
-            raise ValueError(f"variable {name!r} is bound outside the parameter algebra")
-    return _decide(params, f, env, caps, depth=0)
+    masks = {
+        name: _binding_mask(params, name, value, "the parameter algebra")
+        for name, value in env.items()
+    }
+    return _decide(params, f, masks, caps, 0, plan)
 
 
-def _decide(alg, f, env, caps, depth):
+def _decide(alg, f, env, caps, depth, plan):
+    relevant = plan.get(id(f))
+    if relevant is None:  # quantifier-free
+        return _holds(alg, f, env)
     cls = f.__class__
     if cls is And:
-        return _decide(alg, f.left, env, caps, depth) and _decide(alg, f.right, env, caps, depth)
-    if cls is Or:
-        return _decide(alg, f.left, env, caps, depth) or _decide(alg, f.right, env, caps, depth)
-    if cls is Not:
-        return not _decide(alg, f.arg, env, caps, depth)
-    if cls is Implies:
-        return (not _decide(alg, f.left, env, caps, depth)) or _decide(
-            alg, f.right, env, caps, depth
+        return _decide(alg, f.left, env, caps, depth, plan) and _decide(
+            alg, f.right, env, caps, depth, plan
         )
-    if cls is Exists or cls is ForAll:
-        if depth >= caps.max_depth:
-            raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
-        relevant = sorted(free_vars(f.body) - {f.var})
-        sub, sub_r = generated_subalgebra(alg, [env[name] for name in relevant])
-        count = check_triple_count(sub, caps.max_triples)
-        # the first triple, (0, 0, 0), splits every atom in four: the largest
-        if 4 * sub.n > caps.max_atoms:
-            raise CapExceeded(
-                f"witness extension needs {4 * sub.n} atoms, cap is {caps.max_atoms}"
-            )
-        # each parameter as the mask of its preimage in sub; per witness it is
-        # mapped with map_mask, skipping map_element's per-binding check
-        params = []
-        for name in relevant:
-            pre = sub_r.preimage(env[name])
-            assert pre is not None  # generators are unions of their own blocks
-            params.append((name, pre.mask))
-        if count <= _SHAPE_TRIPLES:
-            witnesses = _shape_witnesses(sub.sigma)
-        else:
-            witnesses = map(witness_abstract, sigma_consistent_triples(sub))
-        # an existential stops at the first witness of its body, a universal
-        # at the first counterexample
-        stop = cls is Exists
-        for w in witnesses:
-            r = w.embedding
-            ext = r.target
-            new_env = {name: Element.from_mask(ext, r.map_mask(m)) for name, m in params}
-            new_env[f.var] = w.element
-            if _decide(ext, f.body, new_env, caps, depth + 1) == stop:
-                return stop
-        return not stop
-    return eval_formula(alg, f, env)
+    if cls is Or:
+        return _decide(alg, f.left, env, caps, depth, plan) or _decide(
+            alg, f.right, env, caps, depth, plan
+        )
+    if cls is Not:
+        return not _decide(alg, f.arg, env, caps, depth, plan)
+    if cls is Implies:
+        return (not _decide(alg, f.left, env, caps, depth, plan)) or _decide(
+            alg, f.right, env, caps, depth, plan
+        )
+    # a quantifier
+    if depth >= caps.max_depth:
+        raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
+    gens = [Element.from_mask(alg, env[name]) for name in relevant]
+    sub, sub_r = generated_subalgebra(alg, gens)
+    count = check_triple_count(sub, caps.max_triples)
+    # the first triple, (0, 0, 0), splits every atom in four: the largest
+    if 4 * sub.n > caps.max_atoms:
+        raise CapExceeded(
+            f"witness extension needs {4 * sub.n} atoms, cap is {caps.max_atoms}"
+        )
+    # each parameter as the mask of its preimage in sub, mapped along each
+    # witness embedding
+    params = []
+    for name, e in zip(relevant, gens):
+        pre = sub_r.preimage(e)
+        assert pre is not None  # generators are unions of their own blocks
+        params.append((name, pre.mask))
+    if count <= _SHAPE_TRIPLES:
+        witnesses = _shape_witnesses(sub.sigma)
+    else:
+        witnesses = map(witness_abstract, sigma_consistent_triples(sub))
+    # an existential stops at the first witness of its body, a universal
+    # at the first counterexample
+    stop = cls is Exists
+    var, body = f.var, f.body
+    for w in witnesses:
+        r = w.embedding
+        new_env = {name: r.map_mask(m) for name, m in params}
+        new_env[var] = w.element.mask
+        if _decide(r.target, body, new_env, caps, depth + 1, plan) == stop:
+            return stop
+    return not stop

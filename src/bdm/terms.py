@@ -12,7 +12,9 @@ a formula, after another quantifier, or inside parentheses.  The parser and
 the printer read this grammar from one table, _PRINT.
 
 Parsing rejects a tree of more than 500 levels and more than 500 parentheses
-open at once, so every printed tree of at most 500 levels parses back.
+open at once, so every printed tree of at most 500 levels parses back.  The
+evaluators and decide hold a tree built without the parser to the same
+bound.
 
 The "dm" signature drops ' and *; parsing rejects them there.  Two trees
 are equal when they have the same node classes and leaves in the same
@@ -21,10 +23,13 @@ trees.  The node classes are final: evaluation, free_vars and the printer
 dispatch on a node's exact class, as equality does, so an instance of a
 subclass is not a node.
 
-Evaluation runs on atom masks: each subterm's value is an int, built with
-|, &, ^ full_mask and sigma_mask as in the table of the algebra module, and
-eval_formula compares masks.  Elements appear only at the edge, as the
-bindings read at variables and as the one value eval_term returns.
+Evaluation reads the tree once, without recursion (_scan: sorts, depth, free
+names and, for decide, the plan of its quantifiers), then runs on atom
+masks: each subterm's value is an int, built with |, &, ^ full_mask and
+sigma_mask as in the table of the algebra module, and formulas compare
+masks.  Elements appear only at the public edge: eval_term, eval_formula
+and decide check each binding and turn it into its mask once, and
+eval_term turns its one value back into an Element.
 """
 
 from __future__ import annotations
@@ -120,28 +125,81 @@ class ForAll(Formula):
 Ast = Union[Term, Formula]
 
 
-def term_vars(t: Term) -> frozenset[str]:
-    cls = t.__class__
-    if cls is Var:
-        return frozenset({t.name})
-    if cls is Join or cls is Meet:
-        return term_vars(t.left) | term_vars(t.right)
-    if cls is BNeg or cls is DMNeg or cls is Star:
-        return term_vars(t.arg)
-    return frozenset()
+# Deepest tree that parse and the evaluators accept, and most parentheses
+# open at once.  The evaluators and the printer recurse once per level, and
+# Python stops at about 1,000 frames; the parser and _scan keep their stacks
+# in lists.
+_MAX_AST_DEPTH = 500
+
+
+def _scan(root: Ast, formula: bool = True) -> tuple[set[str], dict[int, tuple[str, ...]]]:
+    """Read a tree once, without recursion, before anything evaluates it.
+
+    Raises TypeError where a node is not of the sort (term or formula) its
+    position asks for, and ParseError, as the parser does, when the tree
+    has more than _MAX_AST_DEPTH levels.  Returns the free names of root
+    and the plan that decide follows: keyed by id, each quantifier node
+    maps to the sorted free names of its body other than its variable, and
+    each connective above a quantifier to ().  Quantifier-free formulas are
+    absent: each is evaluated as a whole by _holds.
+    """
+    formulas = []  # formula nodes, each before its subformulas
+    free: dict[int, set[str]] = {}  # id of a formula node -> its free names
+    top: set[str] = set()  # the free names of a term root
+    stack = [(root, formula, 1, top)]
+    while stack:
+        node, is_formula, level, names = stack.pop()
+        if level > _MAX_AST_DEPTH:
+            raise ParseError("formula nested too deeply", 0)
+        cls = node.__class__
+        level += 1
+        if not is_formula:
+            if cls is Var:
+                names.add(node.name)
+            elif cls is Join or cls is Meet:
+                stack.append((node.left, False, level, names))
+                stack.append((node.right, False, level, names))
+            elif cls is BNeg or cls is DMNeg or cls is Star:
+                stack.append((node.arg, False, level, names))
+            elif cls is not Const:
+                raise TypeError(f"not a term: {node!r}")
+            continue
+        formulas.append(node)
+        if cls is Equal or cls is NotEqual:
+            names = free[id(node)] = set()
+            stack.append((node.left, False, level, names))
+            stack.append((node.right, False, level, names))
+        elif cls is And or cls is Or or cls is Implies:
+            stack.append((node.left, True, level, None))
+            stack.append((node.right, True, level, None))
+        elif cls is Not:
+            stack.append((node.arg, True, level, None))
+        elif cls is Exists or cls is ForAll:
+            stack.append((node.body, True, level, None))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    plan: dict[int, tuple[str, ...]] = {}
+    for node in reversed(formulas):
+        cls = node.__class__
+        if cls is Equal or cls is NotEqual:
+            continue
+        if cls is Exists or cls is ForAll:
+            names = free[id(node.body)] - {node.var}
+            plan[id(node)] = tuple(sorted(names))
+        elif cls is Not:
+            names = free[id(node.arg)]
+            if id(node.arg) in plan:
+                plan[id(node)] = ()
+        else:
+            names = free[id(node.left)] | free[id(node.right)]
+            if id(node.left) in plan or id(node.right) in plan:
+                plan[id(node)] = ()
+        free[id(node)] = names
+    return (free[id(root)] if formula else top), plan
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    cls = f.__class__
-    if cls is Equal or cls is NotEqual:
-        return term_vars(f.left) | term_vars(f.right)
-    if cls is And or cls is Or or cls is Implies:
-        return free_vars(f.left) | free_vars(f.right)
-    if cls is Not:
-        return free_vars(f.arg)
-    if cls is Exists or cls is ForAll:
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(_scan(f)[0])
 
 
 def _children(node: Ast) -> list[Ast]:
@@ -245,24 +303,6 @@ def _tokenize(text: str):
     return tokens
 
 
-# Deepest tree that parse returns, and most parentheses open at once.  The
-# walkers below (evaluation, printing, translation, decide) recurse once per
-# level, and Python stops at about 1,000 frames; the parser itself keeps its
-# stacks in lists.
-_MAX_AST_DEPTH = 500
-
-
-def _check_depth(ast: Ast) -> None:
-    """Raise ParseError when the tree has more than _MAX_AST_DEPTH levels;
-    walks one level at a time, without recursion."""
-    level = [ast]
-    for _ in range(_MAX_AST_DEPTH):
-        level = [c for n in level for c in _children(n)]
-        if not level:
-            return
-    raise ParseError("formula nested too deeply", 0)
-
-
 def _build(operands: list[Ast], op: tuple) -> None:
     """Replace the top operands by the node of `op`, checking that each has
     the sort (term or formula) its _PRINT row asks for."""
@@ -353,7 +393,7 @@ def parse(text: str, signature: str = "bdm", kind: str = "formula") -> Ast:
     (ast,) = operands
     if isinstance(ast, Term) != (kind == "term"):
         raise ParseError(f"expected a {kind}", 0)
-    _check_depth(ast)
+    _scan(ast, kind == "formula")
     return ast
 
 
@@ -391,17 +431,35 @@ def format_ast(ast: Ast) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> int:
+def _binding_mask(alg: FiniteAlgebra, name: str, value: Element, outside: str) -> int:
+    """The mask of a caller's binding, checked once at the public edge."""
+    if not isinstance(value, Element):
+        raise TypeError(f"variable {name!r} is bound to a {type(value).__name__}, not an Element")
+    if value.algebra is not alg and value.algebra != alg:
+        raise ValueError(f"variable {name!r} is bound outside {outside}")
+    return value.mask
+
+
+def _masks(alg: FiniteAlgebra, names: set[str], env: Mapping[str, Element]) -> dict[str, int]:
+    """The masks of the bindings of the names that occur."""
+    masks = {}
+    for name in sorted(names):
+        try:
+            value = env[name]
+        except KeyError:
+            raise ValueError(f"unbound variable {name!r}") from None
+        masks[name] = _binding_mask(alg, name, value, "the algebra")
+    return masks
+
+
+# _mask and _holds evaluate a tree that _scan has read: every node is of
+# its sort, every name is bound to a mask of alg, and no quantifier occurs.
+
+def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
     """The atom mask of t's value in alg."""
     cls = t.__class__
     if cls is Var:
-        try:
-            e = env[t.name]
-        except KeyError:
-            raise ValueError(f"unbound variable {t.name!r}") from None
-        if e.algebra is not alg and e.algebra != alg:
-            raise ValueError(f"variable {t.name!r} is bound outside the algebra")
-        return e.mask
+        return env[t.name]
     if cls is Join:
         return _mask(alg, t.left, env) | _mask(alg, t.right, env)
     if cls is Meet:
@@ -412,33 +470,36 @@ def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> int:
         return alg.sigma_mask(_mask(alg, t.arg, env)) ^ alg.full_mask
     if cls is Star:
         return alg.sigma_mask(_mask(alg, t.arg, env))
-    if cls is Const:
-        return alg.full_mask if t.value else 0
-    raise TypeError(f"not a term: {t!r}")
+    return alg.full_mask if t.value else 0  # Const
 
 
-def eval_term(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> Element:
-    return Element.from_mask(alg, _mask(alg, t, env))
-
-
-def eval_formula(alg: FiniteAlgebra, f: Formula, env: Mapping[str, Element]) -> bool:
-    """Evaluate a quantifier-free formula pointwise, comparing masks."""
+def _holds(alg: FiniteAlgebra, f: Formula, env: Mapping[str, int]) -> bool:
+    """Whether the quantifier-free f holds, comparing masks."""
     cls = f.__class__
     if cls is Equal:
         return _mask(alg, f.left, env) == _mask(alg, f.right, env)
     if cls is NotEqual:
         return _mask(alg, f.left, env) != _mask(alg, f.right, env)
     if cls is And:
-        return eval_formula(alg, f.left, env) and eval_formula(alg, f.right, env)
+        return _holds(alg, f.left, env) and _holds(alg, f.right, env)
     if cls is Or:
-        return eval_formula(alg, f.left, env) or eval_formula(alg, f.right, env)
+        return _holds(alg, f.left, env) or _holds(alg, f.right, env)
     if cls is Not:
-        return not eval_formula(alg, f.arg, env)
-    if cls is Implies:
-        return (not eval_formula(alg, f.left, env)) or eval_formula(alg, f.right, env)
-    if cls is Exists or cls is ForAll:
+        return not _holds(alg, f.arg, env)
+    return (not _holds(alg, f.left, env)) or _holds(alg, f.right, env)  # Implies
+
+
+def eval_term(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> Element:
+    names, _ = _scan(t, False)
+    return Element.from_mask(alg, _mask(alg, t, _masks(alg, names, env)))
+
+
+def eval_formula(alg: FiniteAlgebra, f: Formula, env: Mapping[str, Element]) -> bool:
+    """Evaluate a quantifier-free formula pointwise, comparing masks."""
+    names, plan = _scan(f)
+    if plan:
         raise ValueError("quantified formulas need the decision procedure")
-    raise TypeError(f"not a formula: {f!r}")
+    return _holds(alg, f, _masks(alg, names, env))
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +535,16 @@ def valid_identity(t1: Term, t2: Term, signature: str = "bdm") -> IdentityCheck:
     """
     if signature == "dm" and not (in_dm_signature(t1) and in_dm_signature(t2)):
         raise ValueError("terms use operations outside the dm signature")
-    names = sorted(term_vars(t1) | term_vars(t2))
+    names = sorted(_scan(t1, False)[0] | _scan(t2, False)[0])
     if len(names) > MAX_IDENTITY_VARIABLES:
         raise CapExceeded(
             f"{len(names)} variables need 4^{len(names)} assignments, "
             f"cap is {MAX_IDENTITY_VARIABLES} variables"
         )
-    values = list(FOUR.elements())
-    for combo in itertools.product(values, repeat=len(names)):
+    for combo in itertools.product(range(1 << FOUR.n), repeat=len(names)):
         env = dict(zip(names, combo))
         if _mask(FOUR, t1, env) != _mask(FOUR, t2, env):
-            return IdentityCheck(False, env)
+            return IdentityCheck(False, {n: Element.from_mask(FOUR, m) for n, m in env.items()})
     return IdentityCheck(True, None)
 
 

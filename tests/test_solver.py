@@ -17,7 +17,7 @@ from bdm.algebra import (
     twist_product,
 )
 from bdm import solver
-from bdm.errors import CapExceeded, InconsistentTripleError, TrivialTripleError
+from bdm.errors import CapExceeded, InconsistentTripleError, ParseError, TrivialTripleError
 from bdm.oracle import all_realizations_in, phi_environment, phi_formula
 from bdm.solver import (
     CASE1_ENTRIES,
@@ -39,9 +39,9 @@ from bdm.solver import (
     witness_abstract,
     witness_via_four_power,
 )
-from bdm.terms import eval_formula, parse_formula
+from bdm.terms import Equal, Exists, ForAll, Not, Var, eval_formula, parse_formula
 
-from corpus import all_bases, atoms, power_element, random_formula
+from corpus import all_bases, atoms, power_element, random_element, random_formula
 
 
 def T(alg, i1, i2, i3):
@@ -511,6 +511,29 @@ def test_deeply_nested_forall_is_decided():
     assert decide(TWO, f, caps=Caps(max_depth=1000)) is False
 
 
+def test_deep_hand_built_sentence_is_parse_error():
+    """A tree built without the parser meets the parser's depth bound when
+    decide reads it, not Python's recursion limit when it is evaluated."""
+    x = Var("x")
+    body = Equal(x, x)
+    for _ in range(1500):
+        body = Not(body)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        decide(TWO, Exists("x", body))
+    nested = Equal(x, x)
+    for _ in range(1500):
+        nested = ForAll("x", nested)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        decide(TWO, nested, caps=Caps(max_depth=5000))
+
+
+@pytest.mark.parametrize("value", [3, FOUR], ids=["int", "algebra"])
+def test_decide_binding_that_is_not_an_element_is_type_error(value):
+    f = parse_formula("exists x. (x = p)")
+    with pytest.raises(TypeError, match="variable 'p' is bound to a"):
+        decide(TWO, f, {"p": value})
+
+
 def test_decide_model_completeness_spot():
     # moving the parameters along an embedding keeps every answer
     _, r = twist_product(TWO)
@@ -574,3 +597,25 @@ def test_decide_verdicts_match_parent_digest():
             verdicts.append("cap")
     digest = hashlib.sha256(" ".join(verdicts).encode()).hexdigest()
     assert digest == "dffff31fef41560755a88925b73e5ccd9bd6f5aa988894abe5550adfe2f5a22b"
+
+
+def test_decide_parameter_verdicts_match_parent_digest():
+    """The twin of the test above with parameters: 300 seeded sentences
+    with one or two names bound to random elements of a base of at most
+    two atoms, at criterion 9's caps, pinned by the SHA-256 of their
+    verdicts as the Element-bound solver computed them."""
+    caps = Caps(max_atoms=96, max_depth=4, max_triples=4000)
+    bases = all_bases(2)
+    rng = random.Random(20261019)
+    verdicts = []
+    for k in range(300):
+        base = bases[k % len(bases)]
+        names = ["p", "r"][: rng.randint(1, 2)]
+        f = random_formula(rng, names)
+        env = {name: random_element(rng, base) for name in names}
+        try:
+            verdicts.append(str(decide(base, f, env, caps)))
+        except CapExceeded:
+            verdicts.append("cap")
+    digest = hashlib.sha256(" ".join(verdicts).encode()).hexdigest()
+    assert digest == "97f246fab15cbc1be807e3de7ec0113cbabed2c4d700e747926175a2ad04b86a"

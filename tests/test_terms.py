@@ -17,6 +17,8 @@ from bdm.terms import (
     ForAll,
     Join,
     Meet,
+    Not,
+    Or,
     Star,
     Var,
     eval_formula,
@@ -195,6 +197,10 @@ def test_eval_unbound_variable():
         eval_term(FOUR, x, {})
     with pytest.raises(ValueError, match="unbound variable 'y'"):
         eval_term(FOUR, Join(x, DMNeg(y)), {"x": FOUR.zero})
+    # the bindings are read before anything is evaluated, so a branch that
+    # evaluation would skip is checked too
+    with pytest.raises(ValueError, match="unbound variable 'y'"):
+        eval_formula(FOUR, Or(Equal(x, x), Equal(y, y)), {"x": FOUR.zero})
 
 
 def test_eval_binding_from_another_algebra():
@@ -206,6 +212,30 @@ def test_eval_binding_from_another_algebra():
         eval_term(FOUR, Meet(x, y), {"x": a, "y": TWO.one})
     with pytest.raises(ValueError, match="'y' is bound outside the algebra"):
         eval_formula(FOUR, Equal(x, y), {"x": a, "y": TWO.one})
+
+
+def test_eval_deep_hand_built_tree_is_parse_error():
+    """The evaluators read a tree before they evaluate it, so one built
+    without the parser meets the parser's depth bound."""
+    body = Equal(x, x)
+    term = x
+    for _ in range(1500):
+        body = Not(body)
+        term = DMNeg(term)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        eval_formula(TWO, body, {"x": TWO.zero})
+    with pytest.raises(ParseError, match="nested too deeply"):
+        eval_term(TWO, term, {"x": TWO.zero})
+    with pytest.raises(ParseError, match="nested too deeply"):
+        valid_identity(term, x)
+
+
+@pytest.mark.parametrize("value", [3, FOUR], ids=["int", "algebra"])
+def test_eval_binding_that_is_not_an_element_is_type_error(value):
+    with pytest.raises(TypeError, match="variable 'p' is bound to a"):
+        eval_formula(TWO, Equal(Var("p"), Var("p")), {"p": value})
+    with pytest.raises(TypeError, match="variable 'p' is bound to a"):
+        eval_term(TWO, Var("p"), {"p": value})
 
 
 def test_eval_formula_quantifier_rejected():

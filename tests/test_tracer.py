@@ -63,6 +63,9 @@ def test_tracer_records_spans(spans):
         bdm.model.find_matching_element(stage, rv, rv.target.atom(1))
         assert bdm.algebra.find_isomorphism_over(rv, rv) == (1, 2)
         assert bdm.solver.decide(TWO, sentence)
+        # decide evaluates its quantifier-free leaves on masks, without
+        # eval_formula, so the public evaluator is called here
+        assert bdm.terms.eval_formula(TWO, sentence.body, {"x": TWO.zero}) is False
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
