@@ -185,13 +185,7 @@ def _cmd_equiv(args):
 
 
 def _cmd_translate(args):
-    f = parse_formula(args.formula)
-    try:
-        text = format_ast(translate_dm(f, to=args.to))
-    except RecursionError:
-        # each complement adds two levels, and the translation and the
-        # printer recurse once per level
-        raise ParseError("formula nested too deeply", 0) from None
+    text = format_ast(translate_dm(parse_formula(args.formula), to=args.to))
     return 0, {"formula": text} if args.json else text + "\n"
 
 

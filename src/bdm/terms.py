@@ -12,9 +12,9 @@ a formula, after another quantifier, or inside parentheses.  The parser and
 the printer read this grammar from one table, _PRINT.
 
 Parsing rejects a tree of more than 500 levels and more than 500 parentheses
-open at once, so every printed tree of at most 500 levels parses back.  The
-evaluators and decide hold a tree built without the parser to the same
-bound.
+open at once.  The printer, the evaluators, decide and translate_dm hold a
+tree built without the parser to the same bound, and translate_dm holds its
+output to it too, so every printed tree parses back.
 
 The "dm" signature drops ' and *; parsing rejects them there.  Two trees
 are equal when they have the same node classes and leaves in the same
@@ -125,9 +125,10 @@ class ForAll(Formula):
 Ast = Union[Term, Formula]
 
 
-# Deepest tree that parse and the evaluators accept, and most parentheses
-# open at once.  The evaluators and the printer recurse once per level, and
-# Python stops at about 1,000 frames; the parser and _scan keep their stacks
+# Deepest tree that parse, the evaluators, the printer and translate_dm
+# accept, and most parentheses open at once.  The evaluators and the printer
+# recurse once per level, and Python stops at about 1,000 frames, so each
+# starts with _scan; the parser, _scan and the translation keep their stacks
 # in lists.
 _MAX_AST_DEPTH = 500
 
@@ -318,6 +319,11 @@ def _build(operands: list[Ast], op: tuple) -> None:
     operands.append(cls(*fields, *args))
 
 
+def _check_signature(signature: str) -> None:
+    if signature not in ("dm", "bdm"):
+        raise ValueError("signature must be 'dm' or 'bdm'")
+
+
 def parse(text: str, signature: str = "bdm", kind: str = "formula") -> Ast:
     """Parse a term or formula; positions in errors are 0-based offsets.
 
@@ -326,8 +332,7 @@ def parse(text: str, signature: str = "bdm", kind: str = "formula") -> Ast:
     not put inside its last operand (its own level is lower), or until its
     group or the text ends; then it is built from the top operands.
     """
-    if signature not in ("dm", "bdm"):
-        raise ValueError("signature must be 'dm' or 'bdm'")
+    _check_signature(signature)
     if kind not in ("term", "formula"):
         raise ValueError("kind must be 'term' or 'formula'")
     operands: list[Ast] = []
@@ -410,12 +415,9 @@ def parse_formula(text: str, signature: str = "bdm") -> Formula:
 
 def _fmt(node: Ast, level: int) -> str:
     # One frame per level: the calls that read a node's fields return
-    # before the recursion goes deeper, so a 500-level tree prints within
-    # the default limit of 1,000 frames.
-    try:
-        own, template, child_levels = _PRINT[type(node)]
-    except KeyError:
-        raise TypeError(f"not a term or formula: {node!r}") from None
+    # before the recursion goes deeper, so a tree of _MAX_AST_DEPTH levels
+    # prints within the default limit of 1,000 frames.
+    own, template, child_levels = _PRINT[node.__class__]
     fields = dict(zip(node.__slots__, node._fields()))
     for name in child_levels:
         fields[name] = _fmt(fields[name], child_levels[name])
@@ -424,8 +426,14 @@ def _fmt(node: Ast, level: int) -> str:
 
 
 def format_ast(ast: Ast) -> str:
-    """Render a term or formula; parse(format_ast(a)) == a structurally."""
-    return _fmt(ast, _SUM if isinstance(ast, Term) else _TOP)
+    """Render a term or formula; parse(format_ast(a)) == a structurally.
+
+    Raises TypeError and ParseError as _scan does, so every printed tree
+    parses back.
+    """
+    term = isinstance(ast, Term)
+    _scan(ast, not term)
+    return _fmt(ast, _SUM if term else _TOP)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +541,7 @@ def valid_identity(t1: Term, t2: Term, signature: str = "bdm") -> IdentityCheck:
     MAX_IDENTITY_VARIABLES variables CapExceeded is raised before any
     assignment is tried.
     """
+    _check_signature(signature)
     if signature == "dm" and not (in_dm_signature(t1) and in_dm_signature(t2)):
         raise ValueError("terms use operations outside the dm signature")
     names = sorted(_scan(t1, False)[0] | _scan(t2, False)[0])
@@ -560,72 +569,52 @@ def _fresh_names(avoid: frozenset[str]):
             yield name
 
 
-def _subst_term(t: Term, target: Term, replacement: Term) -> Term:
-    if t == target:
-        return replacement
-    if isinstance(t, (Join, Meet)):
-        return type(t)(_subst_term(t.left, target, replacement), _subst_term(t.right, target, replacement))
-    if isinstance(t, (BNeg, DMNeg, Star)):
-        return type(t)(_subst_term(t.arg, target, replacement))
-    return t
-
-
-def _drop_star(t: Term) -> Term:
-    """Rewrite every star node as Boolean negation of De Morgan negation."""
-    if isinstance(t, Star):
-        return BNeg(DMNeg(_drop_star(t.arg)))
-    if isinstance(t, (Join, Meet)):
-        return type(t)(_drop_star(t.left), _drop_star(t.right))
-    if isinstance(t, (BNeg, DMNeg)):
-        return type(t)(_drop_star(t.arg))
-    return t
-
-
-def _innermost_bneg(t: Term) -> Optional[Term]:
-    """Leftmost BNeg node whose argument is itself BNeg-free."""
-    if isinstance(t, (Join, Meet)):
-        return _innermost_bneg(t.left) or _innermost_bneg(t.right)
-    if isinstance(t, DMNeg):
-        return _innermost_bneg(t.arg)
-    if isinstance(t, BNeg):
-        inner = _innermost_bneg(t.arg)
-        return inner if inner is not None else t
-    return None
-
-
-def _eliminate_bneg(atom: Formula, fresh) -> Formula:
-    """Replace each complemented subterm in a relational atom by an
-    existentially quantified complement witness."""
-    cls = type(atom)
-    left = _drop_star(atom.left)
-    right = _drop_star(atom.right)
-    target = _innermost_bneg(left)
-    if target is None:
-        target = _innermost_bneg(right)
-    if target is None:
-        return cls(left, right)
-    base = target.arg  # BNeg-free by choice of target
-    z = Var(next(fresh))
-    body = _eliminate_bneg(
-        cls(_subst_term(left, target, z), _subst_term(right, target, z)), fresh
-    )
-    constraints = And(
-        Equal(Join(base, z), ONE),
-        Equal(Meet(base, z), ZERO),
-    )
-    return Exists(z.name, And(constraints, body))
-
-
 def _to_dm(f: Formula, fresh) -> Formula:
-    if isinstance(f, (Equal, NotEqual)):
-        return _eliminate_bneg(f, fresh)
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_to_dm(f.left, fresh), _to_dm(f.right, fresh))
-    if isinstance(f, Not):
-        return Not(_to_dm(f.arg, fresh))
-    if isinstance(f, (Exists, ForAll)):
-        return type(f)(f.var, _to_dm(f.body, fresh))
-    raise TypeError(f"not a formula: {f!r}")
+    """The dm translation of a formula that _scan has read, built in one
+    post-order pass that keeps its stack in a list.
+
+    t* is read as (~t)'.  Inside each atom every distinct rewritten t under
+    a ' becomes one fresh z, named in the order the complements complete,
+    and the atom is wrapped in exists z. (t + z = 1 & t . z = 0 & ...), the
+    first z outermost.  Equal rewritten terms are one object, found by their
+    class and the ids of their parts, so no lookup compares trees.
+    """
+    done: list[Ast] = []  # the rewritten children of the nodes still open
+    shared: dict = {}  # a leaf, or (class, ids of rewritten parts) -> the term
+    complements: dict[int, tuple[Term, Var]] = {}  # id of t -> (t, z), per atom
+    stack = [(f, False)]
+    while stack:
+        node, complete = stack.pop()
+        cls = node.__class__
+        parts = _PRINT[cls][2]  # the names of its subtree fields, in order
+        if not complete:
+            if cls is Equal or cls is NotEqual:
+                complements = {}
+            stack.append((node, True))
+            stack.extend((getattr(node, name), False) for name in reversed(parts))
+            continue
+        args = done[len(done) - len(parts):]
+        del done[len(done) - len(parts):]
+        if cls is BNeg or cls is Star:
+            (t,) = args
+            if cls is Star:
+                t = shared.setdefault((DMNeg, id(t)), DMNeg(t))
+            if id(t) not in complements:
+                complements[id(t)] = (t, Var(next(fresh)))
+            done.append(complements[id(t)][1])
+        elif issubclass(cls, Term):
+            key = (cls, *map(id, args)) if args else node
+            done.append(shared.setdefault(key, cls(*args) if args else node))
+        elif cls is Equal or cls is NotEqual:
+            g = cls(*args)
+            for t, z in reversed(complements.values()):
+                g = Exists(z.name, And(And(Equal(Join(t, z), ONE), Equal(Meet(t, z), ZERO)), g))
+            done.append(g)
+        elif cls is Exists or cls is ForAll:
+            done.append(cls(node.var, *args))
+        else:
+            done.append(cls(*args))
+    return done[0]
 
 
 def translate_dm(f: Formula, to: str = "bdm") -> Formula:
@@ -635,11 +624,15 @@ def translate_dm(f: Formula, to: str = "bdm") -> Formula:
     negation: each complemented subterm t' becomes a fresh variable z bound
     by exists and pinned down by t + z = 1 and t . z = 0.  The complement is
     unique, so the rewriting preserves truth values in complemented algebras
-    under either polarity.
+    under either polarity.  Each complement deepens the tree by two levels;
+    f and its translation are read by _scan, which raises ParseError when
+    either has more than _MAX_AST_DEPTH levels.
     """
     if to == "bdm":
         return f
     if to != "dm":
         raise ValueError("translation target must be 'dm' or 'bdm'")
-    fresh = _fresh_names(all_vars(f))
-    return _to_dm(f, fresh)
+    _scan(f)
+    g = _to_dm(f, _fresh_names(all_vars(f)))
+    _scan(g)
+    return g

@@ -569,6 +569,21 @@ def test_too_deep_translation_is_parse_error(capsys, op):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("op, count", [("'", 248), ("*", 247)])
+def test_translation_at_the_depth_bound_reads_back(capsys, op, count):
+    # each complement adds two levels: these translate to 500 and 499
+    code, dm, _ = run(capsys, "translate", "--to", "dm", "x" + op * count + " = 0")
+    assert code == 0
+    assert run(capsys, "translate", "--to", "bdm", dm.rstrip("\n"))[:2] == (0, dm)
+
+
+@pytest.mark.parametrize("op, count", [("'", 249), ("*", 248)])
+def test_translation_past_the_depth_bound_is_parse_error(capsys, op, count):
+    code, out, err = run(capsys, "translate", "--to", "dm", "x" + op * count + " = 0")
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 def test_translation_to_dm_reads_back(capsys):
     code, dm, _ = run(capsys, "translate", "--to", "dm", "x" + "'" * 100 + " = 0")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -304,6 +305,12 @@ def test_valid_identity_star_involution():
     assert valid_identity(parse_term("x**"), x).valid
 
 
+@pytest.mark.parametrize("signature", ["DM", "BDM", "boolean", ""])
+def test_valid_identity_rejects_an_unknown_signature(signature):
+    with pytest.raises(ValueError, match="signature must be 'dm' or 'bdm'"):
+        valid_identity(x, x, signature)
+
+
 def test_valid_identity_over_the_variable_cap_raises():
     names = [f"v{i}" for i in range(MAX_IDENTITY_VARIABLES + 1)]
     with pytest.raises(CapExceeded):
@@ -393,6 +400,51 @@ def test_translate_fresh_names_avoid_clashes():
     f = parse_formula("z . x' = 0")
     out = translate_dm(f, to="dm")
     assert format_ast(out) == "exists z1. (x + z1 = 1 & x . z1 = 0 & z . z1 = 0)"
+
+
+# Repeated, nested and starred complements, and the fresh names z and z1
+# already taken, free or bound.
+_TRANSLATION_CASES = [
+    "x' + x' = x'",
+    "x'' = x",
+    "(x . y')' != x* . y'",
+    "x** = (~x)' . x'*",
+    "z . z1' = z2' + z'",
+    "exists z. (z' = z1 & (forall z1. (z1* != x')))",
+    "x' = y' -> !(x'' = y*)",
+    "(x + y)' = x' . y' | ~(x*)' = x",
+]
+
+
+def test_translation_matches_parent_digest():
+    """The printed dm translations of the cases above and of 2,000 seeded
+    sentences over names that include z and z1 are pinned by the SHA-256
+    of their lines, as the recursive rewriting computed them."""
+    rng = random.Random(20261020)
+    formulas = [parse_formula(text) for text in _TRANSLATION_CASES]
+    formulas += [random_formula(rng, ["x", "y", "z", "z1"]) for _ in range(2000)]
+    printed = "\n".join(format_ast(translate_dm(f, "dm")) for f in formulas)
+    digest = hashlib.sha256(printed.encode()).hexdigest()
+    assert digest == "90f1fd1dba0cc8b667d0da81e9823939f7f9db986ee268d79b33ecd762bb70bf"
+
+
+def test_repeated_deep_complement_gets_one_witness():
+    # both sides complement the same 495-level term: one z, 500 levels
+    t = "(" + "~" * 494 + "x)'"
+    out = translate_dm(parse_formula(f"{t} = {t}"), "dm")
+    printed = format_ast(out)
+    assert printed.count("exists") == 1 and printed.endswith("z = z)")
+    assert format_ast(parse_formula(printed, signature="dm")) == printed
+
+
+def test_deep_hand_built_tree_is_parse_error_when_printed_or_translated():
+    f = Equal(x, x)
+    for _ in range(1500):
+        f = Not(f)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        format_ast(f)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        translate_dm(f, "dm")
 
 
 def test_parse_deep_nesting_raises_parse_error():
