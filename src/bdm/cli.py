@@ -7,14 +7,15 @@ inputs produce byte-identical output.
 
 Each `_cmd_*` handler returns `(code, out)`: `out` is the text to print,
 ending in a newline, or under `--json` a dict that `main` prints as one
-line of JSON with sorted keys.  `extend-stage --json`, whose answer runs to
-megabytes, returns an iterator of pieces of that line instead, which
-`main` writes as they are made.  `main` is the only writer to stdout.  It
-writes and flushes a handler's output inside the `try` around the
-handler, so a command that fails prints nothing to stdout, and a failed
-write (a closed pipe) exits 2 like any other OSError.  After a broken pipe
-stdout is pointed at the null device, so the interpreter's own flush at
-exit has nothing left to fail on.
+line of JSON with sorted keys.  `extend-stage`, whose answer runs to
+megabytes, returns an iterator of pieces of its text or JSON line instead,
+at most 4,096 stage rows each, which `main` writes as they are made.
+`main` is the only writer to stdout.  It writes and flushes a handler's
+output inside the `try` around the handler, so a command that fails
+prints nothing to stdout, and a failed write (a closed pipe) exits 2 like
+any other OSError.  After a broken pipe stdout is pointed at the null
+device, so the interpreter's own flush at exit has nothing left to fail
+on.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .solver import (
     witness_abstract,
     witness_via_four_power,
 )
-from .terms import format_ast, parse_formula, parse_term, translate_dm, valid_identity
+from .terms import Var, format_ast, parse_formula, parse_term, translate_dm, valid_identity
 
 
 def _load_algebra(path: str):
@@ -112,6 +113,14 @@ def _cmd_witness(args):
     return 0, textio.witness_json(w) if args.json else textio.format_witness(w)
 
 
+def _is_variable(name: str) -> bool:
+    """Whether name parses as exactly one variable."""
+    try:
+        return parse_term(name) == Var(name)
+    except ParseError:
+        return False
+
+
 def _cmd_decide(args):
     alg = _load_algebra(args.algebra)
     f = parse_formula(args.formula)
@@ -121,6 +130,8 @@ def _cmd_decide(args):
         if not eq:
             raise ParseError(f"--let expects NAME=ELEMENT, got {binding!r}")
         name = name.strip()
+        if not _is_variable(name):
+            raise ParseError(f"--let {binding!r}: {name!r} is not a variable name")
         if name in env:
             raise ParseError(f"--let binds {name!r} twice")
         env[name] = textio.parse_element(value, alg)
@@ -208,11 +219,7 @@ def _cmd_extend_stage(args):
     # a stage has no quantifiers, so it takes no depth budget
     caps = Caps(max_atoms=args.max_atoms, max_triples=args.max_triples)
     stages = build_chain(alg, args.depth, caps)
-    if args.json:
-        return 0, textio.stages_json_text(stages)
-    return 0, "".join(
-        f"stage {i}\n{textio.format_stage(stage)}" for i, stage in enumerate(stages, start=1)
-    )
+    return 0, (textio.stages_json_text if args.json else textio.stages_text)(stages)
 
 
 def _cmd_oracle_realizations(args):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import starmap
 from typing import Iterator
 
 from .algebra import AtomRefinement, Element, FiniteAlgebra, format_mask, sorted_atoms
@@ -227,30 +228,49 @@ def _atom_text(sep: str):
     return text
 
 
-def format_stage(stage: EcStage) -> str:
-    """Realized triples in order, then the stage algebra and embedding.
+# rows per piece of streamed stage text, plain or JSON
+_PIECE_ROWS = 4096
+
+
+def _row_pieces(rows, row, sep: str = "") -> Iterator[str]:
+    """row(m1, m2, m3, u) for each mask row, joined by sep, in pieces of at
+    most _PIECE_ROWS rows, each made when the one before has been taken;
+    every piece after the first starts with sep."""
+    for start in range(0, len(rows), _PIECE_ROWS):
+        yield (sep if start else "") + sep.join(starmap(row, rows[start:start + _PIECE_ROWS]))
+
+
+def _stage_text(stage: EcStage) -> Iterator[str]:
+    """The pieces of format_stage(stage).
 
     Over an n-atom base I1..I3 take at most 2^n values between them while
     the stage prints a line per consistent triple, so each distinct triple
-    mask is formatted once per call.  Realizers are all distinct: each
+    mask is formatted once per stage.  Realizers are all distinct: each
     prints as the text of its nonzero bytes (see _atom_text)."""
     triple_set = _memo(format_mask)
     atoms = _atom_text(",")
     full = stage.algebra.full_mask
 
-    def element(u: int) -> str:
-        if not u:
-            return "0"
-        if u == full:
-            return "1"
-        return "{" + atoms(u) + "}"
+    def row(m1: int, m2: int, m3: int, u: int) -> str:
+        element = "0" if not u else "1" if u == full else "{" + atoms(u) + "}"
+        return (f"realized I1={triple_set(m1)} I2={triple_set(m2)} "
+                f"I3={triple_set(m3)} -> {element}\n")
 
-    lines = [
-        f"realized I1={triple_set(m1)} I2={triple_set(m2)} I3={triple_set(m3)} -> {element(u)}"
-        for m1, m2, m3, u in stage.rows
-    ]
-    lines += extension_lines(stage.embedding)
-    return "\n".join(lines) + "\n"
+    yield from _row_pieces(stage.rows, row)
+    yield "\n".join(extension_lines(stage.embedding)) + "\n"
+
+
+def format_stage(stage: EcStage) -> str:
+    """Realized triples in order, then the stage algebra and embedding."""
+    return "".join(_stage_text(stage))
+
+
+def stages_text(stages: list[EcStage]) -> Iterator[str]:
+    """A `stage i` line before the format_stage text of each stage, in
+    pieces of at most _PIECE_ROWS rows."""
+    for i, stage in enumerate(stages, start=1):
+        yield f"stage {i}\n"
+        yield from _stage_text(stage)
 
 
 # -- JSON-friendly views ----------------------------------------------------
@@ -292,33 +312,13 @@ def witness_json(w: Witness) -> dict:
     return extension_json(w.embedding) | {"element": element_json(w.element)}
 
 
-def stage_json(stage: EcStage) -> dict:
-    """The stage as JSON values.  The atom list of each distinct triple mask
-    is built once per call and shared by every row that has the mask."""
-    triple_set = _memo(sorted_atoms)
-    return {
-        "realized": [
-            {
-                "triple": {"I1": triple_set(m1), "I2": triple_set(m2), "I3": triple_set(m3)},
-                "element": sorted_atoms(u),
-            }
-            for m1, m2, m3, u in stage.rows
-        ],
-        "algebra": algebra_json(stage.algebra),
-        "cells": _cells_json(stage.embedding),
-    }
-
-
-# rows per piece of stages_json_text
-_JSON_ROWS = 4096
-
-
 def stages_json_text(stages: list[EcStage]) -> Iterator[str]:
-    """The text of json.dumps({"stages": [stage_json(s) for s in stages]},
-    sort_keys=True) followed by a newline, in pieces of at most _JSON_ROWS
-    rows, each made when the one before has been taken.  Rows are written
-    from their masks as format_stage writes them, each distinct triple mask
-    once per stage; the rest of a stage goes through json.dumps."""
+    """One line of JSON with sorted keys, {"stages": [...]}, in pieces of
+    at most _PIECE_ROWS rows.  A stage is its "algebra", its "cells" and its
+    "realized" rows, each {"element": atoms, "triple": {"I1": atoms, ...}}.
+    Rows are written from their masks by the loop format_stage uses, each
+    distinct triple mask once per stage; the rest of a stage goes through
+    json.dumps."""
     yield '{"stages": ['
     for k, stage in enumerate(stages):
         # "realized" sorts after "algebra" and "cells", so it closes the object
@@ -329,12 +329,11 @@ def stages_json_text(stages: list[EcStage]) -> Iterator[str]:
         yield (", " if k else "") + head[:-1] + ', "realized": ['
         atoms = _atom_text(", ")
         triple_set = _memo(lambda m: "[" + atoms(m) + "]")
-        rows = stage.rows
-        for start in range(0, len(rows), _JSON_ROWS):
-            yield (", " if start else "") + ", ".join([
-                f'{{"element": [{atoms(u)}], "triple": {{"I1": {triple_set(m1)}, '
-                f'"I2": {triple_set(m2)}, "I3": {triple_set(m3)}}}}}'
-                for m1, m2, m3, u in rows[start:start + _JSON_ROWS]
-            ])
+
+        def row(m1: int, m2: int, m3: int, u: int) -> str:
+            return (f'{{"element": [{atoms(u)}], "triple": {{"I1": {triple_set(m1)}, '
+                    f'"I2": {triple_set(m2)}, "I3": {triple_set(m3)}}}}}')
+
+        yield from _row_pieces(stage.rows, row, ", ")
         yield "]}"
     yield "]}\n"

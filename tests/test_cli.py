@@ -127,6 +127,17 @@ def test_decide_repeated_binding_is_usage_error(capsys, algebra_files):
     assert "--let binds 'p' twice" in err
 
 
+@pytest.mark.parametrize("binding, name", [("=0", ""), ("x y=0", "x y"), ("0=1", "0")])
+def test_decide_binding_a_non_variable_is_usage_error(capsys, algebra_files, binding, name):
+    """A --let name must parse as one variable; the answer would otherwise
+    read an empty name as unbound, or ignore the binding."""
+    code, out, err = run(
+        capsys, "decide", "--algebra", algebra_files["four"], "x = 0", "--let", binding
+    )
+    assert (code, out) == (2, "")
+    assert f"--let {binding!r}: {name!r} is not a variable name" in err
+
+
 def test_decide_cap_exit_three(capsys, algebra_files):
     code, _, err = run(
         capsys,
@@ -376,12 +387,10 @@ def test_oracle_scans_never_import_numpy(algebra_files):
     assert done.returncode == 0, done.stderr
 
 
-def test_reader_leaving_early_is_a_broken_pipe(algebra_files):
-    """Unbuffered, stdout's text layer drops the count of a short write; a
-    reader that closes the pipe after 10 bytes must still get exit 2 and
-    the broken pipe on stderr, not exit 0 with the output cut."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+def _leave_after_ten_bytes(algebra_files, env) -> tuple[int, str]:
+    """Exit code and stderr of `extend-stage --depth 2` over 2 whose reader
+    closes the pipe after the first 10 bytes."""
+    env = dict(env, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     argv = ["extend-stage", "--algebra", algebra_files["two"], "--depth", "2",
             "--max-atoms", "64", "--max-triples", "100000"]
     with subprocess.Popen(
@@ -391,9 +400,28 @@ def test_reader_leaving_early_is_a_broken_pipe(algebra_files):
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
         err = proc.stderr.read().decode()
-        code = proc.wait(timeout=60)
+        return proc.wait(timeout=60), err
+
+
+def test_reader_leaving_early_is_a_broken_pipe(algebra_files):
+    """Unbuffered, stdout's text layer drops the count of a short write; a
+    reader that closes the pipe after 10 bytes must still get exit 2 and
+    the broken pipe on stderr, not exit 0 with the output cut."""
+    code, err = _leave_after_ten_bytes(algebra_files, dict(os.environ, PYTHONUNBUFFERED="1"))
     assert code == 2, err
     assert "Broken pipe" in err
+
+
+def test_buffered_reader_leaving_mid_stream_is_a_broken_pipe(algebra_files):
+    """Buffered, the text streams through stdout's buffer piece by piece; a
+    reader that closes the pipe after 10 bytes must get exit 2 and the
+    broken pipe on stderr, and the interpreter must have nothing left to
+    flush at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    code, err = _leave_after_ten_bytes(algebra_files, env)
+    assert code == 2, err
+    assert "Broken pipe" in err
+    assert "Exception ignored" not in err
 
 
 def test_buffered_short_answer_to_a_gone_reader_is_a_broken_pipe(algebra_files):

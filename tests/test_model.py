@@ -24,7 +24,7 @@ from bdm.solver import (
     sigma_consistent_triples,
     triple_of_element,
 )
-from bdm.textio import format_stage, stage_json
+from bdm.textio import stages_json_text, stages_text
 
 from corpus import all_bases, atoms
 
@@ -139,9 +139,9 @@ def test_stages_build_and_print_without_per_row_objects(monkeypatch):
 
         monkeypatch.setattr(cls, name, staticmethod(counted))
     chain = build_chain(TWO, 2, Caps(max_atoms=64, max_depth=4, max_triples=10**5))
-    for stage in chain:
-        format_stage(stage)
-        stage_json(stage)
+    for render in (stages_text, stages_json_text):
+        for _ in render(chain):
+            pass
     assert len(chain[1].rows) == 50625
     assert len(made) < 1000
 

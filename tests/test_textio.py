@@ -1,12 +1,21 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdm.algebra import FOUR, Element, FiniteAlgebra, TWO, generated_subalgebra, twist_product
+from bdm.algebra import (
+    FOUR,
+    Element,
+    FiniteAlgebra,
+    TWO,
+    generated_subalgebra,
+    sorted_atoms,
+    twist_product,
+)
 from bdm.errors import ParseError
 from bdm import textio
 from bdm.model import EcStage, build_chain, ec_stage
@@ -25,12 +34,28 @@ from bdm.textio import (
     parse_element,
     parse_refinement,
     parse_triple,
-    stage_json,
     stages_json_text,
+    stages_text,
     triple_json,
 )
 
-from corpus import atoms, random_algebra
+from corpus import all_bases, atoms, random_algebra
+
+
+def stage_json(stage: EcStage) -> dict:
+    """The JSON value of one stage, as stages_json_text prints it: the
+    reference its pieces are checked against."""
+    return {
+        "realized": [
+            {
+                "triple": {"I1": sorted_atoms(m1), "I2": sorted_atoms(m2), "I3": sorted_atoms(m3)},
+                "element": sorted_atoms(u),
+            }
+            for m1, m2, m3, u in stage.rows
+        ],
+        "algebra": algebra_json(stage.algebra),
+        "cells": [sorted_atoms(m) for m in stage.embedding.cell_masks],
+    }
 
 
 def test_algebra_round_trip():
@@ -128,8 +153,8 @@ def test_stage_dump_matches_line_printers():
 
 @pytest.mark.parametrize("base", [FOUR, FiniteAlgebra(3, (1, 3, 2))], ids=["four", "three"])
 def test_stage_json_matches_row_printers(base):
-    """stage_json converts each repeated triple mask once, and gives what
-    triple_json and element_json give one realizer at a time."""
+    """The reference stage_json gives what triple_json and element_json give
+    one realizer at a time, with triple masks that repeat."""
     stage = ec_stage(base, Caps(max_atoms=64, max_depth=4, max_triples=10**6))
     masks = [m for row in stage.rows for m in row[:3]]
     assert len(set(masks)) < len(masks)
@@ -148,13 +173,60 @@ def test_stage_json_matches_row_printers(base):
 )
 def test_stages_json_text_is_the_json_of_stage_json(monkeypatch, base, depth):
     """The pieces join to the line json.dumps prints for stage_json, and a
-    stage comes in one piece per _JSON_ROWS rows, plus its head and tail."""
-    monkeypatch.setattr(textio, "_JSON_ROWS", 1000)
+    stage comes in one piece per _PIECE_ROWS rows, plus its head and tail."""
+    monkeypatch.setattr(textio, "_PIECE_ROWS", 1000)
     chain = build_chain(base, depth, Caps(max_atoms=64, max_depth=4, max_triples=10**5))
     pieces = list(stages_json_text(chain))
     expected = json.dumps({"stages": [stage_json(s) for s in chain]}, sort_keys=True) + "\n"
     assert "".join(pieces) == expected
     assert len(pieces) == 2 + sum(2 + math.ceil(len(s.rows) / 1000) for s in chain)
+
+
+DEPTH_TWO_CAPS = Caps(max_atoms=64, max_depth=4, max_triples=10**5)
+
+
+# the second stage over the two-atom base with the identity involution has
+# 2,562,890,625 consistent triples, past any cap
+@pytest.mark.parametrize(
+    "base, depth",
+    [(b, d) for b in all_bases(2) for d in (1, 2) if (b.sigma, d) != ((1, 2), 2)],
+)
+def test_stages_text_pieces_join_to_format_stage(monkeypatch, base, depth):
+    """The pieces are a `stage i` line, then format_stage's text of the
+    stage in one piece per _PIECE_ROWS rows, plus the extension lines."""
+    chain = build_chain(base, depth, DEPTH_TWO_CAPS)
+    expected = "".join(f"stage {i}\n{format_stage(s)}" for i, s in enumerate(chain, start=1))
+    monkeypatch.setattr(textio, "_PIECE_ROWS", 1000)
+    pieces = list(stages_text(chain))
+    assert "".join(pieces) == expected
+    assert len(pieces) == sum(2 + math.ceil(len(s.rows) / 1000) for s in chain)
+
+
+@pytest.mark.parametrize(
+    "render, row_start",
+    [(stages_text, "realized "), (stages_json_text, '{"element": ')],
+    ids=["text", "json"],
+)
+def test_no_piece_holds_more_than_4096_rows(render, row_start):
+    chain = build_chain(TWO, 2, DEPTH_TWO_CAPS)
+    rows = [piece.count(row_start) for piece in render(chain)]
+    assert sum(rows) == 7 + 50625
+    assert max(rows) == 4096
+
+
+@pytest.mark.parametrize("render", [stages_text, stages_json_text], ids=["text", "json"])
+def test_rendering_depth_two_holds_one_piece_at_a_time(render):
+    """The stages over 2 print 4.9 MB of text (7.4 MB as JSON); taking the
+    pieces one by one, with the stages already built, stays under 4 MB."""
+    chain = build_chain(TWO, 2, DEPTH_TWO_CAPS)
+    tracemalloc.start()
+    try:
+        for _ in render(chain):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def ref_set(atoms) -> str:
