@@ -112,21 +112,59 @@ def _restore(cls, values):
 
 class Value(Frozen):
     """A Frozen object equal to another of its own class with equal fields,
-    hashed by its fields and printed as Class(field=value, ...)."""
+    hashed by its fields and printed as Class(field=value, ...).
+
+    A field may hold another Value, so a formula is a tree of them as deep
+    as the parser allows.  Equality, hash and repr walk such trees with an
+    explicit stack, not one call per level.  Equality and repr give what
+    comparing or printing the tuple of fields would give; the hash is that
+    of the tuple of fields with each Value field replaced by its hash."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        pairs = [(self, other)]
+        for a, b in pairs:  # grows while it is read
+            for x, y in zip(a._fields(), b._fields()):
+                if x is y:
+                    continue
+                if isinstance(x, Value):
+                    if y.__class__ is not x.__class__:
+                        return False
+                    pairs.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
     def __hash__(self):
-        return hash(self._fields())
+        nodes = [(self, self._fields())]
+        for _, fields in nodes:  # grows while it is read: each node after its parent
+            nodes.extend((f, f._fields()) for f in fields if isinstance(f, Value))
+        hashes: dict[int, int] = {}  # id of a node -> its hash
+        for node, fields in reversed(nodes):
+            hashes[id(node)] = hash(tuple([hashes.get(id(f), f) for f in fields]))
+        return hashes[id(self)]
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        out = []
+        stack: list = [self]  # Values still to print, and text already made
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for k, name in enumerate(item.__slots__):
+                value = getattr(item, name)
+                pieces.append(f"{', ' if k else ''}{name}=")
+                # a Value printed its own way (a Triple, a refinement) is text
+                walk = value.__class__.__repr__ is Value.__repr__
+                pieces.append(value if walk else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
 
 class FiniteAlgebra(Frozen):
@@ -299,7 +337,7 @@ class Element(Frozen):
         return self.mask == self.algebra.full_mask
 
     def _require_same(self, other: "Element"):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("elements belong to different algebras")
 
     def join(self, other: "Element") -> "Element":
@@ -365,14 +403,14 @@ class AtomRefinement(Value):
         return out
 
     def map_element(self, e: Element) -> Element:
-        if e.algebra != self.source:
+        if e.algebra is not self.source and e.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
         return Element.from_mask(self.target, self.map_mask(e.mask))
 
     def preimage(self, e: Element) -> Optional[Element]:
         """The unique source element mapping to e, or None when e is not a
         union of cells."""
-        if e.algebra != self.target:
+        if e.algebra is not self.target and e.algebra != self.target:
             raise ValueError("element does not belong to the target algebra")
         src = 0
         rest = e.mask
@@ -415,7 +453,7 @@ def identity_refinement(alg: FiniteAlgebra) -> AtomRefinement:
 
 def compose_refinements(r1: AtomRefinement, r2: AtomRefinement) -> AtomRefinement:
     """The composite refinement of r1: A -> B and r2: B -> C."""
-    if r1.target != r2.source:
+    if r1.target is not r2.source and r1.target != r2.source:
         raise ValueError("refinements do not compose: target/source mismatch")
     cells = tuple(r2.map_mask(c) for c in r1.cell_masks)
     return AtomRefinement.from_masks(r1.source, r2.target, cells)
@@ -449,7 +487,7 @@ def generated_subalgebra(
     """
     splitters: list[int] = []
     for e in elems:
-        if e.algebra != alg:
+        if e.algebra is not alg and e.algebra != alg:
             raise ValueError("generator does not belong to the algebra")
         splitters.append(e.mask)
         splitters.append(alg.sigma_mask(e.mask))

@@ -15,14 +15,20 @@ output inside the `try` around the handler, so a command that fails
 prints nothing to stdout, and a failed write (a closed pipe) exits 2 like
 any other OSError.  After a broken pipe stdout is pointed at the null
 device, so the interpreter's own flush at exit has nothing left to fail
-on.
+on.  `json` is imported only for a `--json` answer.
+
+A `bdm` process, the console script or `python -m bdm.cli`, starts in
+`run`, which freezes the objects made by the imports (`gc.freeze`) before
+calling `main`, so no collection walks them again, the interpreter's own
+at exit included.  `main(argv)` called in process leaves the collector as
+it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -392,6 +398,8 @@ def main(argv=None) -> int:
     try:
         code, out = args.func(args)
         if isinstance(out, dict):
+            import json  # deferred: only --json answers need it
+
             out = [json.dumps(out, sort_keys=True) + "\n"]
         elif isinstance(out, str):
             out = [out]
@@ -422,5 +430,12 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> int:
+    """The `bdm` process: freeze the import-time objects, then main() on
+    sys.argv (see the module docstring)."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -123,7 +123,7 @@ def element_type_scan(r: AtomRefinement) -> Iterator[tuple]:
 def _realizers(r: AtomRefinement, t: Triple) -> Iterator[Element]:
     """The elements of the target whose zero pattern over the source is
     exactly t, in ascending bitmask order, scanned one chunk at a time."""
-    if t.algebra != r.source:
+    if t.algebra is not r.source and t.algebra != r.source:
         raise ValueError("triple is not over the refinement source")
     target = r.target
     for elements, *tables in element_type_scan(r):

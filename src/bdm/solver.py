@@ -122,7 +122,7 @@ def is_sigma_consistent(t: Triple) -> bool:
 def triple_of_element(r: AtomRefinement, u: Element) -> Triple:
     """The type of u over the source of r: which source atoms annihilate
     u.u~, u.u* and u'.u~."""
-    if u.algebra != r.target:
+    if u.algebra is not r.target and u.algebra != r.target:
         raise ValueError("element does not live in the refinement target")
     full = r.target.full_mask
     x = u.mask
@@ -143,7 +143,7 @@ def triple_of_element(r: AtomRefinement, u: Element) -> Triple:
 
 def holds_phi(r: AtomRefinement, t: Triple, u: Element) -> bool:
     """Whether u realizes exactly the zero pattern demanded by t."""
-    if t.algebra != r.source:
+    if t.algebra is not r.source and t.algebra != r.source:
         raise ValueError("triple is not over the refinement source")
     return triple_of_element(r, u) == t
 
@@ -152,7 +152,7 @@ def refine_triple(r: AtomRefinement, t: Triple) -> Triple:
     """Transport a triple along a refinement by replacing each atom with its
     cell.  Consistency is preserved, and any element realizing the refined
     triple realizes the original one."""
-    if t.algebra != r.source:
+    if t.algebra is not r.source and t.algebra != r.source:
         raise ValueError("triple is not over the refinement source")
     return Triple.from_masks(
         r.target, r.map_mask(t.m1), r.map_mask(t.m2), r.map_mask(t.m3)

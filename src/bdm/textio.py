@@ -23,9 +23,9 @@ byte-stable.
 
 from __future__ import annotations
 
-import json
 import re
 from itertools import starmap
+from operator import getitem
 from typing import Iterator
 
 from .algebra import AtomRefinement, Element, FiniteAlgebra, format_mask, sorted_atoms
@@ -202,28 +202,35 @@ def format_witness(w: Witness) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _memo(convert):
-    """convert, remembering its result for each argument seen."""
-    seen: dict = {}
+class _Memo(dict):
+    """convert(key) for each key looked up, made on first use; a key seen
+    before is one dict lookup."""
 
-    def lookup(key):
-        out = seen.get(key)
-        if out is None:
-            out = seen[key] = convert(key)
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, key):
+        out = self[key] = self.convert(key)
         return out
-
-    return lookup
 
 
 def _atom_text(sep: str):
     """A function giving the atoms of a mask as decimals joined by sep.
-    Masks in a stage are read a byte at a time, and the text of each
-    (byte index, byte) is made once per _atom_text call."""
-    chunk = _memo(lambda c: sep.join(map(str, sorted_atoms(c[1] << 8 * c[0]))))
+    A mask is read a byte at a time, and each byte position has a table
+    of the text of its byte values, made on first use, "" for a zero
+    byte; so a mask's text is one lookup per byte and a join."""
+    tables: list[_Memo] = []  # tables[k][b]: the text of byte b at position k
+
+    def byte_text(shift: int):
+        return lambda b: sep.join(map(str, sorted_atoms(b << shift)))
 
     def text(u: int) -> str:
-        data = enumerate(u.to_bytes((u.bit_length() + 7) // 8, "little"))
-        return sep.join([chunk(c) for c in data if c[1]])
+        data = u.to_bytes((u.bit_length() + 7) // 8, "little")
+        while len(tables) < len(data):
+            tables.append(_Memo(byte_text(8 * len(tables))))
+        return sep.join(filter(None, map(getitem, tables, data)))
 
     return text
 
@@ -247,14 +254,14 @@ def _stage_text(stage: EcStage) -> Iterator[str]:
     the stage prints a line per consistent triple, so each distinct triple
     mask is formatted once per stage.  Realizers are all distinct: each
     prints as the text of its nonzero bytes (see _atom_text)."""
-    triple_set = _memo(format_mask)
+    triple_set = _Memo(format_mask)
     atoms = _atom_text(",")
     full = stage.algebra.full_mask
 
     def row(m1: int, m2: int, m3: int, u: int) -> str:
         element = "0" if not u else "1" if u == full else "{" + atoms(u) + "}"
-        return (f"realized I1={triple_set(m1)} I2={triple_set(m2)} "
-                f"I3={triple_set(m3)} -> {element}\n")
+        return (f"realized I1={triple_set[m1]} I2={triple_set[m2]} "
+                f"I3={triple_set[m3]} -> {element}\n")
 
     yield from _row_pieces(stage.rows, row)
     yield "\n".join(extension_lines(stage.embedding)) + "\n"
@@ -319,6 +326,8 @@ def stages_json_text(stages: list[EcStage]) -> Iterator[str]:
     Rows are written from their masks by the loop format_stage uses, each
     distinct triple mask once per stage; the rest of a stage goes through
     json.dumps."""
+    import json  # deferred: only --json answers need it
+
     yield '{"stages": ['
     for k, stage in enumerate(stages):
         # "realized" sorts after "algebra" and "cells", so it closes the object
@@ -328,11 +337,11 @@ def stages_json_text(stages: list[EcStage]) -> Iterator[str]:
         )
         yield (", " if k else "") + head[:-1] + ', "realized": ['
         atoms = _atom_text(", ")
-        triple_set = _memo(lambda m: "[" + atoms(m) + "]")
+        triple_set = _Memo(lambda m: "[" + atoms(m) + "]")
 
         def row(m1: int, m2: int, m3: int, u: int) -> str:
-            return (f'{{"element": [{atoms(u)}], "triple": {{"I1": {triple_set(m1)}, '
-                    f'"I2": {triple_set(m2)}, "I3": {triple_set(m3)}}}}}')
+            return (f'{{"element": [{atoms(u)}], "triple": {{"I1": {triple_set[m1]}, '
+                    f'"I2": {triple_set[m2]}, "I3": {triple_set[m3]}}}}}')
 
         yield from _row_pieces(stage.rows, row, ", ")
         yield "]}"

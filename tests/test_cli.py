@@ -1,14 +1,22 @@
+import gc
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdm.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -740,3 +748,156 @@ def test_every_subcommand_bytes(capsys, algebra_files, three_file, tmp_path):
         runs = [run(capsys, *argv, *flags) for flags in ([], ["--json"])]
         got.append(tuple((code, hashlib.sha256(out.encode()).hexdigest()) for code, out, _ in runs))
     assert got == GOLDEN
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys, algebra_files):
+    """Only the `bdm` process freezes its heap; a caller of main() keeps
+    its collector as it was."""
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, "check", "--algebra", algebra_files["four"])[0] == 0
+    assert run(capsys, "check", "--algebra", algebra_files["four"], "--json")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("route", ["run", "-m"])
+def test_bdm_process_runs_with_a_frozen_heap(algebra_files, route):
+    """Both ways into a `bdm` process, the console script's bdm.cli.run and
+    `python -m bdm.cli`, freeze the import-time objects before main()."""
+    if route == "run":
+        script = ("import gc, sys, bdm.cli\n"
+                  "bdm.cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+                  "sys.exit(bdm.cli.run())\n")
+    else:
+        script = ("import gc, runpy, sys\n"
+                  "sys.argv = ['bdm', 'check', '--algebra', sys.argv[1]]\n"
+                  "try:\n"
+                  "    runpy.run_module('bdm.cli', run_name='__main__')\n"
+                  "except SystemExit as e:\n"
+                  "    assert e.code == 0, e.code\n"
+                  "print(gc.get_freeze_count())\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script, algebra_files["four"]],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) > 0
+    assert 'bdm = "bdm.cli:run"' in (ROOT / "pyproject.toml").read_text()
+
+
+# The exit-code contract under mutated inputs.  "@name" stands for a file
+# holding (a mutation of) CONTRACT_FILES[name]; an Operand may be mutated.
+
+class Operand(str):
+    pass
+
+
+CONTRACT_FILES = {
+    "two.alg": "atoms 1\nsigma 1\n",
+    "four.alg": "atoms 2\nsigma 2 1\nname four\n",
+    "three.alg": "atoms 3\nsigma 1 3 2\n",
+    "emb.ref": "source atoms 1\nsource sigma 1\ntarget atoms 2\ntarget sigma 2 1\ncell 1: {1,2}\n",
+}
+
+CAPS = ["--max-atoms", "16", "--max-triples", "500"]
+
+CONTRACT_COMMANDS = [
+    ["check", "--algebra", "@four.alg"],
+    ["consistent", "--algebra", "@four.alg", Operand("I1={1,2} I2={1,2} I3={}")],
+    ["witness", "--algebra", "@three.alg", Operand("I1={1} I2={2,3} I3={2,3}")],
+    ["witness", "--via", "power4", "--algebra", "@four.alg", Operand("I1={} I2={} I3={}")],
+    ["decide", "--algebra", "@two.alg", *CAPS, Operand("exists x. (~x = x & x != 0 & x != 1)")],
+    ["decide", "--algebra", "@four.alg", *CAPS, "--let", Operand("p={1}"),
+     Operand("forall x. (exists y. (y . p = x . p* & y != x))")],
+    ["type-of", "--algebra", "@two.alg", Operand("{1}"), "--embedding", "@emb.ref"],
+    ["trivial", "--algebra", "@four.alg", Operand("I1={2} I2={1,2} I3={1,2}")],
+    ["realize", "--algebra", "@two.alg", Operand("I1={} I2={1} I3={1}"), "--count", "2"],
+    ["acl", "--algebra", "@two.alg", Operand("{1}"), "--embedding", "@emb.ref"],
+    ["equiv", Operand("~(x + y)"), Operand("~x . ~y")],
+    ["translate", Operand("y . (x . x*) = 0"), "--to", "dm"],
+    ["amalgamate", "--left", "@emb.ref", "--right", "@emb.ref"],
+    ["extend-stage", "--algebra", "@two.alg", "--max-atoms", "16", "--max-triples", "2000"],
+    ["oracle", "realizations", "--algebra", "@four.alg", Operand("I1={1,2} I2={1,2} I3={}")],
+    ["oracle", "witness", "--algebra", "@four.alg", Operand("I1={} I2={} I3={}"),
+     "--max-atoms", "8"],
+    ["oracle", "trivial", "--algebra", "@two.alg", Operand("I1={} I2={1} I3={1}")],
+]
+
+# what a mutation inserts: one character or one token of some input syntax
+PIECES = list("0123{},=.+*'~!&|()-> xyp#\n") + [
+    "I1=", "I3=", "exists y. ", "forall x. ", "atoms ", "sigma ", "cell 1: ", "name ",
+    "source ", "target ", "{1,2}", "99",
+]
+# characters a mutation swaps for another of their class, mostly keeping the
+# input well formed (the k of a triple's Ik stays)
+CLASSES = ["12", "xy", "+.", "'*~", "&|"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """text after one to three random edits: a character swapped for one of
+    its class, a piece inserted or put in place of a character, a character
+    or a slice deleted, or a slice doubled."""
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        i = rng.randint(0, len(text))
+        j = rng.randint(i, min(len(text), i + 6))
+        edit = rng.randrange(8)
+        swappable = [k for k, c in enumerate(text)
+                     if any(c in cls for cls in CLASSES) and text[k - 1:k] != "I"]
+        if edit < 4 and swappable:
+            k = rng.choice(swappable)
+            cls = next(cls for cls in CLASSES if text[k] in cls)
+            text = text[:k] + rng.choice(cls) + text[k + 1:]
+        elif edit < 5:
+            text = text[:i] + rng.choice(PIECES) + text[i:]
+        elif edit < 6:
+            text = text[:i] + rng.choice(PIECES) + text[i + 1:]
+        elif edit < 7:
+            text = text[:i] + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_exit_code_contract_under_mutated_inputs(contract_dir, seed):
+    """Whatever the operands and files hold, main exits 0, 1, 2 or 3, never
+    4; exits 2 and 3 print nothing to stdout; and a --json answer parses."""
+    rng = random.Random(seed)
+    template = rng.choice(CONTRACT_COMMANDS)
+    # one input is mutated, an operand three times in four where there is one
+    operands = [k for k, a in enumerate(template) if isinstance(a, Operand)]
+    files = [k for k, a in enumerate(template) if a[0] == "@"]
+    chosen = rng.choice(operands if operands and rng.random() < 0.75 else operands + files)
+    argv = []
+    for k, arg in enumerate(template):
+        if arg[0] == "@":
+            text = CONTRACT_FILES[arg[1:]]
+            path = contract_dir / arg[1:]
+            path.write_text(mutate(rng, text) if k == chosen else text)
+            arg = str(path)
+        elif k == chosen:
+            arg = mutate(rng, arg)
+            if arg.startswith("-"):
+                arg = " " + arg  # still an operand to argparse; every reader strips it
+        argv.append(str(arg))
+    if rng.random() < 0.5:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+    out = out.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code >= 2:
+        assert out == "", argv
+    elif "--json" in argv and out:
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        json.loads(out)

@@ -77,3 +77,29 @@ def test_cli_start_imports_no_dataclasses():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def _json_imports(tmp_path, *flags):
+    """stdout of `python -S -X importtime -m bdm.cli check` over four, and
+    the json modules it imported (-S: no site module may import json first)."""
+    alg = tmp_path / "four.alg"
+    alg.write_text("atoms 2\nsigma 2 1\n")
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "bdm.cli",
+         "check", "--algebra", str(alg), *flags],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    return done.stdout, [m for m in modules if m == "json" or m.startswith("json.")]
+
+
+def test_cli_loads_json_only_for_json_answers(tmp_path):
+    """A command without --json never imports json; with it, the answer is
+    the same one line of JSON with sorted keys."""
+    out, loaded = _json_imports(tmp_path)
+    assert (out, loaded) == ("atoms 2\nsigma 2 1\n", [])
+    out, loaded = _json_imports(tmp_path, "--json")
+    assert out == '{"atoms": 2, "sigma": [2, 1]}\n'
+    assert "json" in loaded

@@ -289,3 +289,28 @@ def test_printers_match_frozenset_reference(seed, max_n, density):
         "algebra": {"atoms": ext.n, "sigma": list(ext.sigma)},
         "cells": [sorted(c) for c in cells],
     }
+
+
+# masks of up to 136 bits, about half of their bytes zero, so zero bytes
+# fall between nonzero ones
+MASKS = st.lists(st.one_of(st.just(0), st.integers(0, 255)), max_size=17).map(
+    lambda data: int.from_bytes(bytes(data), "little")
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(MASKS, min_size=1, max_size=20))
+def test_atom_text_matches_sorted_atoms(masks):
+    """One _atom_text function, with its per-byte tables made on first use
+    and kept across masks of different widths, joins each mask's atoms."""
+    for sep in (",", ", "):
+        text = textio._atom_text(sep)
+        for u in masks + masks[::-1]:
+            assert text(u) == sep.join(map(str, sorted_atoms(u)))
+
+
+def test_memo_converts_each_key_once():
+    calls = []
+    memo = textio._Memo(lambda key: calls.append(key) or key * 2)
+    assert [memo[k] for k in (3, 4, 3, 3, 4)] == [6, 8, 6, 6, 8]
+    assert calls == [3, 4]

@@ -259,3 +259,48 @@ def test_values_survive_pickle_and_copy():
     for back in (pickle.loads(pickle.dumps(stage)), copy.deepcopy(stage)):
         assert back.embedding == stage.embedding and back.rows == stage.rows
         assert back.realizers == stage.realizers
+
+
+# the deepest trees the parser accepts: 500 levels, a formula's relation
+# being one of them
+DEEP = [
+    ("~" * 499 + "x", "DMNeg(arg=" * 499 + "Var(name='x')" + ")" * 499),
+    ("x" + "'" * 499, "BNeg(arg=" * 499 + "Var(name='x')" + ")" * 499),
+    ("!" * 498 + "x = y", "Not(arg=" * 498 + repr(EQ) + ")" * 498),
+    (" -> ".join(["x = y"] * 499),
+     f"Implies(left={EQ!r}, right=" * 498 + repr(EQ) + ")" * 498),
+]
+
+
+@pytest.mark.parametrize("text, shown", DEEP, ids=["~", "'", "!", "->"])
+def test_trees_at_the_depth_bound_are_values(text, shown):
+    parse = parse_term if "=" not in text else parse_formula
+    a, b = parse(text), parse(text)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) and {a: 1}[b] == 1
+    assert repr(a) == shown
+    # the same shape with y in place of the last x differs only at a leaf
+    k = text.rindex("x")
+    other = parse(text[:k] + "y" + text[k + 1:])
+    assert a != other and not a == other
+    assert repr(other) != shown
+
+
+def test_hand_built_trees_past_the_depth_bound_are_values():
+    """Equality, hash and repr take no call per level, so a tree built
+    without the parser may be deeper than any bound."""
+    def tower(leaf, levels=5000):
+        t = leaf
+        for k in range(levels):
+            t = (DMNeg, Star)[k % 2](t)
+        return t
+
+    a, b = tower(X), tower(Var("x"))
+    assert a == b and hash(a) == hash(b)
+    assert a != tower(Y) and a != tower(X, 4999)
+    assert repr(a) == "".join(
+        f"{('DMNeg', 'Star')[k % 2]}(arg=" for k in reversed(range(5000))
+    ) + "Var(name='x')" + ")" * 5000
+    f = ForAll("x", Equal(a, X))
+    assert f == ForAll("x", Equal(b, X)) != ForAll("x", Equal(tower(Y), X))
