@@ -40,7 +40,6 @@ from .solver import (
     Witness,
     count_sigma_consistent,
     decide,
-    holds_phi,
     in_acl,
     is_sigma_consistent,
     is_trivial,

@@ -31,7 +31,9 @@ their 1-based atom indices.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
+
+from .errors import CapExceeded
 
 _new = object.__new__
 _set = object.__setattr__
@@ -205,9 +207,6 @@ class FiniteAlgebra(Frozen):
     def __repr__(self):
         return f"FiniteAlgebra(n={self.n}, sigma={self.sigma})"
 
-    def sigma_of(self, i: int) -> int:
-        return self.sigma[i - 1]
-
     def sigma_mask(self, mask: int) -> int:
         """The star image of an atom mask.
 
@@ -247,11 +246,6 @@ class FiniteAlgebra(Frozen):
             raise ValueError(f"atom index {i} out of range 1..{self.n}")
         return Element.from_mask(self, 1 << (i - 1))
 
-    def elements(self) -> Iterator["Element"]:
-        """All 2^n elements in ascending bitmask order (bit i-1 = atom i)."""
-        for mask in range(1 << self.n):
-            yield Element.from_mask(self, mask)
-
     def sigma_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of sigma on atoms, each sorted, in order of least member."""
         seen = set()
@@ -259,7 +253,7 @@ class FiniteAlgebra(Frozen):
         for i in self.atom_indices:
             if i in seen:
                 continue
-            j = self.sigma_of(i)
+            j = self.sigma[i - 1]
             orbit = (i,) if j == i else (i, j)
             seen.update(orbit)
             orbits.append(orbit)
@@ -291,7 +285,7 @@ def is_four_power_shaped(alg: FiniteAlgebra) -> bool:
     if alg.n % 2:
         return False
     m = alg.n // 2
-    return all(alg.sigma_of(i) == m + i for i in range(1, m + 1))
+    return all(alg.sigma[i - 1] == m + i for i in range(1, m + 1))
 
 
 class Element(Frozen):
@@ -327,36 +321,6 @@ class Element(Frozen):
 
     def __repr__(self):
         return f"Element({format_mask(self.mask)} of n={self.algebra.n})"
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.mask
-
-    @property
-    def is_one(self) -> bool:
-        return self.mask == self.algebra.full_mask
-
-    def _require_same(self, other: "Element"):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise ValueError("elements belong to different algebras")
-
-    def join(self, other: "Element") -> "Element":
-        self._require_same(other)
-        return Element.from_mask(self.algebra, self.mask | other.mask)
-
-    def meet(self, other: "Element") -> "Element":
-        self._require_same(other)
-        return Element.from_mask(self.algebra, self.mask & other.mask)
-
-    def bneg(self) -> "Element":
-        return Element.from_mask(self.algebra, self.mask ^ self.algebra.full_mask)
-
-    def star(self) -> "Element":
-        return Element.from_mask(self.algebra, self.algebra.sigma_mask(self.mask))
-
-    def dmneg(self) -> "Element":
-        alg = self.algebra
-        return Element.from_mask(alg, alg.sigma_mask(self.mask) ^ alg.full_mask)
 
 
 class AtomRefinement(Value):
@@ -508,6 +472,10 @@ def generated_subalgebra(
     return sub, AtomRefinement.from_masks(sub, alg, tuple(blocks))
 
 
+# The most atoms amalgamate or solver.realizations builds (2^16 take ~0.1 s)
+MAX_REALIZATION_ATOMS = 1 << 16
+
+
 def amalgamate(
     r1: AtomRefinement, r2: AtomRefinement
 ) -> tuple[FiniteAlgebra, AtomRefinement, AtomRefinement]:
@@ -516,20 +484,25 @@ def amalgamate(
     For r1: A -> B1 and r2: A -> B2 the result is the fibered product C whose
     atoms are the pairs (q, r) of B1- and B2-atoms lying over the same A-atom,
     with star acting componentwise, plus refinements s1: B1 -> C and
-    s2: B2 -> C satisfying s1 . r1 = s2 . r2 as element maps.
+    s2: B2 -> C satisfying s1 . r1 = s2 . r2 as element maps.  C has
+    sum |c1_i| * |c2_i| atoms over the cells of the A-atoms i; above
+    MAX_REALIZATION_ATOMS, CapExceeded is raised before any is built.
     """
     if r1.source != r2.source:
         raise ValueError("amalgamation needs a shared source algebra")
+    cells = tuple(zip(r1.cell_masks, r2.cell_masks))
+    size = sum(c1.bit_count() * c2.bit_count() for c1, c2 in cells)
+    if size > MAX_REALIZATION_ATOMS:
+        raise CapExceeded(f"the amalgam needs {size} atoms, cap is {MAX_REALIZATION_ATOMS}")
     pairs = sorted(
         (q, r)
-        for c1, c2 in zip(r1.cell_masks, r2.cell_masks)
+        for c1, c2 in cells
         for q in sorted_atoms(c1)
         for r in sorted_atoms(c2)
     )
     index = {p: k for k, p in enumerate(pairs, start=1)}
-    sigma = tuple(
-        index[(r1.target.sigma_of(q), r2.target.sigma_of(r))] for q, r in pairs
-    )
+    sigma1, sigma2 = r1.target.sigma, r2.target.sigma
+    sigma = tuple(index[(sigma1[q - 1], sigma2[r - 1])] for q, r in pairs)
     amalgam = FiniteAlgebra(len(pairs), sigma)
     cells1 = [0] * r1.target.n
     cells2 = [0] * r2.target.n

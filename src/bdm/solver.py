@@ -27,6 +27,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .algebra import (
+    MAX_REALIZATION_ATOMS,
     AtomRefinement,
     Element,
     FiniteAlgebra,
@@ -90,9 +91,6 @@ class Witness(Value):
 
     __slots__ = ("embedding", "element")
 
-    base = property(lambda self: self.embedding.source)
-    extension = property(lambda self: self.embedding.target)
-
 
 class Caps(Value):
     """Resource budgets: atoms per intermediate algebra, quantifier nesting,
@@ -139,13 +137,6 @@ def triple_of_element(r: AtomRefinement, u: Element) -> Triple:
         if not cell & p3:
             i3 |= 1 << k
     return Triple.from_masks(r.source, i1, i2, i3)
-
-
-def holds_phi(r: AtomRefinement, t: Triple, u: Element) -> bool:
-    """Whether u realizes exactly the zero pattern demanded by t."""
-    if t.algebra is not r.source and t.algebra != r.source:
-        raise ValueError("triple is not over the refinement source")
-    return triple_of_element(r, u) == t
 
 
 def refine_triple(r: AtomRefinement, t: Triple) -> Triple:
@@ -400,11 +391,6 @@ def in_acl(r: AtomRefinement, w: Element) -> bool:
     return is_trivial(triple_of_element(r, w)) is not None
 
 
-# Bound on the atoms of the extension realizations builds: n * 4^k over an
-# n-atom base, so three atoms allow k = 7 (49,152 atoms) but not k = 8.
-MAX_REALIZATION_ATOMS = 1 << 16
-
-
 def realizations(
     t: Triple, k: int
 ) -> tuple[FiniteAlgebra, AtomRefinement, list[Element]]:
@@ -417,6 +403,7 @@ def realizations(
     A round at most quadruples the atoms, so over an n-atom base the
     extension has at most n * 4^k atoms; when that bound exceeds
     MAX_REALIZATION_ATOMS nothing is built and CapExceeded is raised.
+    Three atoms thus allow k = 7 (49,152 atoms) but not k = 8.
     """
     if k < 1:
         raise ValueError("at least one realizer must be requested")

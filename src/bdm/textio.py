@@ -125,9 +125,9 @@ def parse_element(text: str, alg: FiniteAlgebra) -> Element:
 
 
 def format_element(e: Element) -> str:
-    if e.is_zero:
+    if not e.mask:
         return "0"
-    if e.is_one:
+    if e.mask == e.algebra.full_mask:
         return "1"
     return format_mask(e.mask)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 from bdm.algebra import AtomRefinement, Element, FiniteAlgebra, four_power
 from bdm.terms import (
@@ -25,6 +26,8 @@ from bdm.terms import (
     Star,
     Term,
     Var,
+    eval_term,
+    parse_term,
 )
 
 
@@ -32,6 +35,22 @@ def atoms(mask: int) -> frozenset[int]:
     """The atom set of a mask, bit i-1 for atom i: the one way the tests
     read an element, a cell or a triple part as a set."""
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def elements(alg: FiniteAlgebra) -> list[Element]:
+    """All 2^n elements of alg in ascending mask order (bit i-1 = atom i)."""
+    return [Element.from_mask(alg, mask) for mask in range(1 << alg.n)]
+
+
+_parsed_term = lru_cache(maxsize=None)(parse_term)
+
+
+def term_value(text: str, **env: Element) -> Element:
+    """The value of the term text with its names bound by env, in the
+    algebra of the first binding: the one way the tests apply the
+    operations to elements."""
+    alg = next(iter(env.values())).algebra
+    return eval_term(alg, _parsed_term(text), env)
 
 
 # A coordinate of a power of the four-element algebra as its two sides: bit
@@ -82,7 +101,7 @@ def refinements_between(source: FiniteAlgebra, target: FiniteAlgebra):
         if set(assign) != set(range(1, n + 1)):
             continue
         if any(
-            assign[target.sigma_of(j) - 1] != source.sigma_of(assign[j - 1])
+            assign[target.sigma[j - 1] - 1] != source.sigma[assign[j - 1] - 1]
             for j in range(1, m + 1)
         ):
             continue

@@ -19,17 +19,18 @@ from bdm.algebra import (
     is_four_power_shaped,
     twist_product,
 )
+from bdm.errors import CapExceeded
 from bdm.solver import Triple, witness_abstract
 
-from corpus import all_bases, atoms, random_algebra, random_refinement
+from corpus import all_bases, atoms, elements, random_algebra, random_refinement, term_value
 
 
 def test_new_algebra_four():
     alg = FiniteAlgebra(2, [2, 1])
     assert alg == FOUR
     a, b = alg.atom(1), alg.atom(2)
-    assert a.bneg() == b and b.bneg() == a
-    assert a.dmneg() == a and b.dmneg() == b
+    assert term_value("x'", x=a) == b and term_value("x'", x=b) == a
+    assert term_value("~x", x=a) == a and term_value("~x", x=b) == b
     assert atoms(alg.zero.mask) == frozenset() and atoms(alg.one.mask) == {1, 2}
 
 
@@ -47,33 +48,33 @@ def test_new_algebra_rejects_non_involution():
 
 
 def test_operation_examples():
-    a = FOUR.atom(1)
-    assert a.dmneg() == a
-    assert a.bneg() == FOUR.atom(2)
-    assert a.star() == FOUR.atom(2)
-    assert a.join(FOUR.atom(2)) == FOUR.one
-    assert a.meet(FOUR.atom(2)) == FOUR.zero
+    a, b = FOUR.atom(1), FOUR.atom(2)
+    assert term_value("~x", x=a) == a
+    assert term_value("x'", x=a) == b
+    assert term_value("x*", x=a) == b
+    assert term_value("x + y", x=a, y=b) == FOUR.one
+    assert term_value("x . y", x=a, y=b) == FOUR.zero
 
 
 def test_dmneg_involution_exhaustive_three_atoms():
     for sigma in [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2)]:
         alg = FiniteAlgebra(3, sigma)
-        for x in alg.elements():
-            assert x.dmneg().dmneg() == x
+        for x in elements(alg):
+            assert term_value("~~x", x=x) == x
 
 
 @pytest.mark.parametrize("alg", all_bases(4), ids=lambda a: f"n{a.n}-{a.sigma}")
 def test_bdm_laws_exhaustive(alg):
-    for x in alg.elements():
-        assert x.dmneg().dmneg() == x
-        assert x.join(x.bneg()) == alg.one
-        assert x.meet(x.bneg()) == alg.zero
-        assert x.bneg().dmneg() == x.dmneg().bneg()
-        assert x.star() == x.dmneg().bneg()
-        assert x.star().star() == x
-        for y in alg.elements():
-            assert x.join(y).dmneg() == x.dmneg().meet(y.dmneg())
-            assert x.meet(y).dmneg() == x.dmneg().join(y.dmneg())
+    for x in elements(alg):
+        assert term_value("~~x", x=x) == x
+        assert term_value("x + x'", x=x) == alg.one
+        assert term_value("x . x'", x=x) == alg.zero
+        assert term_value("~(x')", x=x) == term_value("(~x)'", x=x)
+        assert term_value("x*", x=x) == term_value("(~x)'", x=x)
+        assert term_value("x**", x=x) == x
+        for y in elements(alg):
+            assert term_value("~(x + y)", x=x, y=y) == term_value("~x . ~y", x=x, y=y)
+            assert term_value("~(x . y)", x=x, y=y) == term_value("~x + ~y", x=x, y=y)
 
 
 def test_four_power_layout():
@@ -102,13 +103,15 @@ def test_twist_of_four():
     assert r.cell(2) == {2, 3}
     # the induced map is x |-> (x, x~): check operation preservation on all
     # 16 pairs plus the image characterization
-    for x in FOUR.elements():
-        assert r.map_element(x.dmneg()) == r.map_element(x).dmneg()
-        assert r.map_element(x.bneg()) == r.map_element(x).bneg()
-        assert r.map_element(x.star()) == r.map_element(x).star()
-        for y in FOUR.elements():
-            assert r.map_element(x.join(y)) == r.map_element(x).join(r.map_element(y))
-            assert r.map_element(x.meet(y)) == r.map_element(x).meet(r.map_element(y))
+    for x in elements(FOUR):
+        fx = r.map_element(x)
+        assert r.map_element(term_value("~x", x=x)) == term_value("~x", x=fx)
+        assert r.map_element(term_value("x'", x=x)) == term_value("x'", x=fx)
+        assert r.map_element(term_value("x*", x=x)) == term_value("x*", x=fx)
+        for y in elements(FOUR):
+            fy = r.map_element(y)
+            assert r.map_element(term_value("x + y", x=x, y=y)) == term_value("x + y", x=fx, y=fy)
+            assert r.map_element(term_value("x . y", x=x, y=y)) == term_value("x . y", x=fx, y=fy)
 
 
 def test_twist_of_identity_sigma_three_atoms():
@@ -127,10 +130,13 @@ def test_embed_into_four_power_examples():
     alg = FiniteAlgebra(3, (2, 1, 3))
     ext, r = twist_product(alg)
     assert ext == four_power(3)
-    for x in alg.elements():
-        for y in alg.elements():
-            assert r.map_element(x.meet(y)) == r.map_element(x).meet(r.map_element(y))
-        assert r.map_element(x.dmneg()) == r.map_element(x).dmneg()
+    for x in elements(alg):
+        fx = r.map_element(x)
+        for y in elements(alg):
+            assert r.map_element(term_value("x . y", x=x, y=y)) == term_value(
+                "x . y", x=fx, y=r.map_element(y)
+            )
+        assert r.map_element(term_value("~x", x=x)) == term_value("~x", x=fx)
 
 
 def test_generated_subalgebra_empty_gives_two():
@@ -166,7 +172,7 @@ def test_amalgamate_two_copies_of_four():
     assert amalgam.n == 4
     assert all(len(o) == 2 for o in amalgam.sigma_orbits())
     # both squares commute
-    for x in TWO.elements():
+    for x in elements(TWO):
         assert s1.map_element(r.map_element(x)) == s2.map_element(r.map_element(x))
     # abstractly a square of the four-element algebra
     assert find_isomorphism_over(
@@ -188,7 +194,7 @@ def test_amalgamate_mixed_targets():
     r2 = AtomRefinement(TWO, FiniteAlgebra(2, (1, 2)), (frozenset({1, 2}),))
     amalgam, s1, s2 = amalgamate(r1, r2)
     assert amalgam.n == 4
-    for x in TWO.elements():
+    for x in elements(TWO):
         assert s1.map_element(r1.map_element(x)) == s2.map_element(r2.map_element(x))
 
 
@@ -197,6 +203,18 @@ def test_amalgamate_rejects_mismatched_sources():
     _, r2 = twist_product(FOUR)
     with pytest.raises(ValueError):
         amalgamate(r1, r2)
+
+
+def test_amalgamate_caps_its_atoms():
+    # |c1| * |c2| pairs over the one atom of 2
+    def onto(n):
+        return AtomRefinement.from_masks(TWO, FiniteAlgebra(n, range(1, n + 1)), ((1 << n) - 1,))
+
+    with pytest.raises(CapExceeded, match="^the amalgam needs 65792 atoms, cap is 65536$"):
+        amalgamate(onto(257), onto(256))
+    amalgam, s1, s2 = amalgamate(onto(256), onto(256))
+    assert amalgam.n == 1 << 16
+    assert s1.cell_masks[0] == (1 << 256) - 1 and s2.cell_masks[0].bit_count() == 256
 
 
 def test_find_isomorphism_identity_case():
@@ -254,13 +272,13 @@ def test_refinement_chain_invariants(seed):
         assert comp.cell(i) == atoms(r2.map_mask(r1.cell_masks[i - 1]))
     # the induced map preserves the operations and is injective
     seen = set()
-    for x in base.elements():
+    for x in elements(base):
         y = comp.map_element(x)
         assert y not in seen
         seen.add(y)
-        assert comp.map_element(x.dmneg()) == y.dmneg()
-        assert comp.map_element(x.star()) == y.star()
-        assert comp.map_element(x.bneg()) == y.bneg()
+        assert comp.map_element(term_value("~x", x=x)) == term_value("~x", x=y)
+        assert comp.map_element(term_value("x*", x=x)) == term_value("x*", x=y)
+        assert comp.map_element(term_value("x'", x=x)) == term_value("x'", x=y)
 
 
 def test_refinement_validation_errors():
@@ -286,6 +304,6 @@ def test_element_validation():
 
 def test_preimage():
     _, r = twist_product(FOUR)
-    for x in FOUR.elements():
+    for x in elements(FOUR):
         assert r.preimage(r.map_element(x)) == x
     assert r.preimage(r.target.atom(1)) is None

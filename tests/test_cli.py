@@ -318,6 +318,30 @@ def test_amalgamate(capsys, tmp_path):
     assert "left\n" in out and "right\n" in out
 
 
+def _onto(path, n):
+    """A refinement file of 2 onto n atoms that star fixes: one cell of
+    all n atoms."""
+    path.write_text(
+        f"source atoms 1\nsource sigma 1\ntarget atoms {n}\n"
+        f"target sigma {' '.join(map(str, range(1, n + 1)))}\n"
+        f"cell 1: {{{','.join(map(str, range(1, n + 1)))}}}\n"
+    )
+    return str(path)
+
+
+def test_amalgamate_over_the_atom_cap_builds_nothing(capsys, tmp_path, monkeypatch):
+    """257 * 256 atoms exceed the cap of 2^16: the command exits 3 with
+    nothing on stdout before it lists a single pair of atoms."""
+    def no_pairs(mask):
+        raise AssertionError("the amalgam's atoms were listed")
+
+    monkeypatch.setattr("bdm.algebra.sorted_atoms", no_pairs)
+    left, right = _onto(tmp_path / "left.ref", 257), _onto(tmp_path / "right.ref", 256)
+    code, out, err = run(capsys, "amalgamate", "--left", left, "--right", right)
+    assert (code, out) == (3, "")
+    assert err == "resource cap exceeded: the amalgam needs 65792 atoms, cap is 65536\n"
+
+
 def test_extend_stage(capsys, algebra_files):
     code, out, _ = run(
         capsys,

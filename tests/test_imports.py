@@ -1,15 +1,20 @@
-"""Every module imports only names it uses.
+"""What the package imports and exports.
 
-No linter is installed with the package, so the check walks each file's
-syntax tree: an imported name counts as used when it appears as a name
-anywhere in the same file.
+Every module imports only names it uses.  No linter is installed with the
+package, so the check walks each file's syntax tree: an imported name counts
+as used when it appears as a name anywhere in the same file.  The names
+`bdm` exports are pinned, and the README's library example runs.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
+
+import bdm
 
 ROOT = Path(__file__).resolve().parent.parent
 # src/bdm/__init__.py imports to re-export, so it is not scanned
@@ -103,3 +108,34 @@ def test_cli_loads_json_only_for_json_answers(tmp_path):
     out, loaded = _json_imports(tmp_path, "--json")
     assert out == '{"atoms": 2, "sigma": [2, 1]}\n'
     assert "json" in loaded
+
+
+def test_public_names():
+    """The names `bdm` exports, the submodules it has imported among them:
+    adding or removing one edits this list."""
+    assert sorted(bdm.__all__) == [
+        "AtomRefinement", "BdmError", "CASE1_ENTRIES", "CapExceeded", "Caps", "Case1Entry",
+        "EcStage", "Element", "FOUR", "FiniteAlgebra", "Formula", "IdentityCheck",
+        "InconsistentTripleError", "NoRealizerError", "ParseError", "TWO", "Term", "Triple",
+        "TrivialTripleError", "Witness", "algebra", "algebra_over", "all_realizations_in",
+        "amalgamate", "brute_force_trivial", "build_chain", "compose_refinements",
+        "count_sigma_consistent", "decide", "ec_stage", "errors", "eval_formula", "eval_term",
+        "find_isomorphism_over", "find_matching_element", "format_ast", "four_power",
+        "free_function_count", "free_vars", "generated_subalgebra", "identity_refinement",
+        "in_acl", "is_four_power_shaped", "is_sigma_consistent", "is_trivial", "model",
+        "oracle", "oracle_witness_search", "parse", "parse_formula", "parse_term",
+        "realizations", "refine_triple", "sigma_consistent_triples", "solver", "terms",
+        "translate_dm", "triple_of_element", "twist_product", "valid_identity",
+        "witness_abstract", "witness_via_four_power",
+    ]
+
+
+def test_readme_library_example():
+    """The `python` block under "Library example" runs and prints what its
+    comments say."""
+    section = ROOT.joinpath("README.md").read_text().split("## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = StringIO()
+    with redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue() == "2\nTrue\n"

@@ -67,6 +67,7 @@ from corpus import (
     random_qf,
     random_refinement,
     random_term,
+    term_value,
 )
 
 
@@ -125,11 +126,11 @@ def test_operations_match_frozenset_reference(data):
     a, b = data.draw(subsets(alg)), data.draw(subsets(alg))
     x, y = Element(alg, a), Element(alg, b)
     assert atoms(x.mask) == a and x.mask == sum(1 << (i - 1) for i in a)
-    assert atoms(x.join(y).mask) == a | b
-    assert atoms(x.meet(y).mask) == a & b
-    assert atoms(x.bneg().mask) == top(alg) - a
-    assert atoms(x.star().mask) == star(alg, a)
-    assert atoms(x.dmneg().mask) == top(alg) - star(alg, a)
+    assert atoms(term_value("x + y", x=x, y=y).mask) == a | b
+    assert atoms(term_value("x . y", x=x, y=y).mask) == a & b
+    assert atoms(term_value("x'", x=x).mask) == top(alg) - a
+    assert atoms(term_value("x*", x=x).mask) == star(alg, a)
+    assert atoms(term_value("~x", x=x).mask) == top(alg) - star(alg, a)
     assert atoms(alg.full_mask) == top(alg)
 
 

@@ -18,7 +18,6 @@ from bdm.solver import (
     count_sigma_consistent,
     four_power_base,
     four_power_blocks,
-    holds_phi,
     is_sigma_consistent,
     refine_triple,
     sigma_consistent_triples,
@@ -26,7 +25,7 @@ from bdm.solver import (
 )
 from bdm.textio import stages_json_text, stages_text
 
-from corpus import all_bases, atoms
+from corpus import all_bases, atoms, elements
 
 CAPS = Caps(max_atoms=64, max_depth=4, max_triples=10**6)
 
@@ -35,7 +34,7 @@ def test_stage_over_two_realizes_all_seven():
     stage = ec_stage(TWO, CAPS)
     assert len(stage.realizers) == 7
     for t, e in stage.realizers:
-        assert holds_phi(stage.embedding, t, e)
+        assert triple_of_element(stage.embedding, e) == t
     # lexicographic order of the record
     assert [t for t, _ in stage.realizers] == sigma_consistent_triples(TWO)
 
@@ -44,14 +43,14 @@ def test_stage_over_four_covers_tabulated_triples():
     stage = ec_stage(FOUR, CAPS)
     assert len(stage.realizers) == 15
     for t, e in stage.realizers:
-        assert holds_phi(stage.embedding, t, e)
+        assert triple_of_element(stage.embedding, e) == t
 
 
 @pytest.mark.parametrize("alg", all_bases(2), ids=lambda a: f"n{a.n}-{a.sigma}")
 def test_stage_realizes_every_triple(alg):
     stage = ec_stage(alg, CAPS)
     for t in sigma_consistent_triples(alg):
-        assert holds_phi(stage.embedding, t, stage.realizer(t))
+        assert triple_of_element(stage.embedding, stage.realizer(t)) == t
 
 
 @pytest.mark.parametrize(
@@ -171,7 +170,7 @@ def test_find_matching_element_sends_v_to_u():
     # an isomorphism over the base; only one of the two sends v to u
     stage = ec_stage(TWO, CAPS)
     rv = AtomRefinement(TWO, FiniteAlgebra(2, (1, 2)), [{1, 2}])
-    for v in rv.target.elements():
+    for v in elements(rv.target):
         u, iso = find_matching_element(stage, rv, v)
         assert _sends_v_to_u(rv, v, stage.embedding, u, iso), v
 

@@ -25,7 +25,6 @@ from bdm.oracle import (
 from bdm.solver import (
     Triple,
     block_layout,
-    holds_phi,
     is_trivial,
     sigma_consistent_triples,
     triple_of_element,
@@ -169,7 +168,7 @@ def test_oracle_witness_search_case1_triples():
     for t in sigma_consistent_triples(FOUR):
         w = oracle_witness_search(t, max_atoms=8)
         assert w is not None
-        assert holds_phi(w.embedding, t, w.element)
+        assert triple_of_element(w.embedding, w.element) == t
 
 
 def test_oracle_witness_search_inconsistent_absent():
@@ -179,7 +178,7 @@ def test_oracle_witness_search_inconsistent_absent():
 def test_oracle_witness_search_everywhere_nonzero_pattern():
     t = T(FOUR, (), (), ())
     w = oracle_witness_search(t, max_atoms=16)
-    assert w.extension == four_power(4)
+    assert w.embedding.target == four_power(4)
     # the tabulated coordinate solution appears among the realizers
     assert power_element(("a", "b", "0", "1")) in all_realizations_in(
         w.embedding, t

@@ -28,7 +28,6 @@ from bdm.solver import (
     check_triple_count,
     count_sigma_consistent,
     decide,
-    holds_phi,
     in_acl,
     is_sigma_consistent,
     is_trivial,
@@ -41,7 +40,7 @@ from bdm.solver import (
 )
 from bdm.terms import Equal, Exists, ForAll, Not, Var, eval_formula, parse_formula
 
-from corpus import all_bases, atoms, power_element, random_element, random_formula
+from corpus import all_bases, atoms, elements, power_element, random_element, random_formula
 
 
 def T(alg, i1, i2, i3):
@@ -124,23 +123,23 @@ def test_triple_of_element_examples():
     assert triple_of_element(rid, FOUR.atom(1)) == T(FOUR, {2}, {1, 2}, {1, 2})
 
 
-def test_holds_phi_examples():
+def test_type_equality_examples():
     rid = identity_refinement(FOUR)
-    assert holds_phi(rid, T(FOUR, {1, 2}, {1, 2}, ()), FOUR.zero)
+    assert triple_of_element(rid, FOUR.zero) == T(FOUR, {1, 2}, {1, 2}, ())
     diag = block_layout(FOUR, [2])
     one_zero = power_element(("1", "0"))
-    assert holds_phi(diag, T(FOUR, {1, 2}, (), ()), one_zero)
-    assert not holds_phi(rid, T(FOUR, {1}, {1, 2}, {1, 2}), FOUR.atom(1))
-    assert holds_phi(rid, T(FOUR, {1}, {1, 2}, {1, 2}), FOUR.atom(2))
+    assert triple_of_element(diag, one_zero) == T(FOUR, {1, 2}, (), ())
+    assert triple_of_element(rid, FOUR.atom(1)) != T(FOUR, {1}, {1, 2}, {1, 2})
+    assert triple_of_element(rid, FOUR.atom(2)) == T(FOUR, {1}, {1, 2}, {1, 2})
 
 
 def test_mutual_exclusivity():
     # an element's zero pattern matches exactly one triple
     _, r = twist_product(FOUR)
-    for u in r.target.elements():
+    for u in elements(r.target):
         t = triple_of_element(r, u)
         matches = [
-            s for s in sigma_consistent_triples(FOUR) if holds_phi(r, s, u)
+            s for s in sigma_consistent_triples(FOUR) if triple_of_element(r, u) == s
         ]
         assert matches == [t]
 
@@ -151,18 +150,18 @@ def test_mutual_exclusivity():
 def test_witness_abstract_square_root_of_dmneg():
     t = T(TWO, (), {1}, {1})
     w = witness_abstract(t)
-    assert w.extension == FOUR
+    assert w.embedding.target == FOUR
     assert w.embedding.cell(1) == {1, 2}
     assert w.element == FOUR.atom(1)
-    assert holds_phi(w.embedding, t, w.element)
+    assert triple_of_element(w.embedding, w.element) == t
 
 
 def test_witness_abstract_zero_pattern():
     t = T(FOUR, {1, 2}, {1, 2}, ())
     w = witness_abstract(t)
-    assert w.extension == FOUR  # one atom of kind x'.x~ per base atom
-    assert w.element == w.extension.zero
-    assert holds_phi(w.embedding, t, w.element)
+    assert w.embedding.target == FOUR  # one atom of kind x'.x~ per base atom
+    assert w.element == w.embedding.target.zero
+    assert triple_of_element(w.embedding, w.element) == t
 
 
 def test_witness_abstract_rejects_inconsistent():
@@ -172,20 +171,20 @@ def test_witness_abstract_rejects_inconsistent():
 
 def test_witness_via_four_power_examples():
     w = witness_via_four_power(T(FOUR, {1}, {1, 2}, {1, 2}))
-    assert w.extension == FOUR and w.element == FOUR.atom(2)
+    assert w.embedding.target == FOUR and w.element == FOUR.atom(2)
     assert w.embedding == identity_refinement(FOUR)
 
     t = T(FOUR, (), (), {1, 2})
     w = witness_via_four_power(t)
-    assert w.extension == four_power(3)
+    assert w.embedding.target == four_power(3)
     assert w.element == power_element(("a", "b", "1"))
-    assert holds_phi(w.embedding, t, w.element)
+    assert triple_of_element(w.embedding, w.element) == t
 
     t = T(FOUR, (), (), ())
     w = witness_via_four_power(t)
-    assert w.extension == four_power(4)
+    assert w.embedding.target == four_power(4)
     assert w.element == power_element(("a", "b", "0", "1"))
-    assert holds_phi(w.embedding, t, w.element)
+    assert triple_of_element(w.embedding, w.element) == t
 
 
 def test_witness_via_four_power_rejects_inconsistent():
@@ -201,7 +200,7 @@ def test_case1_table_against_oracle():
         w = witness_via_four_power(t)
         assert w.embedding == block_layout(FOUR, [len(entry.coords)])
         assert w.element == power_element(entry.coords)
-        assert holds_phi(w.embedding, t, w.element)
+        assert triple_of_element(w.embedding, w.element) == t
         assert w.element in all_realizations_in(w.embedding, t)
     assert sum(e.mirrored for e in CASE1_ENTRIES) == 4
     assert len(CASE1_ENTRIES) == 15
@@ -212,7 +211,7 @@ def test_witness_soundness_small(alg):
     for t in sigma_consistent_triples(alg):
         for build in (witness_abstract, witness_via_four_power):
             w = build(t)
-            assert holds_phi(w.embedding, t, w.element)
+            assert triple_of_element(w.embedding, w.element) == t
 
 
 def test_constructor_agreement_over_two():
@@ -241,9 +240,9 @@ def test_refine_triple_examples():
     # middle algebra) realizes the original along the composite
     w = witness_abstract(refined)
     composite = compose_refinements(r, w.embedding)
-    assert holds_phi(composite, t, w.element)
+    assert triple_of_element(composite, w.element) == t
     for u in all_realizations_in(w.embedding, refined):
-        assert holds_phi(composite, t, u)
+        assert triple_of_element(composite, u) == t
 
 
 def test_refine_preserves_consistency():
@@ -271,7 +270,7 @@ def test_is_trivial_examples():
 def test_trivial_matches_type_of_base_elements():
     for alg in all_bases(3):
         rid = identity_refinement(alg)
-        for u in alg.elements():
+        for u in elements(alg):
             t = triple_of_element(rid, u)
             assert is_trivial(t) == u.mask
 
@@ -293,7 +292,7 @@ def test_realizations_two_square_roots():
     ext, emb, elems = realizations(t, 2)
     assert len(elems) == len(set(elems)) == 2
     for e in elems:
-        assert holds_phi(emb, t, e)
+        assert triple_of_element(emb, e) == t
 
 
 def test_realizations_rejects_trivial():
@@ -314,7 +313,7 @@ def test_realizations_accepts_nontrivial_i3_empty():
     ext, emb, elems = realizations(t, 3)
     assert len(set(elems)) == 3
     for e in elems:
-        assert holds_phi(emb, t, e)
+        assert triple_of_element(emb, e) == t
 
 
 def test_realizations_three_over_four():
@@ -322,7 +321,7 @@ def test_realizations_three_over_four():
     ext, emb, elems = realizations(t, 3)
     assert len(set(elems)) == 3
     for e in elems:
-        assert holds_phi(emb, t, e)
+        assert triple_of_element(emb, e) == t
 
 
 def test_realizations_scale_with_their_output():
@@ -372,8 +371,8 @@ def test_in_acl_examples():
 
 def test_in_acl_is_image_membership():
     _, r = twist_product(FOUR)
-    image = {r.map_element(x) for x in FOUR.elements()}
-    for u in r.target.elements():
+    image = {r.map_element(x) for x in elements(FOUR)}
+    for u in elements(r.target):
         assert in_acl(r, u) == (u in image)
 
 
@@ -548,12 +547,12 @@ def test_decide_model_completeness_spot():
         assert decide(TWO, f, env, CAPS) == decide(FOUR, f, big_env, CAPS)
 
 
-def test_phi_formula_matches_holds_phi():
+def test_phi_formula_matches_triple_of_element():
     _, r = twist_product(TWO)
     for t in sigma_consistent_triples(TWO):
         f = phi_formula(t)
-        for u in FOUR.elements():
-            assert eval_formula(FOUR, f, phi_environment(r, u)) == holds_phi(r, t, u)
+        for u in elements(FOUR):
+            assert eval_formula(FOUR, f, phi_environment(r, u)) == (triple_of_element(r, u) == t)
 
 
 def test_translate_preserves_decisions():

@@ -34,7 +34,7 @@ from bdm.terms import (
     valid_identity,
 )
 
-from corpus import all_bases, random_formula, random_term
+from corpus import all_bases, elements, random_formula, random_term
 
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -337,7 +337,7 @@ def test_identity_check_matches_small_algebras():
         names = sorted(free_vars(Equal(t1, t2)))
         brute = True
         for alg in bases:
-            values = list(alg.elements())
+            values = elements(alg)
             for combo in _assignments(values, len(names)):
                 env = dict(zip(names, combo))
                 if eval_term(alg, t1, env) != eval_term(alg, t2, env):

@@ -167,10 +167,10 @@ def test_triple_is_a_value():
 
 def test_witness_is_a_value():
     w = witness_abstract(Triple.from_masks(TWO, 0, 0, 0))
-    same = Witness(AtomRefinement.from_masks(TWO, w.extension, w.embedding.cell_masks), w.element)
+    ext = w.embedding.target
+    same = Witness(AtomRefinement.from_masks(TWO, ext, w.embedding.cell_masks), w.element)
     assert w == same and hash(w) == hash(same)
-    assert w != Witness(w.embedding, w.extension.zero)
-    assert w.base is w.embedding.source and w.extension is w.embedding.target
+    assert w != Witness(w.embedding, ext.zero)
     assert repr(w) == (
         "Witness(embedding=AtomRefinement(1 atoms -> 4 atoms), "
         "element=Element({1,2} of n=4))"
