@@ -517,12 +517,17 @@ def amalgamate(
 def find_isomorphism_over(
     r1: AtomRefinement, r2: AtomRefinement
 ) -> Optional[tuple[int, ...]]:
-    """Search for an atom bijection between the targets of r1 and r2 that
-    commutes with sigma and maps each cell of r1 onto the matching cell of
-    r2; returns the images of atoms 1..m, or None.
+    """The lexicographically least atom bijection between the targets of r1
+    and r2 that commutes with sigma and maps each cell of r1 onto the
+    matching cell of r2, as the images of atoms 1..m, or None.
 
-    Backtracking assigns images in atom order, trying candidates ascending,
-    so a successful search returns the lexicographically least bijection.
+    One pass over the atoms in ascending order: a fixed atom takes the
+    least unused fixed atom of its r2 cell, and the first atom of a
+    two-cycle takes the least unused atom of its r2 cell that sigma moves,
+    reserving that atom's partner for its own partner.  Cells are
+    sigma-equivariant, so within a cell the fixed atoms are interchangeable
+    and so are the two-cycles: every choice extends to a bijection when one
+    exists, and the pass fails exactly when none does.
     """
     if r1.source != r2.source:
         raise ValueError("isomorphism search needs a shared source algebra")
@@ -539,29 +544,20 @@ def find_isomorphism_over(
             c1 ^= low
     sigma1, sigma2 = r1.target.sigma, r2.target.sigma
     fixed2 = sum(1 << j for j, k in enumerate(sigma2) if k == j + 1)
-    images = [0] * m  # the bit of each assigned image
-
-    def extend(q: int, used: int) -> bool:
-        if q == m:
-            return True
+    images = [0] * m  # 0 until an atom is given its image
+    used = 0  # the images given so far
+    for q in range(m):
+        if images[q]:
+            continue  # reserved when the first atom of its two-cycle was mapped
         partner = sigma1[q] - 1
-        if partner == q:
-            free = into[q] & fixed2 & ~used
-        elif partner < q:
-            free = into[q] & 1 << (sigma2[images[partner].bit_length() - 1] - 1) & ~used
-        else:
-            free = into[q] & ~used
-        while free:
-            low = free & -free
-            images[q] = low
-            if extend(q + 1, used | low):
-                return True
-            free ^= low
-        return False
-
-    if not extend(0, 0):
-        return None
-    return tuple(bit.bit_length() for bit in images)
+        free = into[q] & ~used & (fixed2 if partner == q else ~fixed2)
+        if not free:
+            return None
+        image = (free & -free).bit_length()
+        images[q] = image
+        images[partner] = sigma2[image - 1]
+        used |= 1 << (image - 1) | 1 << (images[partner] - 1)
+    return tuple(images)
 
 
 def algebra_over(

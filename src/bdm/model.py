@@ -15,7 +15,7 @@ the image of a sigma-orbit depend only on the triple's part on that orbit,
 so ec_stage solves each orbit's 7 or 15 options once and builds the rows
 with one OR per row plus one sort; printing reads the rows, and a lookup
 bisects them.  EcStage.realizers, the (Triple, Element) view of the rows,
-is built on first access.
+is built on each access.
 
 The back-and-forth step find_matching_element mirrors an element of any
 extension of a stage's base inside the stage, through the stage's record.
@@ -27,7 +27,6 @@ materialized.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 
 from .algebra import (
     AtomRefinement,
@@ -60,20 +59,17 @@ class EcStage(Frozen):
 
     rows holds the record as masks, one (I1, I2, I3, realizer) row per
     triple in lexicographic order; realizers is the same record as
-    (Triple, Element) pairs, built on first access."""
+    (Triple, Element) pairs, built on each access."""
 
-    # no __slots__: realizers is cached in the instance dict
+    __slots__ = ("embedding", "rows")
+
     def __init__(self, embedding: AtomRefinement, rows: tuple[tuple[int, int, int, int], ...]):
-        object.__setattr__(self, "embedding", embedding)
-        object.__setattr__(self, "rows", rows)
-
-    def __reduce__(self):
-        return EcStage, (self.embedding, self.rows)
+        super().__init__(embedding, rows)
 
     base = property(lambda self: self.embedding.source)
     algebra = property(lambda self: self.embedding.target)
 
-    @cached_property
+    @property
     def realizers(self) -> tuple[tuple[Triple, Element], ...]:
         base, alg = self.base, self.algebra
         return tuple(

@@ -2,10 +2,11 @@
 
 Everything here works by exhaustion: realizers are found by scanning all
 2^m elements of an extension, triviality by scanning all 2^n candidate atom
-sets, witnesses by scanning a canonical tower of powers of the four-element
-algebra.  The zero-pattern tests are recomputed from the defining products
-of the type formulas rather than routed through triple_of_element, so the
-scans stay independent of the solver paths they are meant to check.
+sets (both scans stop at MAX_SCAN_ATOMS atoms), witnesses by scanning a
+canonical tower of powers of the four-element algebra.  The zero-pattern
+tests are recomputed from the defining products of the type formulas rather
+than routed through triple_of_element, so the scans stay independent of the
+solver paths they are meant to check.
 
 The element scan is bit-sliced: it covers the 2^m elements of an m-atom
 target in chunks of 2^min(m, 16) consecutive masks, and within a chunk each
@@ -32,6 +33,9 @@ from .terms import And, Equal, Formula, Meet, DMNeg, BNeg, NotEqual, Star, Term,
 # the names of the free variable and of the parameters y1..yn of phi_formula
 _VAR = "x"
 _PARAM = "y"
+
+# The most atoms either scan covers: 2^26 elements or candidate atom sets
+MAX_SCAN_ATOMS = 26
 
 
 def phi_formula(t: Triple) -> Formula:
@@ -96,7 +100,7 @@ def element_type_scan(r: AtomRefinement) -> Iterator[tuple]:
     and n source atoms.
     """
     target = r.target
-    if target.n > 26:
+    if target.n > MAX_SCAN_ATOMS:
         raise CapExceeded(f"cannot scan 2^{target.n} elements")
     b = min(target.n, 16)
     size = 1 << b
@@ -183,8 +187,11 @@ def oracle_witness_search(t: Triple, max_atoms: int = 16) -> Optional[Witness]:
 def brute_force_trivial(t: Triple) -> Optional[int]:
     """Scan all atom subsets I for the three equalities characterizing the
     type of a base element; at most one I can match, and its mask is
-    returned (0 for the zero element), or None."""
+    returned (0 for the zero element), or None.  Above MAX_SCAN_ATOMS
+    atoms, CapExceeded is raised before any candidate is tried."""
     alg = t.algebra
+    if alg.n > MAX_SCAN_ATOMS:
+        raise CapExceeded(f"cannot scan 2^{alg.n} atom sets")
     full = alg.full_mask
     for cand in range(1 << alg.n):
         sigma_cand = alg.sigma_mask(cand)

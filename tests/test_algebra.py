@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,79 @@ def test_find_isomorphism_maps_fixed_atoms_to_fixed_atoms():
     a = AtomRefinement(TWO, mixed, (frozenset({1, 2, 3}),))
     b = AtomRefinement(TWO, FiniteAlgebra(3, (1, 3, 2)), (frozenset({1, 2, 3}),))
     assert find_isomorphism_over(a, b) == (2, 3, 1)
+
+
+def _least_isomorphism(r1, r2):
+    """The least permutation of the target atoms that commutes with sigma
+    and maps each cell of r1 onto the matching cell of r2, found by trying
+    every permutation in lexicographic order; None when there is none."""
+    m = r1.target.n
+    if r2.target.n != m:
+        return None
+    s1, s2 = r1.target.sigma, r2.target.sigma
+    cells = [(r1.cell(i), r2.cell(i)) for i in r1.source.atom_indices]
+    for perm in itertools.permutations(range(1, m + 1)):
+        if all(perm[s1[q] - 1] == s2[perm[q] - 1] for q in range(m)) and all(
+            {perm[q - 1] for q in c1} == c2 for c1, c2 in cells
+        ):
+            return perm
+    return None
+
+
+def _relabelled(rng, r):
+    """r with its target atoms renumbered by a random permutation."""
+    m = r.target.n
+    perm = list(range(1, m + 1))
+    rng.shuffle(perm)
+    sigma = [0] * m
+    for q, image in enumerate(r.target.sigma, start=1):
+        sigma[perm[q - 1] - 1] = perm[image - 1]
+    cells = [{perm[q - 1] for q in r.cell(i)} for i in r.source.atom_indices]
+    return AtomRefinement(r.source, FiniteAlgebra(m, sigma), cells)
+
+
+def test_find_isomorphism_matches_brute_force():
+    rng = random.Random(24)
+    bases = all_bases(3)
+    seen = set()
+    for _ in range(300):
+        base = rng.choice(bases)
+        r1, r2 = random_refinement(rng, base, 2), random_refinement(rng, base, 2)
+        if max(r1.target.n, r2.target.n) > 6:
+            continue
+        moved = [q for q, k in enumerate(r1.target.sigma, start=1) if k != q]
+        if moved:
+            seen.add("two-cycle")
+        if len(moved) < r1.target.n:
+            seen.add("fixed atom")
+        if base.sigma != tuple(base.atom_indices):
+            seen.add("cell moved by sigma")
+        for other in (r2, _relabelled(rng, r1), _relabelled(rng, r2)):
+            iso = find_isomorphism_over(r1, other)
+            assert iso == _least_isomorphism(r1, other)
+            seen.add("none" if iso is None else "found")
+            if iso is not None and iso != tuple(sorted(iso)):
+                seen.add("not the identity")
+    assert seen == {
+        "two-cycle", "fixed atom", "cell moved by sigma", "none", "found", "not the identity"
+    }
+
+
+def test_find_isomorphism_is_one_pass():
+    # one two-cycle at atoms 1 and 13 against one at 12 and 13, the other
+    # atoms fixed: a backtracking search tries 11! orders of the fixed atoms
+    def one_swap(m, a, b):
+        sigma = list(range(1, m + 1))
+        sigma[a - 1], sigma[b - 1] = b, a
+        return AtomRefinement.from_masks(TWO, FiniteAlgebra(m, sigma), ((1 << m) - 1,))
+
+    start = time.perf_counter()
+    iso = find_isomorphism_over(one_swap(13, 1, 13), one_swap(13, 12, 13))
+    assert time.perf_counter() - start < 0.1
+    assert iso == (12, *range(1, 12), 13)
+    # one step per atom, not one stack frame
+    r = identity_refinement(FiniteAlgebra(1200, range(1, 1201)))
+    assert find_isomorphism_over(r, r) == tuple(range(1, 1201))
 
 
 def test_compose_refinements_examples():

@@ -342,6 +342,21 @@ def test_amalgamate_over_the_atom_cap_builds_nothing(capsys, tmp_path, monkeypat
     assert err == "resource cap exceeded: the amalgam needs 65792 atoms, cap is 65536\n"
 
 
+def test_oracle_trivial_over_the_atom_cap_tries_nothing(capsys, tmp_path, monkeypatch):
+    """A 27-atom algebra has 2^27 candidate atom sets, above the scan cap of
+    26 atoms: the command exits 3 with nothing on stdout before it tries a
+    single candidate."""
+    def no_candidates(self, mask):
+        raise AssertionError("a candidate atom set was tried")
+
+    alg = tmp_path / "big.alg"
+    alg.write_text(f"atoms 27\nsigma {' '.join(map(str, range(1, 28)))}\n")
+    monkeypatch.setattr("bdm.algebra.FiniteAlgebra.sigma_mask", no_candidates)
+    code, out, err = run(capsys, "oracle", "trivial", "--algebra", str(alg), "I1={} I2={} I3={}")
+    assert (code, out) == (3, "")
+    assert err == "resource cap exceeded: cannot scan 2^27 atom sets\n"
+
+
 def test_extend_stage(capsys, algebra_files):
     code, out, _ = run(
         capsys,

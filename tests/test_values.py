@@ -224,7 +224,6 @@ def test_ec_stage_constructor():
     keyed = EcStage(embedding=stage.embedding, rows=stage.rows)
     assert copy.base is TWO and keyed.algebra is stage.algebra
     assert copy.realizers == stage.realizers
-    assert copy.realizers is copy.realizers
     with pytest.raises(AttributeError):
         copy.rows = ()
     assert copy.rows is stage.rows
