@@ -21,7 +21,10 @@ AtomRefinement(source, target, cells) and solver.Triple(alg, i1, i2, i3)
 take them, range-checked by atoms_to_mask, and AtomRefinement.cell(i) and
 Triple.sets() return them as frozensets.  Everything else reads and returns
 masks; the printers read them through sorted_atoms.  Every object checks
-its invariants, whichever way it was built.
+its invariants, whichever way it was built.  One step builds no objects at
+all: solver.decide's quantifier step reads the subalgebra it ranges over
+from generated_blocks, the masks of its atoms and sigma on them, which is
+also the one partition routine behind generated_subalgebra.
 
 All values are immutable; every operation is a pure function.  Searches that
 could return several answers (isomorphisms, generated structure) return the
@@ -438,36 +441,45 @@ def twist_product(alg: FiniteAlgebra) -> tuple[FiniteAlgebra, AtomRefinement]:
     return ext, AtomRefinement.from_masks(alg, ext, cells)
 
 
+def generated_blocks(
+    alg: FiniteAlgebra, masks: Iterable[int]
+) -> tuple[list[int], tuple[int, ...]]:
+    """The atoms of the subalgebra of alg generated by the given masks, as
+    masks of alg's atoms, and sigma on them as 1-based block indices.
+
+    The blocks partition alg's atoms: splitting full_mask along every mask
+    and its star image gives a family closed under sigma, so sigma permutes
+    the blocks.  Blocks are ordered by their least atom.  The masks must lie
+    within alg's atoms; nothing is checked or built beyond the two results.
+    """
+    blocks = [alg.full_mask]
+    for m in masks:
+        for s in (m, alg.sigma_mask(m)):
+            split: list[int] = []
+            for b in blocks:
+                inside = b & s
+                if inside:
+                    split.append(inside)
+                if inside != b:
+                    split.append(b ^ inside)
+            blocks = split
+    blocks.sort(key=lambda b: b & -b)
+    index = {b: k for k, b in enumerate(blocks, start=1)}
+    return blocks, tuple([index[alg.sigma_mask(b)] for b in blocks])
+
+
 def generated_subalgebra(
     alg: FiniteAlgebra, elems: Iterable[Element] = ()
 ) -> tuple[FiniteAlgebra, AtomRefinement]:
     """The subalgebra generated by the given elements (plus 0 and 1),
-    returned abstractly with the refinement embedding it into alg.
-
-    The subalgebra atoms are the blocks of the atom partition generated by
-    splitting along every generator and its star image; the family of
-    splitting sets is closed under sigma, so sigma permutes the blocks.
-    Blocks are ordered by their least atom.
-    """
-    splitters: list[int] = []
+    returned abstractly with the refinement embedding it into alg: the
+    blocks of generated_blocks, as a checked algebra and refinement."""
+    masks = []
     for e in elems:
         if e.algebra is not alg and e.algebra != alg:
             raise ValueError("generator does not belong to the algebra")
-        splitters.append(e.mask)
-        splitters.append(alg.sigma_mask(e.mask))
-    blocks = [alg.full_mask]
-    for s in splitters:
-        split: list[int] = []
-        for b in blocks:
-            inside = b & s
-            if inside:
-                split.append(inside)
-            if inside != b:
-                split.append(b ^ inside)
-        blocks = split
-    blocks.sort(key=lambda b: b & -b)
-    index = {b: k for k, b in enumerate(blocks, start=1)}
-    sigma = tuple(index[alg.sigma_mask(b)] for b in blocks)
+        masks.append(e.mask)
+    blocks, sigma = generated_blocks(alg, masks)
     sub = FiniteAlgebra(len(blocks), sigma)
     return sub, AtomRefinement.from_masks(sub, alg, tuple(blocks))
 

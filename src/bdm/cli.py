@@ -21,7 +21,10 @@ A `bdm` process, the console script or `python -m bdm.cli`, starts in
 `run`, which freezes the objects made by the imports (`gc.freeze`) before
 calling `main`, so no collection walks them again, the interpreter's own
 at exit included.  `main(argv)` called in process leaves the collector as
-it finds it.
+it finds it.  When the first argument names a command, `main` builds only
+that command's parser (`build_parser(command)`); help, no command and an
+unknown command get the parser of every command, so all of them print the
+same bytes either way.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import io
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import oracle as oracle_mod
 from . import textio
@@ -260,120 +264,141 @@ def _cmd_oracle_count_free(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# each command's help line, in the order the top-level help lists them
+_COMMANDS = {
+    "check": "validate and normalize an algebra file",
+    "consistent": "test a triple for sigma-consistency",
+    "witness": "construct a realizer for a triple",
+    "decide": "decide a formula over the parameter algebra",
+    "type-of": "the triple of an element over a base",
+    "trivial": "test a triple for base-triviality",
+    "realize": "distinct realizers of a non-trivial triple",
+    "acl": "is an element algebraic over the base?",
+    "equiv": "check an identity between two terms",
+    "translate": "move a formula between signatures",
+    "amalgamate": "amalgamate two extensions of a base",
+    "extend-stage": "build existentially closed stages",
+    "oracle": "brute-force counterparts",
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given one of them, the top level
+    and that command's parser alone (with all its oracle subcommands).  The
+    latter reads that command's arguments, help and errors as the former
+    does: its usage line names every command, for an unrecognized argument
+    is reported there."""
     parser = argparse.ArgumentParser(
         prog="bdm",
         description="Finite Boole-De Morgan algebras: types, witnesses, decisions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
 
-    p = sub.add_parser("check", help="validate and normalize an algebra file")
-    _add_algebra(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_check)
+    def add(name, func=None):
+        """The parser of command name, or None when another is built alone."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        if func is not None:
+            p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("consistent", help="test a triple for sigma-consistency")
-    _add_algebra(p)
-    p.add_argument("triple")
-    _add_json(p)
-    p.set_defaults(func=_cmd_consistent)
+    if p := add("check", _cmd_check):
+        _add_algebra(p)
+        _add_json(p)
 
-    p = sub.add_parser("witness", help="construct a realizer for a triple")
-    _add_algebra(p)
-    p.add_argument("triple")
-    p.add_argument("--via", choices=("abstract", "power4"), default="abstract")
-    _add_json(p)
-    p.set_defaults(func=_cmd_witness)
+    if p := add("consistent", _cmd_consistent):
+        _add_algebra(p)
+        p.add_argument("triple")
+        _add_json(p)
 
-    p = sub.add_parser("decide", help="decide a formula over the parameter algebra")
-    _add_algebra(p)
-    p.add_argument("formula")
-    p.add_argument("--let", action="append", metavar="NAME=ELEMENT")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_CAPS.max_depth, metavar="N")
-    _add_caps(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_decide)
+    if p := add("witness", _cmd_witness):
+        _add_algebra(p)
+        p.add_argument("triple")
+        p.add_argument("--via", choices=("abstract", "power4"), default="abstract")
+        _add_json(p)
 
-    p = sub.add_parser("type-of", help="the triple of an element over a base")
-    _add_algebra(p)
-    p.add_argument("element")
-    p.add_argument("--embedding", metavar="FILE")
-    _add_json(p)
-    p.set_defaults(func=_cmd_type_of)
+    if p := add("decide", _cmd_decide):
+        _add_algebra(p)
+        p.add_argument("formula")
+        p.add_argument("--let", action="append", metavar="NAME=ELEMENT")
+        p.add_argument("--max-depth", type=int, default=DEFAULT_CAPS.max_depth, metavar="N")
+        _add_caps(p)
+        _add_json(p)
 
-    p = sub.add_parser("trivial", help="test a triple for base-triviality")
-    _add_algebra(p)
-    p.add_argument("triple")
-    _add_json(p)
-    p.set_defaults(func=_cmd_trivial)
+    if p := add("type-of", _cmd_type_of):
+        _add_algebra(p)
+        p.add_argument("element")
+        p.add_argument("--embedding", metavar="FILE")
+        _add_json(p)
 
-    p = sub.add_parser("realize", help="distinct realizers of a non-trivial triple")
-    _add_algebra(p)
-    p.add_argument("triple")
-    p.add_argument("--count", type=int, default=3, metavar="K")
-    _add_json(p)
-    p.set_defaults(func=_cmd_realize)
+    if p := add("trivial", _cmd_trivial):
+        _add_algebra(p)
+        p.add_argument("triple")
+        _add_json(p)
 
-    p = sub.add_parser("acl", help="is an element algebraic over the base?")
-    _add_algebra(p)
-    p.add_argument("element")
-    p.add_argument("--embedding", required=True, metavar="FILE")
-    _add_json(p)
-    p.set_defaults(func=_cmd_acl)
+    if p := add("realize", _cmd_realize):
+        _add_algebra(p)
+        p.add_argument("triple")
+        p.add_argument("--count", type=int, default=3, metavar="K")
+        _add_json(p)
 
-    p = sub.add_parser("equiv", help="check an identity between two terms")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.add_argument("--signature", choices=("bdm", "dm"), default="bdm")
-    _add_json(p)
-    p.set_defaults(func=_cmd_equiv)
+    if p := add("acl", _cmd_acl):
+        _add_algebra(p)
+        p.add_argument("element")
+        p.add_argument("--embedding", required=True, metavar="FILE")
+        _add_json(p)
 
-    p = sub.add_parser("translate", help="move a formula between signatures")
-    p.add_argument("formula")
-    p.add_argument("--to", choices=("dm", "bdm"), required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_translate)
+    if p := add("equiv", _cmd_equiv):
+        p.add_argument("term1")
+        p.add_argument("term2")
+        p.add_argument("--signature", choices=("bdm", "dm"), default="bdm")
+        _add_json(p)
 
-    p = sub.add_parser("amalgamate", help="amalgamate two extensions of a base")
-    p.add_argument("--left", required=True, metavar="FILE")
-    p.add_argument("--right", required=True, metavar="FILE")
-    _add_json(p)
-    p.set_defaults(func=_cmd_amalgamate)
+    if p := add("translate", _cmd_translate):
+        p.add_argument("formula")
+        p.add_argument("--to", choices=("dm", "bdm"), required=True)
+        _add_json(p)
 
-    p = sub.add_parser("extend-stage", help="build existentially closed stages")
-    _add_algebra(p)
-    p.add_argument("--depth", type=int, default=1, metavar="N")
-    _add_caps(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_extend_stage)
+    if p := add("amalgamate", _cmd_amalgamate):
+        p.add_argument("--left", required=True, metavar="FILE")
+        p.add_argument("--right", required=True, metavar="FILE")
+        _add_json(p)
 
-    p = sub.add_parser("oracle", help="brute-force counterparts")
-    osub = p.add_subparsers(dest="oracle_command", required=True)
+    if p := add("extend-stage", _cmd_extend_stage):
+        _add_algebra(p)
+        p.add_argument("--depth", type=int, default=1, metavar="N")
+        _add_caps(p)
+        _add_json(p)
 
-    q = osub.add_parser("realizations", help="all realizers inside a target")
-    _add_algebra(q)
-    q.add_argument("triple")
-    q.add_argument("--embedding", metavar="FILE")
-    _add_json(q)
-    q.set_defaults(func=_cmd_oracle_realizations)
+    if p := add("oracle"):
+        osub = p.add_subparsers(dest="oracle_command", required=True)
 
-    q = osub.add_parser("witness", help="search four-power extensions")
-    _add_algebra(q)
-    q.add_argument("triple")
-    q.add_argument("--max-atoms", type=int, default=16, metavar="N")
-    _add_json(q)
-    q.set_defaults(func=_cmd_oracle_witness)
+        q = osub.add_parser("realizations", help="all realizers inside a target")
+        _add_algebra(q)
+        q.add_argument("triple")
+        q.add_argument("--embedding", metavar="FILE")
+        _add_json(q)
+        q.set_defaults(func=_cmd_oracle_realizations)
 
-    q = osub.add_parser("trivial", help="triviality by subset scan")
-    _add_algebra(q)
-    q.add_argument("triple")
-    _add_json(q)
-    q.set_defaults(func=_cmd_oracle_trivial)
+        q = osub.add_parser("witness", help="search four-power extensions")
+        _add_algebra(q)
+        q.add_argument("triple")
+        q.add_argument("--max-atoms", type=int, default=16, metavar="N")
+        _add_json(q)
+        q.set_defaults(func=_cmd_oracle_witness)
 
-    q = osub.add_parser("count-free", help="closure size of k projections")
-    q.add_argument("k", type=int)
-    _add_json(q)
-    q.set_defaults(func=_cmd_oracle_count_free)
+        q = osub.add_parser("trivial", help="triviality by subset scan")
+        _add_algebra(q)
+        q.add_argument("triple")
+        _add_json(q)
+        q.set_defaults(func=_cmd_oracle_trivial)
+
+        q = osub.add_parser("count-free", help="closure size of k projections")
+        q.add_argument("k", type=int)
+        _add_json(q)
+        q.set_defaults(func=_cmd_oracle_count_free)
 
     return parser
 
@@ -394,7 +419,11 @@ def _write(text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's parser; anything else needs every parser
+    # for its help or its error
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         code, out = args.func(args)
         if isinstance(out, dict):

@@ -36,7 +36,7 @@ from .algebra import (
     compose_refinements,
     format_mask,
     four_power,
-    generated_subalgebra,
+    generated_blocks,
     identity_refinement,
     is_four_power_shaped,
     mask_to_atoms,
@@ -155,8 +155,19 @@ def refine_triple(r: AtomRefinement, t: Triple) -> Triple:
 
 def count_sigma_consistent(alg: FiniteAlgebra) -> int:
     """7 options per fixed atom and 15 per two-cycle of sigma."""
-    fixed = sum(1 for i, j in enumerate(alg.sigma, start=1) if i == j)
-    return 7**fixed * 15 ** ((alg.n - fixed) // 2)
+    return _triple_count(alg.sigma)
+
+
+def _triple_count(sigma: tuple[int, ...], max_count: Optional[int] = None) -> int:
+    """The number of consistent triples over the algebra with this sigma;
+    raise CapExceeded when it is above max_count, where None means no cap."""
+    fixed = sum(1 for i, j in enumerate(sigma, start=1) if i == j)
+    total = 7**fixed * 15 ** ((len(sigma) - fixed) // 2)
+    if max_count is not None and total > max_count:
+        raise CapExceeded(
+            f"{total} consistent triples over {len(sigma)} atoms exceed the cap of {max_count}"
+        )
+    return total
 
 
 def _orbit_options(alg: FiniteAlgebra) -> list[list[tuple[int, int, int]]]:
@@ -186,12 +197,7 @@ def _orbit_options(alg: FiniteAlgebra) -> list[list[tuple[int, int, int]]]:
 def check_triple_count(alg: FiniteAlgebra, max_count: Optional[int]) -> int:
     """The number of consistent triples over alg; raise CapExceeded when it
     is above max_count, where None means no cap."""
-    total = count_sigma_consistent(alg)
-    if max_count is not None and total > max_count:
-        raise CapExceeded(
-            f"{total} consistent triples over {alg.n} atoms exceed the cap of {max_count}"
-        )
-    return total
+    return _triple_count(alg.sigma, max_count)
 
 
 def sigma_consistent_triples(alg: FiniteAlgebra) -> list[Triple]:
@@ -460,10 +466,15 @@ def decide(
     over the subalgebra generated by the values of the variables still in
     play, recursing with the parameters moved along each witness embedding:
     an existential holds when some witness satisfies its body, a universal
-    fails when some witness refutes it.  The witnesses of the last 8 shapes
-    of at most _SHAPE_TRIPLES triples are kept; a larger shape's are built
-    as they are tried.  Exhausted budgets raise CapExceeded, before anything
-    is built, rather than defaulting to false.
+    fails when some witness refutes it.  That subalgebra is read from the
+    masks alone: algebra.generated_blocks gives its atoms as blocks of the
+    current atoms and sigma on them, which fixes the triple count, the
+    witness shape and each parameter's preimage (the blocks under its
+    mask); no element, algebra or refinement is built for it.  The
+    witnesses of the last 8 shapes of at most _SHAPE_TRIPLES triples are
+    kept; a larger shape's are built as they are tried, from the one
+    algebra built to list its triples.  Exhausted budgets raise
+    CapExceeded, before anything is built, rather than defaulting to false.
 
     The sentence is read once per call, without recursion: the read checks
     its sorts, its depth (ParseError beyond the parser's 500 levels) and its
@@ -506,24 +517,27 @@ def _decide(alg, f, env, caps, depth, plan):
     # a quantifier
     if depth >= caps.max_depth:
         raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
-    gens = [Element.from_mask(alg, env[name]) for name in relevant]
-    sub, sub_r = generated_subalgebra(alg, gens)
-    count = check_triple_count(sub, caps.max_triples)
+    masks = [env[name] for name in relevant]
+    blocks, sigma = generated_blocks(alg, masks)
+    count = _triple_count(sigma, caps.max_triples)
     # the first triple, (0, 0, 0), splits every atom in four: the largest
-    if 4 * sub.n > caps.max_atoms:
+    if 4 * len(blocks) > caps.max_atoms:
         raise CapExceeded(
-            f"witness extension needs {4 * sub.n} atoms, cap is {caps.max_atoms}"
+            f"witness extension needs {4 * len(blocks)} atoms, cap is {caps.max_atoms}"
         )
-    # each parameter as the mask of its preimage in sub, mapped along each
+    # each parameter as the mask of the blocks under it, mapped along each
     # witness embedding
     params = []
-    for name, e in zip(relevant, gens):
-        pre = sub_r.preimage(e)
-        assert pre is not None  # generators are unions of their own blocks
-        params.append((name, pre.mask))
+    for name, m in zip(relevant, masks):
+        pre = 0
+        for k, b in enumerate(blocks):
+            if b & m:
+                pre |= 1 << k
+        params.append((name, pre))
     if count <= _SHAPE_TRIPLES:
-        witnesses = _shape_witnesses(sub.sigma)
+        witnesses = _shape_witnesses(sigma)
     else:
+        sub = FiniteAlgebra(len(sigma), sigma)
         witnesses = map(witness_abstract, sigma_consistent_triples(sub))
     # an existential stops at the first witness of its body, a universal
     # at the first counterexample

@@ -789,6 +789,71 @@ def test_every_subcommand_bytes(capsys, algebra_files, three_file, tmp_path):
     assert got == GOLDEN
 
 
+# each command with its required arguments (files are not read before
+# parsing ends), for the parser tests below
+PARSER_COMMANDS = [
+    ("check", "--algebra", "a.alg"),
+    ("consistent", "--algebra", "a.alg", "I1={} I2={} I3={}"),
+    ("witness", "--algebra", "a.alg", "I1={} I2={} I3={}"),
+    ("decide", "--algebra", "a.alg", "x = x"),
+    ("type-of", "--algebra", "a.alg", "{}"),
+    ("trivial", "--algebra", "a.alg", "I1={} I2={} I3={}"),
+    ("realize", "--algebra", "a.alg", "I1={} I2={} I3={}"),
+    ("acl", "--algebra", "a.alg", "{}", "--embedding", "e.ref"),
+    ("equiv", "x", "x"),
+    ("translate", "x = x", "--to", "dm"),
+    ("amalgamate", "--left", "l.ref", "--right", "r.ref"),
+    ("extend-stage", "--algebra", "a.alg"),
+    ("oracle", "realizations", "--algebra", "a.alg", "I1={} I2={} I3={}"),
+    ("oracle", "witness", "--algebra", "a.alg", "I1={} I2={} I3={}"),
+    ("oracle", "trivial", "--algebra", "a.alg", "I1={} I2={} I3={}"),
+    ("oracle", "count-free", "1"),
+]
+
+# the help of each command, the command with no arguments and with one
+# unknown option after its required ones, a bad option value, no command,
+# an unknown command and an unknown oracle command
+PARSER_ARGVS = (
+    [["--help"], [], ["nosuch"], ["nosuch", "--help"], ["-h", "decide"], ["oracle"],
+     ["oracle", "nosuch"], ["decide", "--algebra", "a.alg", "x = x", "--max-depth", "two"]]
+    + [[*c[: 2 if c[0] == "oracle" else 1], "--help"] for c in PARSER_COMMANDS]
+    + [[*c[: 2 if c[0] == "oracle" else 1]] for c in PARSER_COMMANDS]
+    + [[*c, "--nosuch"] for c in PARSER_COMMANDS]
+)
+
+# SHA-256 of the repr of every (exit code, stdout, stderr) of PARSER_ARGVS,
+# at 80 columns, by the Python version whose argparse printed them; argparse
+# words its output differently across versions, so on a version not listed
+# the bytes are compared with the parser of every command alone
+PARSER_GOLDEN = {
+    (3, 11): "783a32085250f40812264becc321788b79ac9ab4cd802d87d3aee402b848168e",
+}
+
+
+def _parse_only(capsys, parse, argv):
+    """Exit code, stdout and stderr of parse(argv), which ends in SystemExit
+    for every argv above."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+def test_parser_help_and_error_bytes(capsys, monkeypatch):
+    """Help and usage errors read the same as from the parser of every
+    command, and on a pinned Python version they are the pinned bytes."""
+    from bdm.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    got = [_parse_only(capsys, main, argv) for argv in PARSER_ARGVS]
+    want = [_parse_only(capsys, build_parser().parse_args, argv) for argv in PARSER_ARGVS]
+    for argv, g, w in zip(PARSER_ARGVS, got, want):
+        assert g == w, argv
+    assert {code for code, _, _ in got} == {0, 2}
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert PARSER_GOLDEN.get(sys.version_info[:2], digest) == digest
+
+
 def test_in_process_main_leaves_the_collector_alone(capsys, algebra_files):
     """Only the `bdm` process freezes its heap; a caller of main() keeps
     its collector as it was."""

@@ -23,8 +23,10 @@ from bdm.algebra import (
     atoms_to_mask,
     compose_refinements,
     four_power,
+    generated_blocks,
     generated_subalgebra,
 )
+from bdm import solver
 from bdm.errors import NoRealizerError
 from bdm.model import ec_stage
 from bdm.solver import (
@@ -32,6 +34,7 @@ from bdm.solver import (
     Caps,
     Triple,
     block_layout,
+    count_sigma_consistent,
     four_power_base,
     realizations,
     refine_triple,
@@ -190,6 +193,39 @@ def test_generated_subalgebra_matches_frozenset_reference(data):
     blocks = ref_blocks(alg, gens)
     assert tuple(map(atoms, sub_r.cell_masks)) == tuple(blocks)
     assert sub.sigma == tuple(blocks.index(star(alg, b)) + 1 for b in blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generated_blocks_match_frozenset_reference(data):
+    """The bare blocks and sigma that decide's quantifier step reads, with
+    the invariants that generated_subalgebra's checked constructors test:
+    the blocks partition the atoms, sigma is an involution on them and maps
+    each block onto its star image.  Each generator is the union of the
+    blocks it meets, which is how decide takes its preimage."""
+    alg = data.draw(algebras())
+    gens = data.draw(st.lists(subsets(alg), max_size=3))
+    blocks, sigma = generated_blocks(alg, [atoms_to_mask(g, alg.n) for g in gens])
+    ref = ref_blocks(alg, gens)
+    assert list(map(atoms, blocks)) == ref
+    assert sigma == tuple(ref.index(star(alg, b)) + 1 for b in ref)
+    assert all(blocks)
+    for j, b in enumerate(blocks):
+        assert not any(b & c for c in blocks[j + 1:])
+    assert atoms(sum(blocks)) == top(alg)
+    n = len(blocks)
+    assert sorted(sigma) == list(range(1, n + 1))
+    assert all(sigma[sigma[k] - 1] == k + 1 for k in range(n))
+    assert all(star(alg, ref[k]) == ref[sigma[k] - 1] for k in range(n))
+    for g in gens:
+        mask = atoms_to_mask(g, alg.n)
+        met = frozenset(k for k, b in enumerate(blocks, start=1) if b & mask)
+        assert met == ref_preimage(ref, g)
+    sub, sub_r = generated_subalgebra(alg, [Element(alg, g) for g in gens])
+    assert (sub.sigma, sub_r.cell_masks) == (sigma, tuple(blocks))
+    fixed = sum(star(alg, b) == b for b in ref)
+    count = 7**fixed * 15 ** ((n - fixed) // 2)
+    assert solver._triple_count(sigma) == count_sigma_consistent(sub) == count
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,9 @@ are and exercise every name, constructor and view the benchmark calls.
 """
 
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from bdm.model import ec_stage
 from bdm.solver import Caps, Triple
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def _load(name):
@@ -88,3 +91,15 @@ def test_views_the_benchmark_reads():
     assert t.sets() == (frozenset(), frozenset({1}), frozenset({1}))
     assert len(stage.realizers) == len(stage.rows) == 7
     assert stage.realizers[0][1] == stage.realizer(stage.realizers[0][0])
+
+
+def test_cli_import_loads_the_traced_modules():
+    """`spans.Tracer.install` reads `bdm.solver` and `bdm.oracle` from
+    `sys.modules` without a default, after importing only `bdm.cli`; a
+    lazy import of either would break every traced run."""
+    code = "import sys, bdm.cli; print(sorted({'bdm.solver', 'bdm.oracle'} - set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    ).stdout
+    assert out == "[]\n"
