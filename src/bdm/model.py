@@ -43,8 +43,8 @@ from .solver import (
     DEFAULT_CAPS,
     Triple,
     _orbit_options,
+    _triple_count,
     block_layout,
-    check_triple_count,
     four_power_base,
     four_power_blocks,
     refine_triple,
@@ -100,7 +100,7 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
     solved once, the rows are every choice of one option per orbit with
     the parts ORed together, and one sort puts them in order.
     """
-    check_triple_count(alg, caps.max_triples)
+    _triple_count(alg.sigma, caps.max_triples)
     m, r1 = four_power_base(alg)
     total = _BLOCK * m
     if 2 * total > caps.max_atoms:

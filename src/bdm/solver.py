@@ -194,17 +194,11 @@ def _orbit_options(alg: FiniteAlgebra) -> list[list[tuple[int, int, int]]]:
     return per_orbit
 
 
-def check_triple_count(alg: FiniteAlgebra, max_count: Optional[int]) -> int:
-    """The number of consistent triples over alg; raise CapExceeded when it
-    is above max_count, where None means no cap."""
-    return _triple_count(alg.sigma, max_count)
-
-
 def sigma_consistent_triples(alg: FiniteAlgebra) -> list[Triple]:
     """All sigma-consistent triples over alg, ordered lexicographically by
     the bitmasks of (I1, I2, I3) with atom i on bit i-1: a new list of new
     triples on each call.  Callers that take a triple budget check it first
-    with check_triple_count."""
+    with _triple_count(alg.sigma, budget)."""
     # orbits own disjoint bits, so the sum of their parts is the union
     masks = sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*_orbit_options(alg)))
     return [Triple.from_masks(alg, m1, m2, m3) for m1, m2, m3 in masks]
@@ -213,43 +207,60 @@ def sigma_consistent_triples(alg: FiniteAlgebra) -> list[Triple]:
 # ---------------------------------------------------------------------------
 # Abstract witness construction
 
-# The four products of a fresh element x that partition the top of the
-# one-generated extension; star swaps the outer two and fixes the middle two.
-_KIND_XXBAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_NXSTAR = range(4)
-_KIND_STAR = (_KIND_NXSTAR, _KIND_XXSTAR, _KIND_NXBAR, _KIND_XXBAR)
+# Kinds 0..3 are the products x.x~, x.x*, x'.x~, x'.x* of a fresh x; star
+# swaps the outer two.  Per set of kinds zero at an atom (bit c for kind c):
+# the letter count, the realizer of one-letter words (kinds 0 and 1, first)
+# and each letter's starred kind as a place among the starred letters.
+_KIND_STAR = (3, 1, 2, 0)
+_LETTERS = [
+    (len(ks), ((1 << sum(c < 2 for c in ks)) - 1,),
+     [sorted(_KIND_STAR[c] for c in ks).index(_KIND_STAR[c]) for c in ks])
+    for ks in ([c for c in range(4) if not z >> c & 1] for z in range(16))
+]
+
+
+def _extension(t: Triple, k: int) -> tuple[AtomRefinement, list[int]]:
+    """The tower of k one-witness rounds over a consistent triple, built at
+    once, and the masks of its k realizers.  Base atom i splits into the
+    words (i, c1 ... ck) over the kinds present at i: the nonzero ones among
+    i.x.x~, i.x.x*, i.x'.x~, i.x'.x* (the last is zero iff sigma(i) in I1).
+    In lexicographic order each cell is a block; sigma sends (i, w) to
+    (sigma(i), w starred letter by letter); realizer r is the words whose
+    r-th letter is x.x~ or x.x*."""
+    alg = t.algebra
+    # per kind, the base atoms (as a mask) where that product is zero
+    z0, z1, z2, z3 = t.m1, t.m2, t.m3, alg.sigma_mask(t.m1)
+    letters, offsets = [], [0]
+    for i in range(alg.n):
+        row = _LETTERS[z0 >> i & 1 | (z1 >> i & 1) << 1 | (z2 >> i & 1) << 2 | (z3 >> i & 1) << 3]
+        letters.append(row)
+        offsets.append(offsets[-1] + row[0] ** k)
+    sigma, cells, masks, rounds = [], [], [0] * k, range(k - 1)
+    for (b, units, star), offset, image in zip(letters, offsets, alg.sigma):
+        # k - 1 times, put each letter in front of every word: place holds
+        # each word's sigma image in its block, units each realizer's part
+        place, size = star, b
+        for _ in rounds:
+            first = (1 << units[0].bit_length() * b) - 1  # first letter under x
+            units = [first] + [sum(u << c * size for c in range(b)) for u in units]
+            place = [y * size + x for y in star for x in place]
+            size *= b
+        start = offsets[image - 1] + 1
+        sigma += [start + x for x in place]
+        cells.append(((1 << size) - 1) << offset)
+        for r, u in enumerate(units):
+            masks[r] |= u << offset
+    ext = FiniteAlgebra(offsets[-1], tuple(sigma))
+    return AtomRefinement.from_masks(alg, ext, tuple(cells)), masks
 
 
 def witness_abstract(t: Triple) -> Witness:
-    """Build the one-generated extension realizing a consistent triple.
-
-    For each base atom i the extension splits atom i into the nonzero ones
-    among i.x.x~, i.x.x*, i.x'.x~, i.x'.x*; the triple dictates which are
-    nonzero (the last via: i.x'.x* = 0 iff sigma(i) in I1).  Consistency
-    makes every cell nonempty, and sigma acts by (i, kind) |->
-    (sigma(i), swapped kind).  The witness element collects the x.x~ and
-    x.x* parts.
-    """
+    """The one-generated extension realizing a consistent triple (the k = 1
+    case of _extension); the witness element is its x.x~ and x.x* parts."""
     if not is_sigma_consistent(t):
         raise InconsistentTripleError(f"{t!r} violates the consistency conditions")
-    alg = t.algebra
-    # per kind, the base atoms (as a mask) where that product is zero
-    zero_at = (t.m1, t.m2, t.m3, alg.sigma_mask(t.m1))
-    index: dict[tuple[int, int], int] = {}
-    for i in range(alg.n):
-        for kind in range(4):
-            if not zero_at[kind] >> i & 1:
-                index[(i, kind)] = len(index)
-    sigma = [0] * len(index)
-    cells = [0] * alg.n
-    element = 0
-    for (i, kind), j in index.items():
-        sigma[j] = index[(alg.sigma[i] - 1, _KIND_STAR[kind])] + 1
-        cells[i] |= 1 << j
-        if kind in (_KIND_XXBAR, _KIND_XXSTAR):
-            element |= 1 << j
-    ext = FiniteAlgebra(len(index), tuple(sigma))
-    embedding = AtomRefinement.from_masks(alg, ext, tuple(cells))
-    return Witness(embedding, Element.from_mask(ext, element))
+    embedding, (mask,) = _extension(t, 1)
+    return Witness(embedding, Element.from_mask(embedding.target, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -401,38 +412,26 @@ def realizations(
     t: Triple, k: int
 ) -> tuple[FiniteAlgebra, AtomRefinement, list[Element]]:
     """k pairwise distinct realizers of a consistent non-trivial triple in a
-    common extension.
-
-    Each round adjoins a fresh witness for the current refinement of t; the
-    refined triple stays non-trivial, so the new witness falls outside the
-    previous algebra and in particular differs from the earlier realizers.
-    A round at most quadruples the atoms, so over an n-atom base the
-    extension has at most n * 4^k atoms; when that bound exceeds
-    MAX_REALIZATION_ATOMS nothing is built and CapExceeded is raised.
-    Three atoms thus allow k = 7 (49,152 atoms) but not k = 8.
-    """
+    common extension: _extension's tower of k rounds, each adjoining a
+    witness of the refinement of t so far.  That stays non-trivial, so each
+    realizer lies outside the rounds before it.  Over n atoms the extension
+    has at most n * 4^k; above MAX_REALIZATION_ATOMS nothing is built and
+    CapExceeded is raised, so three atoms allow k = 7 but not k = 8."""
     if k < 1:
         raise ValueError("at least one realizer must be requested")
     if not is_sigma_consistent(t):
         raise InconsistentTripleError(f"{t!r} violates the consistency conditions")
     if is_trivial(t) is not None:
-        raise TrivialTripleError(
-            f"{t!r} has a unique realizer inside the base algebra"
-        )
+        raise TrivialTripleError(f"{t!r} has a unique realizer inside the base algebra")
     n, cap = t.algebra.n, MAX_REALIZATION_ATOMS
     # 4^k > cap once 2k reaches the cap's bit length, so 4^k is never built
     if 2 * k >= cap.bit_length() or n << 2 * k > cap:
         raise CapExceeded(
             f"{k} realizations over {n} atoms may need {n}*4^{k} atoms, cap is {cap}"
         )
-    acc = identity_refinement(t.algebra)
-    found: list[Element] = []
-    for _ in range(k):
-        w = witness_abstract(refine_triple(acc, t))
-        found = [w.embedding.map_element(e) for e in found]
-        found.append(w.element)
-        acc = compose_refinements(acc, w.embedding)
-    return acc.target, acc, found
+    embedding, masks = _extension(t, k)
+    ext = embedding.target
+    return ext, embedding, [Element.from_mask(ext, m) for m in masks]
 
 
 # ---------------------------------------------------------------------------

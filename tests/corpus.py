@@ -7,7 +7,15 @@ import itertools
 import random
 from functools import lru_cache
 
-from bdm.algebra import AtomRefinement, Element, FiniteAlgebra, four_power
+from bdm.algebra import (
+    AtomRefinement,
+    Element,
+    FiniteAlgebra,
+    compose_refinements,
+    four_power,
+    identity_refinement,
+)
+from bdm.solver import Triple, refine_triple
 from bdm.terms import (
     And,
     BNeg,
@@ -72,6 +80,55 @@ def power_element(coords) -> Element:
     coordinates."""
     k = len(coords)
     return Element.from_mask(four_power(k), coords_mask(coords, k))
+
+
+# The four products x.x~, x.x*, x'.x~, x'.x* of a fresh element x, as kinds
+# 0..3; star swaps the outer two and fixes the middle two.
+_KIND_STAR = (3, 1, 2, 0)
+
+
+def round_witness(t: Triple) -> tuple[AtomRefinement, Element]:
+    """One round of the tower: the one-generated extension realizing a
+    consistent triple, built pair by pair.  Base atom i splits into the
+    pairs (i, kind), in ascending order, for the kinds whose product is
+    nonzero at i: x.x~ unless i in I1, x.x* unless i in I2, x'.x~ unless i
+    in I3, x'.x* unless sigma(i) in I1.  Sigma sends (i, kind) to
+    (sigma(i), starred kind) and the realizer is the x.x~ and x.x* pairs."""
+    alg = t.algebra
+    zero_at = (t.m1, t.m2, t.m3, alg.sigma_mask(t.m1))
+    index: dict[tuple[int, int], int] = {}
+    for i in range(alg.n):
+        for kind in range(4):
+            if not zero_at[kind] >> i & 1:
+                index[(i, kind)] = len(index)
+    sigma = [0] * len(index)
+    cells = [0] * alg.n
+    element = 0
+    for (i, kind), j in index.items():
+        sigma[j] = index[(alg.sigma[i] - 1, _KIND_STAR[kind])] + 1
+        cells[i] |= 1 << j
+        if kind < 2:
+            element |= 1 << j
+    ext = FiniteAlgebra(len(index), tuple(sigma))
+    return AtomRefinement.from_masks(alg, ext, tuple(cells)), Element.from_mask(ext, element)
+
+
+def iterated_realizations(
+    t: Triple, k: int
+) -> tuple[FiniteAlgebra, AtomRefinement, list[Element]]:
+    """k realizers of a consistent non-trivial triple, adjoined one round at
+    a time: each round refines t along the extension so far, builds its
+    round_witness, maps the earlier realizers into it and composes the
+    embeddings.  The slow route that solver.realizations must match
+    exactly."""
+    acc = identity_refinement(t.algebra)
+    found: list[Element] = []
+    for _ in range(k):
+        r, element = round_witness(refine_triple(acc, t))
+        found = [r.map_element(e) for e in found]
+        found.append(element)
+        acc = compose_refinements(acc, r)
+    return acc.target, acc, found
 
 
 def involutions(n: int) -> list[tuple[int, ...]]:

@@ -535,6 +535,27 @@ def test_realize_over_the_atom_cap_exits_three(capsys, three_file):
 
 
 @pytest.mark.parametrize(
+    "count, json_flag, digest",
+    [
+        ("6", [], "3a5466fc6fdec2205107a0c4b011c5686f15f8496cb4977c335f3fc79e27522f"),
+        ("6", ["--json"], "ae2119011f5779908e495f2034a9f76584e413a3ed3b1ad777f7120adc5ad8dc"),
+        ("7", [], "a84c7e4ac01c3952f388c492df4883ca4187554d561afded16f3ea38d9670243"),
+        ("7", ["--json"], "c4e18ffe967471f339a607f17366af17690214f33e024ba27c7bf44c683334a4"),
+    ],
+    ids=["6-text", "6-json", "7-text", "7-json"],
+)
+def test_realize_golden_bytes(capsys, three_file, count, json_flag, digest):
+    """realize prints the same bytes as when it adjoined its realizers one
+    witness extension at a time (12,288 and 49,152 atoms)."""
+    code, out, _ = run(
+        capsys, "realize", "--count", count, "--algebra", three_file,
+        "I1={} I2={} I3={}", *json_flag,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "json_flag, digest",
     [
         ([], "4b7fe8776daa1f41e780d96f071a3ed204ff080aa2152a447c7ec128c06af815"),

@@ -25,7 +25,6 @@ from bdm.solver import (
     Caps,
     Triple,
     block_layout,
-    check_triple_count,
     count_sigma_consistent,
     decide,
     in_acl,
@@ -44,10 +43,12 @@ from corpus import (
     all_bases,
     atoms,
     elements,
+    iterated_realizations,
     power_element,
     random_element,
     random_formula,
     refinements_into,
+    round_witness,
 )
 
 
@@ -86,7 +87,7 @@ def test_consistent_triple_count_matches_enumeration():
 
 def test_consistent_triple_cap():
     with pytest.raises(CapExceeded):
-        check_triple_count(FiniteAlgebra(2, (1, 2)), 10)
+        solver._triple_count(FiniteAlgebra(2, (1, 2)).sigma, 10)
 
 
 def test_each_enumeration_is_a_new_list():
@@ -360,6 +361,47 @@ def test_realizations_scale_with_their_output():
     assert len({e.mask for e in elems}) == 7
     for e in elems:
         assert triple_of_element(emb, e) == t
+
+
+def test_realizations_match_the_iterated_tower():
+    """The one-pass extension is exactly the tower that adjoins one witness
+    per round: the same sigma, cells and realizers, in the same order; its
+    k = 1 case, witness_abstract, is one round."""
+    for alg in all_bases(3):
+        for t in sigma_consistent_triples(alg):
+            w = witness_abstract(t)
+            assert (w.embedding, w.element) == round_witness(t), t
+            if is_trivial(t) is not None:
+                continue
+            for k in range(1, (4 if alg.n <= 2 else 3) + 1):
+                ext, emb, elems = realizations(t, k)
+                slow_ext, slow_emb, slow_elems = iterated_realizations(t, k)
+                assert ext.sigma == slow_ext.sigma, (t, k)
+                assert emb.cell_masks == slow_emb.cell_masks, (t, k)
+                assert [e.mask for e in elems] == [e.mask for e in slow_elems], (t, k)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_realizations_build_one_algebra_and_one_refinement(monkeypatch, k):
+    """realizations builds its extension once, not round by round: one
+    algebra, one refinement, nothing refined or composed."""
+    t = T(FiniteAlgebra(3, (1, 3, 2)), (), (), ())
+    built = []
+    init_algebra = FiniteAlgebra.__init__
+    monkeypatch.setattr(
+        FiniteAlgebra, "__init__", lambda *a: built.append("algebra") or init_algebra(*a)
+    )
+    init_refinement = algebra._init_refinement
+    monkeypatch.setattr(
+        algebra, "_init_refinement",
+        lambda *a: built.append("refinement") or init_refinement(*a),
+    )
+    for name in ("compose_refinements", "refine_triple"):
+        f = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a, name=name, f=f: built.append(name) or f(*a))
+    ext, emb, elems = realizations(t, k)
+    assert sorted(built) == ["algebra", "refinement"]
+    assert ext.n == 3 * 4**k and len({e.mask for e in elems}) == k
 
 
 @pytest.mark.parametrize("n, k", [(3, 8), (1, 9), (2, 8), (5, 7), (1, 10**9)])

@@ -87,8 +87,8 @@ def test_tracer_records_spans(spans):
 
 
 def test_traced_realizations_leave_the_witness_cache_alone(spans):
-    """Traced, realizations calls the wrapped witness_abstract; the tower
-    witnesses it builds must not reach decide's shape table."""
+    """Traced, the extension realizations builds must not reach decide's
+    shape table."""
     t = Triple(FiniteAlgebra(3, (1, 3, 2)), frozenset(), frozenset(), frozenset())
     before = bdm.solver._shape_witnesses.cache_info()
     tracer = spans.Tracer()
