@@ -374,21 +374,6 @@ class AtomRefinement(Value):
             raise ValueError("element does not belong to the source algebra")
         return Element.from_mask(self.target, self.map_mask(e.mask))
 
-    def preimage(self, e: Element) -> Optional[Element]:
-        """The unique source element mapping to e, or None when e is not a
-        union of cells."""
-        if e.algebra is not self.target and e.algebra != self.target:
-            raise ValueError("element does not belong to the target algebra")
-        src = 0
-        rest = e.mask
-        for i, cell in enumerate(self.cell_masks):
-            if not cell & ~rest:
-                src |= 1 << i
-                rest ^= cell
-        if rest:
-            return None
-        return Element.from_mask(self.source, src)
-
 
 def _init_refinement(r, source, target, masks):
     """Check the cell masks and store them on r, which is returned."""

@@ -3,7 +3,8 @@
 Everything here works by exhaustion: realizers are found by scanning all
 2^m elements of an extension, triviality by scanning all 2^n candidate atom
 sets (both scans stop at MAX_SCAN_ATOMS atoms), witnesses by scanning a
-canonical tower of powers of the four-element algebra.  The zero-pattern
+canonical tower of powers of the four-element algebra, and failing
+assignments of identities by trying all 4^k of them.  The zero-pattern
 tests are recomputed from the defining products of the type formulas rather
 than routed through triple_of_element, so the scans stay independent of the
 solver paths they are meant to check.
@@ -16,9 +17,11 @@ n source atoms thus costs O((m + n) * 2^m / 64) word operations.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Optional
 
 from .algebra import (
+    FOUR,
     AtomRefinement,
     Element,
     compose_refinements,
@@ -29,6 +32,7 @@ from .algebra import (
 from .errors import CapExceeded
 from .solver import Triple, Witness, block_layout, four_power_base
 from .terms import And, Equal, Formula, Meet, DMNeg, BNeg, NotEqual, Star, Term, Var, ZERO
+from .terms import MAX_IDENTITY_VARIABLES, _low_tables, _mask, free_vars
 
 # the names of the free variable and of the parameters y1..yn of phi_formula
 _VAR = "x"
@@ -71,18 +75,6 @@ def phi_environment(r: AtomRefinement, u: Element):
 
 # ---------------------------------------------------------------------------
 # Bit-sliced scans over all elements of a target algebra
-
-def _low_tables(b: int) -> list[int]:
-    """The truth tables of the low b atoms over the masks 0..2^b-1: bit k
-    of the table of atom j+1 is bit j of k.  Built by doubling the width,
-    the new top atom being zero on the lower half and one on the upper."""
-    tables: list[int] = []
-    for j in range(b):
-        width = 1 << j
-        tables = [x | x << width for x in tables]
-        tables.append(((1 << width) - 1) << width)
-    return tables
-
 
 def element_type_scan(r: AtomRefinement) -> Iterator[tuple]:
     """Yield (elements, z1, z2, z3) chunk by chunk over every element of the
@@ -205,7 +197,21 @@ def brute_force_trivial(t: Triple) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Local finiteness probe
+# The free algebra by exhaustion
+
+def failing_assignment(t1: Term, t2: Term) -> Optional[dict[str, Element]]:
+    """terms.valid_identity's counterexample by exhaustion: the first of the
+    assignments of t1's and t2's sorted names into the masks 0..3, in
+    itertools.product order, where t1 and t2 differ, or None.  Capped alike."""
+    names = sorted(free_vars(Equal(t1, t2)))
+    if len(names) > MAX_IDENTITY_VARIABLES:
+        raise CapExceeded(f"cannot try 4^{len(names)} assignments")
+    for combo in itertools.product(range(1 << FOUR.n), repeat=len(names)):
+        env = dict(zip(names, combo))
+        if _mask(FOUR, t1, env) != _mask(FOUR, t2, env):
+            return {name: Element.from_mask(FOUR, m) for name, m in env.items()}
+    return None
+
 
 def free_function_count(k: int) -> int:
     """Size of the closure of the k projections and the constants under the
@@ -221,14 +227,11 @@ def free_function_count(k: int) -> int:
         raise ValueError("k must be nonnegative")
     if k > 2:
         raise CapExceeded("free_function_count is capped at k = 2")
-    m = 4**k
+    m, tables = 4**k, _low_tables(2 * k)
     ambient = four_power(m)
-    projections = []
-    for c in range(k):
-        mask = 0
-        for idx in range(m):
-            digit = (idx // (4 ** (k - 1 - c))) % 4  # 0, a, b, 1
-            mask |= (digit & 1) << idx | (digit >> 1) << (m + idx)
-        projections.append(Element.from_mask(ambient, mask))
+    projections = [
+        Element.from_mask(ambient, tables[2 * (k - 1 - c)] | tables[2 * (k - 1 - c) + 1] << m)
+        for c in range(k)
+    ]
     sub, _ = generated_subalgebra(ambient, projections)
     return 2**sub.n

@@ -525,36 +525,69 @@ class IdentityCheck(Value):
         return self.valid
 
 
-# Bound on the variables of an identity: k variables take 4^k assignments,
-# so ten allow 2^20 and each more multiplies the time by four.
+# Bound on the variables of an identity: k variables give F(k) 4^k atoms, so
+# ten make each table 2^20 bits and each more multiplies its size by four.
 MAX_IDENTITY_VARIABLES = 10
+
+
+def _low_tables(b: int) -> list[int]:
+    """The truth tables of the low b atoms over the masks 0..2^b-1: bit k
+    of the table of atom j+1 is bit j of k.  Built by doubling the width,
+    the new top atom being zero on the lower half and one on the upper."""
+    tables: list[int] = []
+    for j in range(b):
+        width = 1 << j
+        tables = [x | x << width for x in tables]
+        tables.append(((1 << width) - 1) << width)
+    return tables
+
+
+class _Free:
+    """The free algebra F(k) as _mask reads it, from _low_tables(2k).  Its
+    atoms are the 4^k patterns of k 2-bit digits, and star swaps the bits of
+    each digit i, trading the patterns whose digit i is 01 with those 4^i above."""
+
+    def __init__(self, tables: list[int]):
+        self.full_mask = (1 << (1 << len(tables))) - 1
+        self._swaps = [(1 << i, tables[i] & ~tables[i + 1]) for i in range(0, len(tables), 2)]
+
+    def sigma_mask(self, mask: int) -> int:
+        for d, low in self._swaps:
+            flip = (mask >> d ^ mask) & low
+            mask ^= flip | flip << d
+        return mask
 
 
 def valid_identity(t1: Term, t2: Term, signature: str = "bdm") -> IdentityCheck:
     """Decide whether t1 = t2 holds under every assignment into the
-    four-element algebra; a failing assignment is reported.
+    four-element algebra; the least failing one is reported.
 
     Truth in the four-element algebra settles truth in every algebra here:
-    both signatures' varieties are generated by it.  Assignments run in
-    ascending bitmask order per variable, variables sorted by name, so the
-    reported counterexample is deterministic.  With more than
-    MAX_IDENTITY_VARIABLES variables CapExceeded is raised before any
-    assignment is tried.
+    both signatures' varieties are generated by it.  So each side is read
+    once in F(k), the j-th of the k sorted names being bit 0 of digit k-1-j.
+    With more than MAX_IDENTITY_VARIABLES variables CapExceeded is raised
+    before any table is built.
     """
     _check_signature(signature)
     if signature == "dm" and not (in_dm_signature(t1) and in_dm_signature(t2)):
         raise ValueError("terms use operations outside the dm signature")
     names = sorted(_scan(t1, False)[0] | _scan(t2, False)[0])
-    if len(names) > MAX_IDENTITY_VARIABLES:
+    k = len(names)
+    if k > MAX_IDENTITY_VARIABLES:
         raise CapExceeded(
-            f"{len(names)} variables need 4^{len(names)} assignments, "
-            f"cap is {MAX_IDENTITY_VARIABLES} variables"
+            f"{k} variables need 4^{k} assignments, cap is {MAX_IDENTITY_VARIABLES} variables"
         )
-    for combo in itertools.product(range(1 << FOUR.n), repeat=len(names)):
-        env = dict(zip(names, combo))
-        if _mask(FOUR, t1, env) != _mask(FOUR, t2, env):
-            return IdentityCheck(False, {n: Element.from_mask(FOUR, m) for n, m in env.items()})
-    return IdentityCheck(True, None)
+    tables = _low_tables(2 * k)
+    free = _Free(tables)
+    env = {name: tables[2 * (k - 1 - j)] for j, name in enumerate(names)}
+    diff = _mask(free, t1, env) ^ _mask(free, t2, env)
+    diff |= free.sigma_mask(diff)
+    if not diff:
+        return IdentityCheck(True, None)
+    # the digits of p assign the names: atom 1 then has pattern p, atom 2 its star image
+    p = (diff & -diff).bit_length() - 1
+    return IdentityCheck(False, {name: Element.from_mask(FOUR, p >> 2 * (k - 1 - j) & 3)
+                                 for j, name in enumerate(names)})
 
 
 # ---------------------------------------------------------------------------

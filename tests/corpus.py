@@ -45,6 +45,13 @@ def atoms(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def blocks_under(r: AtomRefinement, mask: int) -> frozenset[int]:
+    """The source atoms whose cells lie under mask, checked to be all of it."""
+    under = frozenset(i for i, cell in enumerate(r.cell_masks, start=1) if not cell & ~mask)
+    assert sum(r.cell_masks[i - 1] for i in under) == mask
+    return under
+
+
 def elements(alg: FiniteAlgebra) -> list[Element]:
     """All 2^n elements of alg in ascending mask order (bit i-1 = atom i)."""
     return [Element.from_mask(alg, mask) for mask in range(1 << alg.n)]

@@ -51,7 +51,7 @@ from bdm.textio import format_algebra, parse_algebra
 
 from corpus import (
     all_bases,
-    atoms,
+    blocks_under,
     elements,
     involutions,
     power_element,
@@ -324,7 +324,8 @@ def test_criterion_10_back_and_forth():
                 _, v_blocks, base_into_v = algebra_over(rv, [v])
                 _, u_blocks, base_into_u = algebra_over(stage.embedding, [u])
                 _assert_valid_iso(
-                    base_into_v, base_into_u, iso, v_blocks.preimage(v), u_blocks.preimage(u)
+                    base_into_v, base_into_u, iso,
+                    blocks_under(v_blocks, v.mask), blocks_under(u_blocks, u.mask),
                 )
                 matched += 1
     return f"{matched} elements matched and verified"
@@ -340,7 +341,7 @@ def _assert_valid_iso(r1, r2, iso, x, y):
         assert iso[r1.target.sigma[q - 1] - 1] == r2.target.sigma[iso[q - 1] - 1]
     for i in r1.source.atom_indices:
         assert {iso[q - 1] for q in r1.cell(i)} == set(r2.cell(i))
-    assert {iso[q - 1] for q in atoms(x.mask)} == atoms(y.mask)
+    assert {iso[q - 1] for q in x} == y
 
 
 @criterion(11, 5.0)

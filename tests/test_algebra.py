@@ -375,10 +375,3 @@ def test_element_validation():
         Element(TWO, frozenset({2}))
     with pytest.raises(ValueError):
         FOUR.atom(3)
-
-
-def test_preimage():
-    _, r = twist_product(FOUR)
-    for x in elements(FOUR):
-        assert r.preimage(r.map_element(x)) == x
-    assert r.preimage(r.target.atom(1)) is None

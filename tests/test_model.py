@@ -25,7 +25,7 @@ from bdm.solver import (
 )
 from bdm.textio import stages_json_text, stages_text
 
-from corpus import all_bases, atoms, elements
+from corpus import all_bases, blocks_under, elements
 
 CAPS = Caps(max_atoms=64, max_depth=4, max_triples=10**6)
 
@@ -150,7 +150,7 @@ def _sends_v_to_u(rv, v, r0, u, iso):
     atoms under v onto the atoms under u."""
     _, v_blocks, _ = algebra_over(rv, [v])
     _, u_blocks, _ = algebra_over(r0, [u])
-    v_atoms, u_atoms = atoms(v_blocks.preimage(v).mask), atoms(u_blocks.preimage(u).mask)
+    v_atoms, u_atoms = blocks_under(v_blocks, v.mask), blocks_under(u_blocks, u.mask)
     return {iso[q - 1] for q in v_atoms} == u_atoms
 
 

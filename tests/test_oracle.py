@@ -220,6 +220,11 @@ def test_free_function_count_values():
         free_function_count(-1)
 
 
+def test_free_function_count_is_the_size_of_the_free_algebra():
+    # the closure of the projections is F(k), with 4^k atoms
+    assert [free_function_count(k) for k in range(3)] == [2 ** (4**k) for k in range(3)]
+
+
 def test_free_function_count_matches_literal_closure():
     # independent route for k = 1: close {0, 1, id} under the operations on
     # functions from the four-element algebra to itself, pointwise

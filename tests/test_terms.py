@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bdm.algebra import FOUR, TWO, Element, four_power, twist_product
 from bdm.errors import CapExceeded, ParseError
+from bdm.oracle import failing_assignment
 from bdm.terms import (
     MAX_IDENTITY_VARIABLES,
     And,
@@ -318,6 +320,56 @@ def test_valid_identity_over_the_variable_cap_raises():
 def test_valid_identity_dm_signature_guard():
     with pytest.raises(ValueError):
         valid_identity(parse_term("x'"), x, signature="dm")
+
+
+def _shapes(unary, depth=4):
+    """Terms of at most depth operations nested, as nested tuples (operation
+    class, operands...) whose leaves are -2 and -1 for the constants 0 and 1
+    and 0..3 for the names."""
+    leaves = shapes = st.integers(-2, 3)
+    for _ in range(depth):
+        shapes = st.one_of(
+            leaves,
+            st.tuples(st.sampled_from([Join, Meet]), shapes, shapes),
+            st.tuples(st.sampled_from(unary), shapes),
+        )
+    return shapes
+
+
+SHAPES = {"bdm": _shapes([DMNeg, BNeg, Star]), "dm": _shapes([DMNeg])}
+
+
+def _term(shape, names):
+    if isinstance(shape, int):
+        return Const(shape + 2) if shape < 0 else Var(names[shape % len(names)])
+    op, *args = shape
+    return op(*(_term(arg, names) for arg in args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["bdm", "dm"]), st.data())
+def test_valid_identity_matches_the_assignment_loop(signature, data):
+    """The one evaluation per side in F(k) gives the verdict and the
+    counterexample of trying every assignment into the four-element algebra:
+    1 to 4 names drawn from 10, terms of depth at most 4."""
+    names = data.draw(st.lists(st.sampled_from([f"v{i}" for i in range(10)]),
+                               min_size=1, max_size=4, unique=True))
+    t1, t2 = (_term(data.draw(SHAPES[signature]), names) for _ in range(2))
+    check = valid_identity(t1, t2, signature)
+    cex = failing_assignment(t1, t2)
+    assert (check.valid, check.counterexample) == (cex is None, cex)
+
+
+def test_valid_identity_ten_names():
+    names = [f"v{i}" for i in range(10)]
+    join = parse_term(" + ".join(names))
+    start = time.perf_counter()
+    assert valid_identity(join, parse_term(" + ".join(reversed(names)))).valid
+    assert time.perf_counter() - start < 0.5
+    meet = parse_term(" . ".join(names))
+    check = valid_identity(join, meet)
+    assert check.counterexample == {**dict.fromkeys(names, FOUR.zero), "v9": FOUR.atom(1)}
+    assert check.counterexample == failing_assignment(join, meet)
 
 
 def test_identity_check_matches_small_algebras():
