@@ -9,13 +9,11 @@ repeat satisfies the same zero conditions and only adds witnesses to the
 nonzero ones).  The stage therefore realizes every consistent triple over
 the base, with a realizer written down directly rather than searched for.
 
-A stage stores its record as masks: one (I1, I2, I3, realizer) row per
-consistent triple, in lexicographic order.  The realizer's blocks inside
+A stage stores its record as per-orbit tables: the realizer's blocks in
 the image of a sigma-orbit depend only on the triple's part on that orbit,
-so ec_stage solves each orbit's 7 or 15 options once and builds the rows
-with one OR per row plus one sort; printing reads the rows, and a lookup
-bisects them.  EcStage.realizers, the (Triple, Element) view of the rows,
-is built on each access.
+so ec_stage solves each orbit's 7 or 15 options once and keeps them.  A
+lookup is one dict probe per orbit, and the lexicographic listing of the
+rows is streamed from the tables (solver._sorted_product), never stored.
 
 The back-and-forth step find_matching_element mirrors an element of any
 extension of a stage's base inside the stage, through the stage's record.
@@ -26,15 +24,12 @@ materialized.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .algebra import (
     AtomRefinement,
     Element,
     FiniteAlgebra,
     Frozen,
     algebra_over,
-    atoms_to_mask,
     compose_refinements,
 )
 from .errors import CapExceeded, NoRealizerError
@@ -43,6 +38,7 @@ from .solver import (
     DEFAULT_CAPS,
     Triple,
     _orbit_options,
+    _sorted_product,
     _triple_count,
     block_layout,
     four_power_base,
@@ -57,33 +53,37 @@ class EcStage(Frozen):
     with one recorded realizer per triple; the base and the stage algebra
     are the embedding's source and target.
 
-    rows holds the record as masks, one (I1, I2, I3, realizer) row per
-    triple in lexicographic order; realizers is the same record as
-    (Triple, Element) pairs, built on each access."""
+    tables holds the record: per sigma-orbit of the base, in order of least
+    atom, its mask and a dict from each (m1, m2, m3) part to its realizer
+    part.  rows, the (I1, I2, I3, realizer) masks in lexicographic order,
+    and realizers, the same as (Triple, Element) pairs, are built on each
+    access."""
 
-    __slots__ = ("embedding", "rows")
+    __slots__ = ("embedding", "tables")
 
-    def __init__(self, embedding: AtomRefinement, rows: tuple[tuple[int, int, int, int], ...]):
-        super().__init__(embedding, rows)
+    def __init__(self, embedding: AtomRefinement, tables: tuple[tuple[int, dict], ...]):
+        super().__init__(embedding, tables)
 
     base = property(lambda self: self.embedding.source)
     algebra = property(lambda self: self.embedding.target)
+    rows = property(lambda self: tuple(_sorted_product(self.tables)))
 
     @property
     def realizers(self) -> tuple[tuple[Triple, Element], ...]:
         base, alg = self.base, self.algebra
         return tuple(
             (Triple.from_masks(base, m1, m2, m3), Element.from_mask(alg, u))
-            for m1, m2, m3, u in self.rows
+            for m1, m2, m3, u in _sorted_product(self.tables)
         )
 
     def realizer(self, t: Triple) -> Element:
-        emb, rows = self.embedding, self.rows
+        emb = self.embedding
         if t.algebra is emb.source or t.algebra == emb.source:
-            key = (t.m1, t.m2, t.m3)
-            i = bisect_left(rows, key)
-            if i < len(rows) and rows[i][:3] == key:
-                return Element.from_mask(emb.target, rows[i][3])
+            u = 0
+            for m, part in self.tables:  # a missing part ORs in -1, and -1 | x == -1
+                u |= part.get((t.m1 & m, t.m2 & m, t.m3 & m), -1)
+            if u >= 0:
+                return Element.from_mask(emb.target, u)
         raise NoRealizerError(f"stage does not record a realizer for {t!r}")
 
 
@@ -92,13 +92,13 @@ _BLOCK = 4  # widest tabulated solution
 
 def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
     """Extend alg far enough to realize every consistent triple over it,
-    recording one realizer per triple in lexicographic triple order.
+    recording one realizer per triple.
 
     The realizer of a triple is the four-power solution of its refinement,
     and the blocks inside the image of one sigma-orbit depend only on the
     triple's part on that orbit.  So each orbit's 7 or 15 options are
-    solved once, the rows are every choice of one option per orbit with
-    the parts ORed together, and one sort puts them in order.
+    solved once, and the stage keeps each option's blocks on the orbit's
+    image; max_triples bounds the triples recorded, checked before max_atoms.
     """
     _triple_count(alg.sigma, caps.max_triples)
     m, r1 = four_power_base(alg)
@@ -109,17 +109,15 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
         )
     emb = compose_refinements(r1, block_layout(r1.target, [_BLOCK] * m))
 
-    rows = [(0, 0, 0, 0)]
-    for orbit, options in zip(alg.sigma_orbits(), _orbit_options(alg)):
-        image = emb.map_mask(atoms_to_mask(orbit, alg.n))
-        parts = []
+    tables = []
+    for mask, options in _orbit_options(alg):
+        image = emb.map_mask(mask)
+        parts = {}
         for o in options:
-            t = Triple.from_masks(alg, *o)
-            _, mask = four_power_blocks(refine_triple(r1, t), m, _BLOCK)
-            parts.append((*o, mask & image))
-        rows = [(a | x, b | y, c | z, d | w) for a, b, c, d in rows for x, y, z, w in parts]
-    rows.sort()
-    return EcStage(emb, tuple(rows))
+            _, u = four_power_blocks(refine_triple(r1, Triple.from_masks(alg, *o)), m, _BLOCK)
+            parts[o] = u & image
+        tables.append((mask, parts))
+    return EcStage(emb, tuple(tables))
 
 
 def build_chain(

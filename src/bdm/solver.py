@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .algebra import (
     MAX_REALIZATION_ATOMS,
@@ -170,28 +170,45 @@ def _triple_count(sigma: tuple[int, ...], max_count: Optional[int] = None) -> in
     return total
 
 
-def _orbit_options(alg: FiniteAlgebra) -> list[list[tuple[int, int, int]]]:
-    """The (I1, I2, I3) parts a consistent triple may take on each sigma-orbit
-    of alg, as masks, orbit by orbit in order of least atom: 7 for a fixed
-    atom and 15 for a two-cycle."""
-    per_orbit: list[list[tuple[int, int, int]]] = []
+def _orbit_options(alg: FiniteAlgebra) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """Each sigma-orbit of alg as its mask and the (I1, I2, I3) parts a
+    consistent triple may take on it, as masks, orbit by orbit in order of
+    least atom: 7 for a fixed atom and 15 for a two-cycle."""
+    per_orbit: list[tuple[int, list[tuple[int, int, int]]]] = []
     for orbit in alg.sigma_orbits():
         options = []
         if len(orbit) == 1:
-            bit = 1 << (orbit[0] - 1)
+            mask = 1 << (orbit[0] - 1)
             for b1, b2, b3 in itertools.product((0, 1), repeat=3):
                 if b1 and b2 and b3:
                     continue
-                options.append((b1 * bit, b2 * bit, b3 * bit))
+                options.append((b1 * mask, b2 * mask, b3 * mask))
         else:
             bi, bj = (1 << (orbit[0] - 1)), (1 << (orbit[1] - 1))
-            both = bi | bj
+            mask = bi | bj
             for b1i, b1j, b2, b3 in itertools.product((0, 1), repeat=4):
                 if b1i and b1j and b2 and b3:
                     continue
-                options.append((b1i * bi | b1j * bj, b2 * both, b3 * both))
-        per_orbit.append(options)
+                options.append((b1i * bi | b1j * bj, b2 * mask, b3 * mask))
+        per_orbit.append((mask, options))
     return per_orbit
+
+
+def _sorted_product(tables) -> Iterator[tuple[int, int, int, int]]:
+    """(I1, I2, I3, payload) for each choice of one entry per table, each
+    the OR of the chosen ones, in lexicographic order.  A table is (mask,
+    {(m1, m2, m3): payload}) and tables own disjoint masks, so an I1 value
+    names its part in each; the rows of one I1 value are made and sorted
+    together, the I1 values in order."""
+    i1_values = [0]
+    for _, parts in tables:
+        i1_values = [v | p for v in i1_values for p in {m1 for m1, _, _ in parts}]
+    for v in sorted(i1_values):
+        rows = [(v, 0, 0, 0)]
+        for mask, parts in tables:
+            chosen = [(p2, p3, x) for (p1, p2, p3), x in parts.items() if p1 == v & mask]
+            rows = [(v, b | p2, c | p3, d | x) for _, b, c, d in rows for p2, p3, x in chosen]
+        yield from sorted(rows)
 
 
 def sigma_consistent_triples(alg: FiniteAlgebra) -> list[Triple]:
@@ -199,9 +216,8 @@ def sigma_consistent_triples(alg: FiniteAlgebra) -> list[Triple]:
     the bitmasks of (I1, I2, I3) with atom i on bit i-1: a new list of new
     triples on each call.  Callers that take a triple budget check it first
     with _triple_count(alg.sigma, budget)."""
-    # orbits own disjoint bits, so the sum of their parts is the union
-    masks = sorted(tuple(map(sum, zip(*c))) for c in itertools.product(*_orbit_options(alg)))
-    return [Triple.from_masks(alg, m1, m2, m3) for m1, m2, m3 in masks]
+    tables = [(mask, dict.fromkeys(options, 0)) for mask, options in _orbit_options(alg)]
+    return [Triple.from_masks(alg, m1, m2, m3) for m1, m2, m3, _ in _sorted_product(tables)]
 
 
 # ---------------------------------------------------------------------------

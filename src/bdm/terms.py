@@ -524,6 +524,9 @@ class IdentityCheck(Value):
     def __bool__(self) -> bool:
         return self.valid
 
+    def __hash__(self):  # the counterexample is a dict: hash its items
+        return hash((self.valid, frozenset((self.counterexample or {}).items())))
+
 
 # Bound on the variables of an identity: k variables give F(k) 4^k atoms, so
 # ten make each table 2^20 bits and each more multiplies its size by four.

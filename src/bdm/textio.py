@@ -24,14 +24,14 @@ byte-stable.
 from __future__ import annotations
 
 import re
-from itertools import starmap
+from itertools import islice, starmap
 from operator import getitem
 from typing import Iterator
 
 from .algebra import AtomRefinement, Element, FiniteAlgebra, format_mask, sorted_atoms
 from .errors import ParseError
 from .model import EcStage
-from .solver import Triple, Witness
+from .solver import Triple, Witness, _sorted_product
 
 
 def _lines(text: str) -> list[str]:
@@ -239,12 +239,14 @@ def _atom_text(sep: str):
 _PIECE_ROWS = 4096
 
 
-def _row_pieces(rows, row, sep: str = "") -> Iterator[str]:
-    """row(m1, m2, m3, u) for each mask row, joined by sep, in pieces of at
-    most _PIECE_ROWS rows, each made when the one before has been taken;
-    every piece after the first starts with sep."""
-    for start in range(0, len(rows), _PIECE_ROWS):
-        yield (sep if start else "") + sep.join(starmap(row, rows[start:start + _PIECE_ROWS]))
+def _row_pieces(stage: EcStage, row, sep: str = "") -> Iterator[str]:
+    """row(m1, m2, m3, u) for each row of the stage's listing, joined by
+    sep, in pieces of at most _PIECE_ROWS rows, each made when the one
+    before has been taken; every piece after the first starts with sep."""
+    rows, lead = _sorted_product(stage.tables), ""
+    while piece := sep.join(starmap(row, islice(rows, _PIECE_ROWS))):
+        yield lead + piece
+        lead = sep
 
 
 def _stage_text(stage: EcStage) -> Iterator[str]:
@@ -263,7 +265,7 @@ def _stage_text(stage: EcStage) -> Iterator[str]:
         return (f"realized I1={triple_set[m1]} I2={triple_set[m2]} "
                 f"I3={triple_set[m3]} -> {element}\n")
 
-    yield from _row_pieces(stage.rows, row)
+    yield from _row_pieces(stage, row)
     yield "\n".join(extension_lines(stage.embedding)) + "\n"
 
 
@@ -343,6 +345,6 @@ def stages_json_text(stages: list[EcStage]) -> Iterator[str]:
             return (f'{{"element": [{atoms(u)}], "triple": {{"I1": {triple_set[m1]}, '
                     f'"I2": {triple_set[m2]}, "I3": {triple_set[m3]}}}}}')
 
-        yield from _row_pieces(stage.rows, row, ", ")
+        yield from _row_pieces(stage, row, ", ")
         yield "]}"
     yield "]}\n"

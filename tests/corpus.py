@@ -52,6 +52,20 @@ def blocks_under(r: AtomRefinement, mask: int) -> frozenset[int]:
     return under
 
 
+def assert_valid_iso(r1: AtomRefinement, r2: AtomRefinement, iso, x, y) -> None:
+    """Check iso, the images of the atoms 1..m of r1's target, on its own:
+    a bijection onto r2's target commuting with star, carrying each cell of
+    r1 onto its counterpart and the atoms x onto y, as the back-and-forth
+    step extends the partial map by v -> u."""
+    m = r1.target.n
+    assert sorted(iso) == list(range(1, m + 1))
+    for q in range(1, m + 1):
+        assert iso[r1.target.sigma[q - 1] - 1] == r2.target.sigma[iso[q - 1] - 1]
+    for i in r1.source.atom_indices:
+        assert {iso[q - 1] for q in r1.cell(i)} == set(r2.cell(i))
+    assert {iso[q - 1] for q in x} == y
+
+
 def elements(alg: FiniteAlgebra) -> list[Element]:
     """All 2^n elements of alg in ascending mask order (bit i-1 = atom i)."""
     return [Element.from_mask(alg, mask) for mask in range(1 << alg.n)]

@@ -51,6 +51,7 @@ from bdm.textio import format_algebra, parse_algebra
 
 from corpus import (
     all_bases,
+    assert_valid_iso,
     blocks_under,
     elements,
     involutions,
@@ -323,25 +324,12 @@ def test_criterion_10_back_and_forth():
                 assert triple_of_element(stage.embedding, u) == triple_of_element(rv, v)
                 _, v_blocks, base_into_v = algebra_over(rv, [v])
                 _, u_blocks, base_into_u = algebra_over(stage.embedding, [u])
-                _assert_valid_iso(
+                assert_valid_iso(
                     base_into_v, base_into_u, iso,
                     blocks_under(v_blocks, v.mask), blocks_under(u_blocks, u.mask),
                 )
                 matched += 1
     return f"{matched} elements matched and verified"
-
-
-def _assert_valid_iso(r1, r2, iso, x, y):
-    # independent validation: a bijection commuting with star, carrying
-    # each cell onto its counterpart and x onto y, as the back-and-forth
-    # step extends the partial map by v -> u
-    m = r1.target.n
-    assert sorted(iso) == list(range(1, m + 1))
-    for q in range(1, m + 1):
-        assert iso[r1.target.sigma[q - 1] - 1] == r2.target.sigma[iso[q - 1] - 1]
-    for i in r1.source.atom_indices:
-        assert {iso[q - 1] for q in r1.cell(i)} == set(r2.cell(i))
-    assert {iso[q - 1] for q in x} == y
 
 
 @criterion(11, 5.0)

@@ -1,3 +1,7 @@
+import random
+import time
+import tracemalloc
+
 import pytest
 
 from bdm.algebra import (
@@ -22,10 +26,11 @@ from bdm.solver import (
     refine_triple,
     sigma_consistent_triples,
     triple_of_element,
+    witness_abstract,
 )
 from bdm.textio import stages_json_text, stages_text
 
-from corpus import all_bases, blocks_under, elements
+from corpus import all_bases, assert_valid_iso, blocks_under, elements
 
 CAPS = Caps(max_atoms=64, max_depth=4, max_triples=10**6)
 
@@ -143,6 +148,58 @@ def test_stages_build_and_print_without_per_row_objects(monkeypatch):
             pass
     assert len(chain[1].rows) == 50625
     assert len(made) < 1000
+
+
+def test_build_chain_past_listable_stages():
+    """Stage 3 over 2 (128 atoms, 15^16 triples) is built from its 240 parts
+    and answers lookups; under tracemalloc the depth-2 chain holds a few
+    kilobytes, not the 5.5 MB its 50,625 rows would take."""
+    tracemalloc.start()
+    try:
+        chain = build_chain(TWO, 2, Caps(max_atoms=64, max_triples=100000))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * 2**20
+    start = time.perf_counter()
+    chain = build_chain(TWO, 3, Caps(max_atoms=128, max_triples=15**16))
+    assert time.perf_counter() - start < 1.0
+    assert [s.algebra.n for s in chain] == [8, 32, 128]
+    assert sum(len(parts) for _, parts in chain[2].tables) == 240
+    t = Triple.from_masks(chain[2].base, 0, 0, 0)
+    assert triple_of_element(chain[2].embedding, chain[2].realizer(t)) == t
+
+
+def _random_consistent_triple(rng: random.Random, alg: FiniteAlgebra) -> Triple:
+    """A consistent triple drawn uniformly: I2 and I3 unions of sigma-orbits,
+    I1 any atom set, drawn again until the whole is consistent."""
+    orbits = [sum(1 << (i - 1) for i in orbit) for orbit in alg.sigma_orbits()]
+    while True:
+        m2, m3 = (sum(o for o in orbits if rng.random() < 0.5) for _ in range(2))
+        t = Triple.from_masks(alg, rng.getrandbits(alg.n), m2, m3)
+        if is_sigma_consistent(t):
+            return t
+
+
+def test_extension_property_at_stage_three():
+    """The extension property one level above criterion 10: one-element
+    extensions of the 32-atom stage-2 algebra over 2, each the abstract
+    witness of a seeded consistent triple, are mirrored into stage 3.  The
+    mirror has the same type, and the atom bijection is over the base,
+    commutes with sigma and sends v to u."""
+    stage = build_chain(TWO, 3, Caps(max_atoms=128, max_triples=15**16))[2]
+    rng = random.Random(20181)
+    for _ in range(50):
+        w = witness_abstract(_random_consistent_triple(rng, stage.base))
+        rv, v = w.embedding, w.element
+        u, iso = find_matching_element(stage, rv, v)
+        assert triple_of_element(stage.embedding, u) == triple_of_element(rv, v)
+        _, v_blocks, base_into_v = algebra_over(rv, [v])
+        _, u_blocks, base_into_u = algebra_over(stage.embedding, [u])
+        assert_valid_iso(
+            base_into_v, base_into_u, iso,
+            blocks_under(v_blocks, v.mask), blocks_under(u_blocks, u.mask),
+        )
 
 
 def _sends_v_to_u(rv, v, r0, u, iso):

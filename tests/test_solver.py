@@ -11,6 +11,7 @@ from bdm.algebra import (
     FiniteAlgebra,
     TWO,
     algebra_over,
+    amalgamate,
     find_isomorphism_over,
     four_power,
     identity_refinement,
@@ -646,6 +647,47 @@ def test_acl_is_the_generated_subalgebra_through_decide():
                 checks += 1
                 algebraic += not second
     assert (checks, algebraic) == (1402, 370)
+
+
+def _acl_amalgam_disagreements(acl, max_base: int, max_target: int):
+    """The (r, w) on which acl(r, w) and strong amalgamation disagree, and
+    the numbers of elements and of algebraic ones, over every base of at
+    most max_base atoms, every refinement r of it into at most max_target
+    atoms and every element w of the target.  Amalgamating r with itself
+    gives s1 and s2 into C: w is algebraic exactly when s1(w) = s2(w), and
+    s1(w), s2(w) always have w's type over the base."""
+    wrong, checked, algebraic = [], 0, 0
+    for base in all_bases(max_base):
+        for r in refinements_into(base, max_target):
+            _, s1, s2 = amalgamate(r, r)
+            r1, r2 = compose_refinements(r, s1), compose_refinements(r, s2)
+            for w in elements(r.target):
+                w1, w2 = s1.map_element(w), s2.map_element(w)
+                same_type = triple_of_element(r1, w1) == triple_of_element(r2, w2)
+                if acl(r, w) != (w1 == w2) or not same_type:
+                    wrong.append((r, w))
+                checked += 1
+                algebraic += w1 == w2
+    return wrong, checked, algebraic
+
+
+def test_acl_is_the_generated_subalgebra_through_amalgamation():
+    """acl = <A> through strong amalgamation, by a route that shares no code
+    with is_trivial: in a Fraisse class, strong amalgamation holds exactly
+    when the algebraic closure is the generated substructure.  Every base
+    of at most 3 atoms, every refinement into at most 5 atoms."""
+    assert _acl_amalgam_disagreements(in_acl, 3, 5) == ([], 45690, 10966)
+
+
+def test_acl_through_amalgamation_rejects_a_planted_error():
+    """in_acl negated on one element, the atom {1} of 4 over 2, is caught
+    there and nowhere else."""
+    _, r = twist_product(TWO)
+
+    def planted(s, w):
+        return in_acl(s, w) != (s == r and w == FOUR.atom(1))
+
+    assert _acl_amalgam_disagreements(planted, 1, 2)[0] == [(r, FOUR.atom(1))]
 
 
 def test_translate_preserves_decisions():

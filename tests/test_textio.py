@@ -250,13 +250,14 @@ def test_printers_match_frozenset_reference(seed, max_n, density):
     triples = [(draw(ext), draw(ext), draw(ext)) for _ in range(3)]
     elements = [draw(ext) for _ in range(3)] + [frozenset(), frozenset(ext.atom_indices)]
     stage_triples = [(draw(base), draw(base), draw(base)) for _ in elements]
-    stage = EcStage(
-        r,
-        tuple(
-            (t.m1, t.m2, t.m3, Element(ext, atoms).mask)
-            for t, atoms in zip((Triple(base, *sets) for sets in stage_triples), elements)
-        ),
-    )
+    # one table over all the base's atoms, one realizer per drawn triple:
+    # the stage lists them in the lexicographic order of the triples' masks
+    realized = dict(zip(stage_triples, elements))
+    table = {}
+    for sets, atoms in realized.items():
+        t = Triple(base, *sets)
+        table[t.m1, t.m2, t.m3] = Element(ext, atoms).mask
+    stage = EcStage(r, ((base.full_mask, table),))
 
     def ref_element(atoms):
         return "0" if not atoms else "1" if len(atoms) == ext.n else ref_set(atoms)
@@ -276,7 +277,9 @@ def test_printers_match_frozenset_reference(seed, max_n, density):
     ext_lines = [f"atoms {ext.n}", "sigma " + " ".join(map(str, ext.sigma))] + cell_lines
     assert extension_lines(r) == ext_lines
     assert format_refinement(r).splitlines()[4:] == cell_lines
-    realized = list(zip(stage_triples, elements))
+    realized = sorted(
+        realized.items(), key=lambda row: [sum(1 << (i - 1) for i in s) for s in row[0]]
+    )
     assert format_stage(stage) == "\n".join(
         [f"realized {ref_triple(t)} -> {ref_element(e)}" for t, e in realized] + ext_lines
     ) + "\n"

@@ -36,6 +36,7 @@ from bdm.terms import (
     Var,
     parse_formula,
     parse_term,
+    valid_identity,
 )
 
 X, Y = Var("x"), Var("y")
@@ -220,13 +221,13 @@ def test_case1_entry_constructor():
 
 def test_ec_stage_constructor():
     stage = ec_stage(TWO, Caps(max_atoms=8))
-    copy = EcStage(stage.embedding, stage.rows)
-    keyed = EcStage(embedding=stage.embedding, rows=stage.rows)
+    copy = EcStage(stage.embedding, stage.tables)
+    keyed = EcStage(embedding=stage.embedding, tables=stage.tables)
     assert copy.base is TWO and keyed.algebra is stage.algebra
     assert copy.realizers == stage.realizers
     with pytest.raises(AttributeError):
-        copy.rows = ()
-    assert copy.rows is stage.rows
+        copy.tables = ()
+    assert copy.tables is stage.tables
 
 
 def test_identity_check_constructor():
@@ -241,6 +242,18 @@ def test_identity_check_constructor():
     assert ok == IdentityCheck(True, None) and hash(ok) == hash(IdentityCheck(True, None))
     assert bad == IdentityCheck(False, {"x": FOUR.zero}) != ok
     assert repr(bad) == "IdentityCheck(valid=False, counterexample={'x': Element({} of n=2)})"
+
+
+def test_identity_check_hashes_by_its_fields():
+    """A check with a counterexample, which is a dict, hashes; equal checks
+    hash equal, whatever order their counterexamples were filled in."""
+    bad = valid_identity(parse_term("x + ~x"), Const(1))
+    assert not bad and bad.counterexample == {"x": FOUR.atom(1)}
+    assert hash(bad) == hash(IdentityCheck(False, {"x": FOUR.atom(1)}))
+    two = valid_identity(parse_term("x . y"), Const(1))
+    same = IdentityCheck(False, dict(reversed(two.counterexample.items())))
+    assert same == two and hash(same) == hash(two)
+    assert len({bad, two, same, valid_identity(parse_term("x"), parse_term("x**"))}) == 3
 
 
 def test_values_survive_pickle_and_copy():
