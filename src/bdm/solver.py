@@ -197,13 +197,11 @@ def _orbit_options(alg: FiniteAlgebra) -> list[tuple[int, list[tuple[int, int, i
 def _sorted_product(tables) -> Iterator[tuple[int, int, int, int]]:
     """(I1, I2, I3, payload) for each choice of one entry per table, each
     the OR of the chosen ones, in lexicographic order.  A table is (mask,
-    {(m1, m2, m3): payload}) and tables own disjoint masks, so an I1 value
-    names its part in each; the rows of one I1 value are made and sorted
-    together, the I1 values in order."""
-    i1_values = [0]
-    for _, parts in tables:
-        i1_values = [v | p for v in i1_values for p in {m1 for m1, _, _ in parts}]
-    for v in sorted(i1_values):
+    {(m1, m2, m3): payload}), as _orbit_options gives them: the masks split
+    the atoms and every subset of a mask is an m1, so the I1 values are
+    0 .. 2^n - 1, and one names its part in each table.  The rows of one I1
+    value are made and sorted together."""
+    for v in range(sum(mask for mask, _ in tables) + 1):
         rows = [(v, 0, 0, 0)]
         for mask, parts in tables:
             chosen = [(p2, p3, x) for (p1, p2, p3), x in parts.items() if p1 == v & mask]

@@ -15,6 +15,7 @@ from bdm.algebra import (
     twist_product,
 )
 from bdm.errors import CapExceeded, NoRealizerError
+from bdm import model
 from bdm.model import build_chain, ec_stage, find_matching_element
 from bdm.solver import (
     Caps,
@@ -132,8 +133,8 @@ def test_build_chain_depth_two():
 
 
 def test_stages_build_and_print_without_per_row_objects(monkeypatch):
-    """ec_stage solves each orbit's options once and the printers read the
-    mask rows, so the 50,625 rows of the second stage over 2 cost a few
+    """ec_stage makes 15 solves per stage and the printers read the mask
+    rows, so the 50,625 rows of the second stage over 2 cost a few
     dozen Triple and Element objects, not one of each per row."""
     made = []
     for cls, name in ((Triple, "from_masks"), (Element, "from_mask")):
@@ -171,25 +172,64 @@ def test_build_chain_past_listable_stages():
 
 
 def _random_consistent_triple(rng: random.Random, alg: FiniteAlgebra) -> Triple:
-    """A consistent triple drawn uniformly: I2 and I3 unions of sigma-orbits,
-    I1 any atom set, drawn again until the whole is consistent."""
-    orbits = [sum(1 << (i - 1) for i in orbit) for orbit in alg.sigma_orbits()]
-    while True:
-        m2, m3 = (sum(o for o in orbits if rng.random() < 0.5) for _ in range(2))
-        t = Triple.from_masks(alg, rng.getrandbits(alg.n), m2, m3)
-        if is_sigma_consistent(t):
-            return t
+    """A consistent triple drawn uniformly, orbit by orbit: whether the
+    sigma-orbit lies in I2 and in I3 and which of its atoms lie in I1,
+    drawn again while the orbit lies in all three."""
+    m1 = m2 = m3 = 0
+    for orbit in alg.sigma_orbits():
+        o = sum(1 << (i - 1) for i in orbit)
+        p1 = p2 = p3 = o
+        while p1 & p2 & p3 == o:
+            p1 = sum(1 << (i - 1) for i in orbit if rng.random() < 0.5)
+            p2, p3 = rng.choice((0, o)), rng.choice((0, o))
+        m1, m2, m3 = m1 | p1, m2 | p2, m3 | p3
+    return Triple.from_masks(alg, m1, m2, m3)
 
 
-def test_extension_property_at_stage_three():
-    """The extension property one level above criterion 10: one-element
-    extensions of the 32-atom stage-2 algebra over 2, each the abstract
-    witness of a seeded consistent triple, are mirrored into stage 3.  The
-    mirror has the same type, and the atom bijection is over the base,
-    commutes with sigma and sends v to u."""
-    stage = build_chain(TWO, 3, Caps(max_atoms=128, max_triples=15**16))[2]
+def test_build_chain_in_linear_time(monkeypatch):
+    """ec_stage solves 15 combined triples per stage, however many orbits
+    the base has, so stage 6 over 2 (8,192 atoms) builds in well under the
+    10 s that one solve per orbit and option took.  Space is still
+    quadratic: the chain's masks hold about 21 MB."""
+    calls = []
+
+    def counted(t, m, width, _solve=model.four_power_blocks):
+        calls.append(m)
+        return _solve(t, m, width)
+
+    monkeypatch.setattr(model, "four_power_blocks", counted)
+    caps = Caps(max_atoms=8192, max_triples=15**1024)
+    start = time.perf_counter()
+    chain = build_chain(TWO, 6, caps)
+    assert time.perf_counter() - start < 1.5
+    assert calls == [m for m in (1, 4, 16, 64, 256, 1024) for _ in range(15)]
+    stage = chain[5]
+    assert (stage.base.n, stage.algebra.n) == (2048, 8192)
+    rng = random.Random(20186)
+    for _ in range(10):
+        t = _random_consistent_triple(rng, stage.base)
+        assert triple_of_element(stage.embedding, stage.realizer(t)) == t
+    del chain, stage
+    tracemalloc.start()
+    try:
+        chain = build_chain(TWO, 6, caps)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 32 * 2**20
+
+
+@pytest.mark.parametrize("depth, matches", [(3, 50), (4, 30)], ids=["3", "4"])
+def test_extension_property_at_stage(depth, matches):
+    """The extension property one and two levels above criterion 10:
+    one-element extensions of the stage algebra below (32 atoms at depth 3,
+    128 at depth 4) over 2, each the abstract witness of a seeded
+    consistent triple, are mirrored into the stage.  The mirror has the
+    same type, and the atom bijection is over the base, commutes with sigma
+    and sends v to u."""
+    stage = build_chain(TWO, depth, Caps(max_atoms=2 * 4**depth, max_triples=15**4**(depth - 1)))[-1]
     rng = random.Random(20181)
-    for _ in range(50):
+    for _ in range(matches):
         w = witness_abstract(_random_consistent_triple(rng, stage.base))
         rv, v = w.embedding, w.element
         u, iso = find_matching_element(stage, rv, v)

@@ -19,6 +19,7 @@ from bdm.algebra import (
 )
 from bdm import algebra, solver
 from bdm.errors import CapExceeded, InconsistentTripleError, ParseError, TrivialTripleError
+from bdm.model import build_chain
 from bdm.oracle import all_realizations_in, phi_environment, phi_formula
 from bdm.solver import (
     CASE1_ENTRIES,
@@ -48,6 +49,7 @@ from corpus import (
     power_element,
     random_element,
     random_formula,
+    random_refinement,
     refinements_into,
     round_witness,
 )
@@ -649,26 +651,48 @@ def test_acl_is_the_generated_subalgebra_through_decide():
     assert (checks, algebraic) == (1402, 370)
 
 
-def _acl_amalgam_disagreements(acl, max_base: int, max_target: int):
+def _acl_amalgam_disagreements(acl, cases):
     """The (r, w) on which acl(r, w) and strong amalgamation disagree, and
-    the numbers of elements and of algebraic ones, over every base of at
-    most max_base atoms, every refinement r of it into at most max_target
-    atoms and every element w of the target.  Amalgamating r with itself
+    the numbers of elements and of algebraic ones, over cases: pairs of a
+    refinement r and elements w of its target.  Amalgamating r with itself
     gives s1 and s2 into C: w is algebraic exactly when s1(w) = s2(w), and
     s1(w), s2(w) always have w's type over the base."""
     wrong, checked, algebraic = [], 0, 0
+    for r, ws in cases:
+        _, s1, s2 = amalgamate(r, r)
+        r1, r2 = compose_refinements(r, s1), compose_refinements(r, s2)
+        for w in ws:
+            w1, w2 = s1.map_element(w), s2.map_element(w)
+            same_type = triple_of_element(r1, w1) == triple_of_element(r2, w2)
+            if acl(r, w) != (w1 == w2) or not same_type:
+                wrong.append((r, w))
+            checked += 1
+            algebraic += w1 == w2
+    return wrong, checked, algebraic
+
+
+def _every_refinement(max_base: int, max_target: int):
+    """Every base of at most max_base atoms, every refinement r of it into
+    at most max_target atoms, with every element of r's target."""
     for base in all_bases(max_base):
         for r in refinements_into(base, max_target):
-            _, s1, s2 = amalgamate(r, r)
-            r1, r2 = compose_refinements(r, s1), compose_refinements(r, s2)
-            for w in elements(r.target):
-                w1, w2 = s1.map_element(w), s2.map_element(w)
-                same_type = triple_of_element(r1, w1) == triple_of_element(r2, w2)
-                if acl(r, w) != (w1 == w2) or not same_type:
-                    wrong.append((r, w))
-                checked += 1
-                algebraic += w1 == w2
-    return wrong, checked, algebraic
+            yield r, elements(r.target)
+
+
+def _stage_refinements():
+    """20 seeded refinements of the 32-atom stage-2 algebra over 2, each
+    cell at most 2 pairs or fixed atoms wide, with 30 sampled elements of
+    each target: half of them images of base elements, so algebraic."""
+    base = build_chain(TWO, 2, Caps(max_atoms=64, max_triples=10**5))[1].algebra
+    rng = random.Random(20182)
+    cases = []
+    for _ in range(20):
+        r = random_refinement(rng, base, 2)
+        cases.append((r, [
+            r.map_element(random_element(rng, base)) if k % 2 else random_element(rng, r.target)
+            for k in range(30)
+        ]))
+    return cases
 
 
 def test_acl_is_the_generated_subalgebra_through_amalgamation():
@@ -676,18 +700,29 @@ def test_acl_is_the_generated_subalgebra_through_amalgamation():
     with is_trivial: in a Fraisse class, strong amalgamation holds exactly
     when the algebraic closure is the generated substructure.  Every base
     of at most 3 atoms, every refinement into at most 5 atoms."""
-    assert _acl_amalgam_disagreements(in_acl, 3, 5) == ([], 45690, 10966)
+    assert _acl_amalgam_disagreements(in_acl, _every_refinement(3, 5)) == ([], 45690, 10966)
+
+
+def test_acl_through_amalgamation_over_a_stage_algebra():
+    """The same over a stage algebra: 600 sampled elements of refinements
+    of the 32-atom stage 2 over 2, and exactly the 300 images algebraic."""
+    assert _acl_amalgam_disagreements(in_acl, _stage_refinements()) == ([], 600, 300)
 
 
 def test_acl_through_amalgamation_rejects_a_planted_error():
-    """in_acl negated on one element, the atom {1} of 4 over 2, is caught
-    there and nowhere else."""
+    """in_acl negated on one element is caught there and nowhere else: the
+    atom {1} of 4 over 2, and a sampled image element over stage 2."""
     _, r = twist_product(TWO)
+    stage_cases = _stage_refinements()
+    stage_r, (_, image, *_) = stage_cases[3]
+    for planted_at, cases in (
+        ((r, FOUR.atom(1)), _every_refinement(1, 2)),
+        ((stage_r, image), stage_cases),
+    ):
+        def planted(s, w, planted_at=planted_at):
+            return in_acl(s, w) != ((s, w) == planted_at)
 
-    def planted(s, w):
-        return in_acl(s, w) != (s == r and w == FOUR.atom(1))
-
-    assert _acl_amalgam_disagreements(planted, 1, 2)[0] == [(r, FOUR.atom(1))]
+        assert _acl_amalgam_disagreements(planted, cases)[0] == [planted_at]
 
 
 def test_translate_preserves_decisions():
