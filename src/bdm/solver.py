@@ -23,7 +23,7 @@ compare them up to isomorphism over the base.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Mapping, Optional
 
 from .algebra import (
@@ -43,7 +43,7 @@ from .algebra import (
     twist_product,
 )
 from .errors import CapExceeded, InconsistentTripleError, TrivialTripleError
-from .terms import And, Exists, Formula, Implies, Not, Or, _binding_mask, _holds, _scan
+from .terms import Formula, _binding_mask, _holds, _scan
 
 
 class Triple(Value):
@@ -465,6 +465,43 @@ def _shape_witnesses(sigma: tuple[int, ...]) -> tuple[Witness, ...]:
     return tuple(map(witness_abstract, sigma_consistent_triples(alg)))
 
 
+def _witness_pairs(sigma, count, var, params) -> Iterator[tuple[FiniteAlgebra, dict[str, int]]]:
+    """Per witness over the shape sigma, in triple order, its extension and
+    the masks there of var and of params, (name, mask over the shape).  A
+    shape of at most _SHAPE_TRIPLES triples reads _shape_witnesses."""
+    if count <= _SHAPE_TRIPLES:
+        witnesses = _shape_witnesses(sigma)
+    else:
+        sub = FiniteAlgebra(len(sigma), sigma)
+        witnesses = map(witness_abstract, sigma_consistent_triples(sub))
+    for w in witnesses:
+        r = w.embedding
+        env = {name: r.map_mask(m) for name, m in params}
+        env[var] = w.element.mask
+        yield r.target, env
+
+
+def _quantifier(plan, caps, depth, alg, f, env):
+    """decide's step, as terms._holds calls it at the quantifier f nested
+    depth quantifiers deep: the step for the body and the pairs to try.
+    Every cap is checked, in order, before anything is built."""
+    if depth >= caps.max_depth:
+        raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
+    relevant = plan[id(f)]
+    masks = [env[name] for name in relevant]
+    blocks, sigma = generated_blocks(alg, masks)
+    count = _triple_count(sigma, caps.max_triples)
+    # the first triple, (0, 0, 0), splits every atom in four: the largest
+    if 4 * len(blocks) > caps.max_atoms:
+        raise CapExceeded(
+            f"witness extension needs {4 * len(blocks)} atoms, cap is {caps.max_atoms}"
+        )
+    # each parameter as the mask of the blocks under it
+    params = [(name, sum(1 << k for k, b in enumerate(blocks) if b & m))
+              for name, m in zip(relevant, masks)]
+    return partial(_quantifier, plan, caps, depth + 1), _witness_pairs(sigma, count, f.var, params)
+
+
 def decide(
     params: FiniteAlgebra,
     f: Formula,
@@ -474,27 +511,24 @@ def decide(
     """Truth value of f in every existentially closed extension of params.
 
     The answer does not depend on the chosen extension: the theory of these
-    models is complete once the parameters are fixed.  A quantifier is
-    resolved by walking the abstract witnesses of the consistent triples
-    over the subalgebra generated by the values of the variables still in
-    play, recursing with the parameters moved along each witness embedding:
-    an existential holds when some witness satisfies its body, a universal
-    fails when some witness refutes it.  That subalgebra is read from the
-    masks alone: algebra.generated_blocks gives its atoms as blocks of the
-    current atoms and sigma on them, which fixes the triple count, the
-    witness shape and each parameter's preimage (the blocks under its
-    mask); no element, algebra or refinement is built for it.  The
-    witnesses of the last 8 shapes of at most _SHAPE_TRIPLES triples are
-    kept; a larger shape's are built as they are tried, from the one
-    algebra built to list its triples.  Exhausted budgets raise
-    CapExceeded, before anything is built, rather than defaulting to false.
+    models is complete once the parameters are fixed.  terms._holds
+    evaluates f; decide supplies each quantifier's domain, the abstract
+    witnesses of the consistent triples over the subalgebra that the values
+    of the variables still in play generate, with the parameters moved along
+    each witness embedding.  That subalgebra is read from the masks alone:
+    algebra.generated_blocks gives its atoms as blocks of the current atoms
+    and sigma on them, which fixes the triple count, the witness shape and
+    each parameter's preimage (the blocks under its mask); no element,
+    algebra or refinement is built for it.  The witnesses of the last 8
+    shapes of at most _SHAPE_TRIPLES triples are kept; a larger shape's are
+    built as they are tried.  Exhausted budgets raise CapExceeded, before
+    anything is built, rather than defaulting to false.
 
     The sentence is read once per call, without recursion: the read checks
-    its sorts, its depth (ParseError beyond the parser's 500 levels) and its
-    free names, and plans each quantifier's names in play and each
-    quantifier-free subformula, which is evaluated in one call.  Elements
-    appear only here, at the edge: each binding is checked and turned into
-    its atom mask once, and below it the bindings are masks.
+    its sorts, its leaves, its depth (ParseError beyond the parser's 500
+    levels) and its free names, and gives each quantifier's names in play.
+    Elements appear only here, at the edge: each binding is checked and
+    turned into its atom mask once, and below it the bindings are masks.
     """
     names, plan = _scan(f)
     env = dict(env) if env else {}
@@ -505,61 +539,4 @@ def decide(
         name: _binding_mask(params, name, value, "the parameter algebra")
         for name, value in env.items()
     }
-    return _decide(params, f, masks, caps, 0, plan)
-
-
-def _decide(alg, f, env, caps, depth, plan):
-    relevant = plan.get(id(f))
-    if relevant is None:  # quantifier-free
-        return _holds(alg, f, env)
-    cls = f.__class__
-    if cls is And:
-        return _decide(alg, f.left, env, caps, depth, plan) and _decide(
-            alg, f.right, env, caps, depth, plan
-        )
-    if cls is Or:
-        return _decide(alg, f.left, env, caps, depth, plan) or _decide(
-            alg, f.right, env, caps, depth, plan
-        )
-    if cls is Not:
-        return not _decide(alg, f.arg, env, caps, depth, plan)
-    if cls is Implies:
-        return (not _decide(alg, f.left, env, caps, depth, plan)) or _decide(
-            alg, f.right, env, caps, depth, plan
-        )
-    # a quantifier
-    if depth >= caps.max_depth:
-        raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
-    masks = [env[name] for name in relevant]
-    blocks, sigma = generated_blocks(alg, masks)
-    count = _triple_count(sigma, caps.max_triples)
-    # the first triple, (0, 0, 0), splits every atom in four: the largest
-    if 4 * len(blocks) > caps.max_atoms:
-        raise CapExceeded(
-            f"witness extension needs {4 * len(blocks)} atoms, cap is {caps.max_atoms}"
-        )
-    # each parameter as the mask of the blocks under it, mapped along each
-    # witness embedding
-    params = []
-    for name, m in zip(relevant, masks):
-        pre = 0
-        for k, b in enumerate(blocks):
-            if b & m:
-                pre |= 1 << k
-        params.append((name, pre))
-    if count <= _SHAPE_TRIPLES:
-        witnesses = _shape_witnesses(sigma)
-    else:
-        sub = FiniteAlgebra(len(sigma), sigma)
-        witnesses = map(witness_abstract, sigma_consistent_triples(sub))
-    # an existential stops at the first witness of its body, a universal
-    # at the first counterexample
-    stop = cls is Exists
-    var, body = f.var, f.body
-    for w in witnesses:
-        r = w.embedding
-        new_env = {name: r.map_mask(m) for name, m in params}
-        new_env[var] = w.element.mask
-        if _decide(r.target, body, new_env, caps, depth + 1, plan) == stop:
-            return stop
-    return not stop
+    return _holds(params, f, masks, partial(_quantifier, plan, caps, 0))

@@ -23,13 +23,14 @@ trees.  The node classes are final: evaluation, free_vars and the printer
 dispatch on a node's exact class, as equality does, so an instance of a
 subclass is not a node.
 
-Evaluation reads the tree once, without recursion (_scan: sorts, depth, free
-names and, for decide, the plan of its quantifiers), then runs on atom
+Evaluation reads the tree once, without recursion (_scan: sorts, leaves,
+depth, free names and each quantifier's names in play), then runs on atom
 masks: each subterm's value is an int, built with |, &, ^ full_mask and
-sigma_mask as in the table of the algebra module, and formulas compare
-masks.  Elements appear only at the public edge: eval_term, eval_formula
-and decide check each binding and turn it into its mask once, and
-eval_term turns its one value back into an Element.
+sigma_mask as in the table of the algebra module.  _holds interprets every
+formula, each quantifier over the domain its caller supplies (decide's
+witnesses).  Elements appear only at the public edge: eval_term, eval_formula
+and decide turn each binding into its mask once, and eval_term turns its one
+value back into an Element.
 """
 
 from __future__ import annotations
@@ -137,16 +138,17 @@ def _scan(root: Ast, formula: bool = True) -> tuple[set[str], dict[int, tuple[st
     """Read a tree once, without recursion, before anything evaluates it.
 
     Raises TypeError where a node is not of the sort (term or formula) its
-    position asks for, and ParseError, as the parser does, when the tree
-    has more than _MAX_AST_DEPTH levels.  Returns the free names of root
-    and the plan that decide follows: keyed by id, each quantifier node
-    maps to the sorted free names of its body other than its variable, and
-    each connective above a quantifier to ().  Quantifier-free formulas are
-    absent: each is evaluated as a whole by _holds.
+    position asks for, where a Const is not the int 0 or 1, and where a name
+    is not a str that reads back as one variable; and ParseError, as the
+    parser does, when the tree has more than _MAX_AST_DEPTH levels.  Returns
+    the free names of root and the names in play at each quantifier: keyed
+    by id, each quantifier node maps to the sorted free names of its body
+    other than its variable.
     """
     formulas = []  # formula nodes, each before its subformulas
     free: dict[int, set[str]] = {}  # id of a formula node -> its free names
     top: set[str] = set()  # the free names of a term root
+    read: set[str] = set()  # the names checked so far
     stack = [(root, formula, 1, top)]
     while stack:
         node, is_formula, level, names = stack.pop()
@@ -156,6 +158,8 @@ def _scan(root: Ast, formula: bool = True) -> tuple[set[str], dict[int, tuple[st
         level += 1
         if not is_formula:
             if cls is Var:
+                if node.name.__class__ is not str or node.name not in read:
+                    _read_name(node, node.name, read)
                 names.add(node.name)
             elif cls is Join or cls is Meet:
                 stack.append((node.left, False, level, names))
@@ -164,6 +168,8 @@ def _scan(root: Ast, formula: bool = True) -> tuple[set[str], dict[int, tuple[st
                 stack.append((node.arg, False, level, names))
             elif cls is not Const:
                 raise TypeError(f"not a term: {node!r}")
+            elif node.value.__class__ is not int or node.value not in (0, 1):
+                raise TypeError(f"not the constant 0 or 1: {node!r}")
             continue
         formulas.append(node)
         if cls is Equal or cls is NotEqual:
@@ -176,6 +182,8 @@ def _scan(root: Ast, formula: bool = True) -> tuple[set[str], dict[int, tuple[st
         elif cls is Not:
             stack.append((node.arg, True, level, None))
         elif cls is Exists or cls is ForAll:
+            if node.var.__class__ is not str or node.var not in read:
+                _read_name(node, node.var, read)
             stack.append((node.body, True, level, None))
         else:
             raise TypeError(f"not a formula: {node!r}")
@@ -189,14 +197,19 @@ def _scan(root: Ast, formula: bool = True) -> tuple[set[str], dict[int, tuple[st
             plan[id(node)] = tuple(sorted(names))
         elif cls is Not:
             names = free[id(node.arg)]
-            if id(node.arg) in plan:
-                plan[id(node)] = ()
         else:
             names = free[id(node.left)] | free[id(node.right)]
-            if id(node.left) in plan or id(node.right) in plan:
-                plan[id(node)] = ()
         free[id(node)] = names
     return (free[id(root)] if formula else top), plan
+
+
+def _read_name(node: Ast, name, read: set[str]) -> None:
+    """Add name to read; raise TypeError naming node unless name is a str the
+    tokenizer reads as one variable: an ASCII identifier, not a quantifier."""
+    ok = name.__class__ is str and name.isascii() and name.isidentifier()
+    if not ok or name in _BEFORE_OPERAND:
+        raise TypeError(f"not a variable name: {node!r}")
+    read.add(name)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -461,7 +474,7 @@ def _masks(alg: FiniteAlgebra, names: set[str], env: Mapping[str, Element]) -> d
 
 
 # _mask and _holds evaluate a tree that _scan has read: every node is of
-# its sort, every name is bound to a mask of alg, and no quantifier occurs.
+# its sort, every name is bound to a mask of alg, and quantifiers get a step.
 
 def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
     """The atom mask of t's value in alg."""
@@ -481,20 +494,30 @@ def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
     return alg.full_mask if t.value else 0  # Const
 
 
-def _holds(alg: FiniteAlgebra, f: Formula, env: Mapping[str, int]) -> bool:
-    """Whether the quantifier-free f holds, comparing masks."""
+def _holds(alg: FiniteAlgebra, f: Formula, env: Mapping[str, int], step=None) -> bool:
+    """Whether f holds, comparing masks.  At a quantifier, step(alg, f, env)
+    gives the step for the body and the (algebra, bindings) pairs to try: an
+    existential stops at the first where the body holds, a universal at the
+    first where it fails.  The loop is here: one frame per level of the tree."""
     cls = f.__class__
     if cls is Equal:
         return _mask(alg, f.left, env) == _mask(alg, f.right, env)
     if cls is NotEqual:
         return _mask(alg, f.left, env) != _mask(alg, f.right, env)
     if cls is And:
-        return _holds(alg, f.left, env) and _holds(alg, f.right, env)
+        return _holds(alg, f.left, env, step) and _holds(alg, f.right, env, step)
     if cls is Or:
-        return _holds(alg, f.left, env) or _holds(alg, f.right, env)
+        return _holds(alg, f.left, env, step) or _holds(alg, f.right, env, step)
     if cls is Not:
-        return not _holds(alg, f.arg, env)
-    return (not _holds(alg, f.left, env)) or _holds(alg, f.right, env)  # Implies
+        return not _holds(alg, f.arg, env, step)
+    if cls is Implies:
+        return (not _holds(alg, f.left, env, step)) or _holds(alg, f.right, env, step)
+    stop = cls is Exists
+    inner, pairs = step(alg, f, env)
+    for sub, bindings in pairs:
+        if _holds(sub, f.body, bindings, inner) is stop:
+            return stop
+    return not stop
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> Element:

@@ -335,3 +335,111 @@ def random_formula(rng: random.Random, names: list[str], signature: str = "bdm")
     return random_quantified(
         rng, names, quantifiers=rng.randint(1, 2), signature=signature
     )
+
+
+# ---------------------------------------------------------------------------
+# Type sentences over one name: the axioms of the model completion
+#
+# The pattern of an atom a over a name v is 2 bits: bit 0 says a <= v and
+# bit 1 says a <= v*, that is sigma(a) <= v.  The kind of x at a is the pair
+# (a <= x, sigma(a) <= x).  Star swaps the two bits of both, so patterns 0
+# and 3 are fixed and 1 and 2 form a two-cycle.
+
+KINDS = ((1, 0), (1, 1), (0, 0), (0, 1))
+
+# the swap-closed nonempty pattern sets, as unions of the orbits {0}, {3}
+# and {1, 2}
+PATTERN_SETS = [
+    frozenset().union(*orbits)
+    for r in (1, 2, 3)
+    for orbits in itertools.combinations(({0}, {3}, {1, 2}), r)
+]
+
+
+def atom_term(v: Term, p: int) -> Term:
+    """The atom term of pattern p over v: (v or v')·(v* or v*') as p's bits say."""
+    return Meet(v if p & 1 else BNeg(v), Star(v) if p & 2 else BNeg(Star(v)))
+
+
+def kind_term(x: Term, kind: tuple[int, int]) -> Term:
+    """The product that contains the atoms where x has this kind: x·~x for
+    (1, 0), x·x* for (1, 1), x'·~x for (0, 0) and x'·x* for (0, 1)."""
+    return Meet(x if kind[0] else BNeg(x), Star(x) if kind[1] else DMNeg(x))
+
+
+def _nonzero_exactly(terms_and_truths) -> Formula:
+    """The conjunction, in order, of t != 0 where wanted and t = 0 elsewhere."""
+    tests = [NotEqual(t, Const(0)) if want else Equal(t, Const(0)) for t, want in terms_and_truths]
+    out = tests[0]
+    for test in tests[1:]:
+        out = And(out, test)
+    return out
+
+
+def delta(v: Term, patterns: frozenset[int]) -> Formula:
+    """delta_S(v): the atom term of p is nonzero exactly for p in S."""
+    return _nonzero_exactly((atom_term(v, p), p in patterns) for p in range(4))
+
+
+def phi(v: Term, x: Term, kinds: dict[int, frozenset]) -> Formula:
+    """phi_K(v, x): for each pattern p of K and each kind k, the atom term
+    of p times the product of k is nonzero iff k is in K_p."""
+    return _nonzero_exactly(
+        (Meet(atom_term(v, p), kind_term(x, k)), k in ks)
+        for p, ks in sorted(kinds.items())
+        for k in KINDS
+    )
+
+
+def _star(kinds: frozenset) -> frozenset:
+    return frozenset(k[::-1] for k in kinds)
+
+
+_ANY_KINDS = [frozenset(c) for r in (1, 2, 3, 4) for c in itertools.combinations(KINDS, r)]
+# a fixed pattern's atoms are closed under sigma, which swaps their kinds
+_FIXED_KINDS = [ks for ks in _ANY_KINDS if _star(ks) == ks]
+
+
+def consistent_kinds(patterns: frozenset[int]) -> list[dict[int, frozenset]]:
+    """Every consistent K over S: a fixed pattern takes a nonempty union of
+    {(0, 0)}, {(1, 1)} and {(1, 0), (0, 1)}, and the two-cycle any nonempty
+    K_1, with K_2 its star image."""
+    per_orbit = [[{p: ks} for ks in _FIXED_KINDS] for p in (0, 3) if p in patterns]
+    if 1 in patterns:
+        per_orbit.append([{1: ks, 2: _star(ks)} for ks in _ANY_KINDS])
+    return [{p: ks for part in choice for p, ks in part.items()}
+            for choice in itertools.product(*per_orbit)]
+
+
+def inconsistent_kinds(rng: random.Random, patterns: frozenset[int], n: int):
+    """Up to n distinct inconsistent K over S, each a consistent one with one
+    orbit spoiled: a fixed pattern given only (1, 0), or a K_2 that is not
+    the star image of K_1."""
+    found = {}
+    consistent = consistent_kinds(patterns)
+    for _ in range(n):
+        kinds = dict(rng.choice(consistent))
+        p = rng.choice([p for p in (0, 1, 3) if p in patterns])
+        if p == 1:
+            kinds[2] = rng.choice([ks for ks in _ANY_KINDS if ks != _star(kinds[1])])
+        else:
+            kinds[p] = frozenset({(1, 0)})
+        found[tuple(sorted(kinds.items()))] = kinds
+    return list(found.values())
+
+
+def type_sentence(patterns: frozenset[int], kinds: dict[int, frozenset]) -> Formula:
+    """exists v. (delta_S(v) & exists x. phi_K(v, x))"""
+    v, x = Var("v"), Var("x")
+    return Exists("v", And(delta(v, patterns), Exists("x", phi(v, x, kinds))))
+
+
+def one_name_type_corpus(rng: random.Random, inconsistent_per_set: int = 60):
+    """(sentence, expected) for the type sentence of every pattern set S and
+    every consistent K over it (1,023, all true in the model completion),
+    then of up to inconsistent_per_set seeded inconsistent K per S (false)."""
+    corpus = [(type_sentence(s, k), True) for s in PATTERN_SETS for k in consistent_kinds(s)]
+    for s in PATTERN_SETS:
+        wrong = inconsistent_kinds(rng, s, inconsistent_per_set)
+        corpus += [(type_sentence(s, k), False) for k in wrong]
+    return corpus

@@ -46,6 +46,7 @@ from corpus import (
     atoms,
     elements,
     iterated_realizations,
+    one_name_type_corpus,
     power_element,
     random_element,
     random_formula,
@@ -485,6 +486,40 @@ def test_decide_matches_consistency_over_two():
                 assert decide(TWO, sentence, env, CAPS) == is_sigma_consistent(t)
 
 
+TYPE_CAPS = Caps(max_atoms=16, max_triples=1000)
+
+
+def _wrong_type_verdicts(corpus):
+    """The sentences of the corpus that decide answers wrongly over 2,
+    lazily."""
+    for sentence, expected in corpus:
+        if decide(TWO, sentence, caps=TYPE_CAPS) != expected:
+            yield sentence
+
+
+def test_every_consistent_one_name_type_is_realized_over_two():
+    """ROADMAP 5(a) for one name: exists v. (delta_S(v) & exists x.
+    phi_K(v, x)) is true for each of the 7 swap-closed pattern sets S and
+    each of the 1,023 consistent choices K of kinds among them, and false
+    for a seeded sample of inconsistent K."""
+    corpus = one_name_type_corpus(random.Random(5))
+    assert sum(expected for _, expected in corpus) == 1023
+    assert len(corpus) > 1023 + 200
+    assert next(_wrong_type_verdicts(corpus), None) is None
+
+
+def test_one_name_type_corpus_catches_a_dropped_witness(monkeypatch):
+    """A witness source that drops the first witness whenever the names in
+    play generate 2 passes both verdict digests, but not this corpus."""
+    shape_witnesses = solver._shape_witnesses
+    monkeypatch.setattr(
+        solver,
+        "_shape_witnesses",
+        lambda sigma: shape_witnesses(sigma)[1:] if sigma == (1,) else shape_witnesses(sigma),
+    )
+    assert next(_wrong_type_verdicts(one_name_type_corpus(random.Random(5))), None) is not None
+
+
 def test_decide_depth_cap():
     f = parse_formula("exists x. (exists y. (exists z. (x . y . z = 0)))")
     with pytest.raises(CapExceeded):
@@ -574,10 +609,21 @@ def test_equal_algebras_share_one_shape_entry():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
-def test_deeply_nested_forall_is_decided():
-    """A universal costs one frame per level, as an existential does."""
-    f = parse_formula("forall x. (" * 498 + "x != x" + ")" * 498)
-    assert decide(TWO, f, caps=Caps(max_depth=1000)) is False
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("forall x. (" * 498 + "x != x" + ")" * 498, False),
+        ("exists x. (" * 498 + "x = x" + ")" * 498, True),
+        ("exists x. (x = x & (" * 249 + "x = x" + "))" * 249, True),
+    ],
+    ids=["forall", "exists", "exists-and"],
+)
+def test_deeply_nested_forall_is_decided(text, expected):
+    """A universal costs one frame per level, as an existential and a
+    connective do: 498 nested quantifiers, or 249 each under a conjunction,
+    stay within Python's 1,000 frames."""
+    f = parse_formula(text)
+    assert decide(TWO, f, caps=Caps(max_depth=1000)) is expected
 
 
 def test_deep_hand_built_sentence_is_parse_error():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from bdm.algebra import FOUR, TWO, Element, four_power, twist_product
 from bdm.errors import CapExceeded, ParseError
+from bdm import terms
 from bdm.oracle import failing_assignment
+from bdm.solver import decide
 from bdm.terms import (
     MAX_IDENTITY_VARIABLES,
     And,
@@ -285,6 +287,42 @@ def test_node_classes_are_final_for_the_evaluators():
     with pytest.raises(TypeError, match="not a formula"):
         eval_formula(FOUR, MyEqual(x, x), {"x": FOUR.one})
     assert MyJoin(x, x) != Join(x, x)
+
+
+_UNREADABLE_LEAVES = {
+    # printed as "True = 1", which parses to Var('True') = 1
+    "const-true": (Equal(Const(True), Const(1)), "not the constant 0 or 1"),
+    "const-two": (Equal(Const(2), Const(1)), "not the constant 0 or 1"),
+    "var-int": (Equal(Var(3), x), "not a variable name"),
+    "var-keyword": (Equal(Var("exists"), x), "not a variable name"),
+    "var-space": (Equal(Var("x y"), x), "not a variable name"),
+    "var-not-ascii": (Equal(Var("\u00e9"), x), "not a variable name"),
+    "var-unhashable": (Equal(x, Var(["x"])), "not a variable name"),
+    "bound-keyword": (ForAll("forall", Equal(x, x)), "not a variable name"),
+    "bound-int": (Exists(0, Equal(x, x)), "not a variable name"),
+}
+
+
+@pytest.mark.parametrize("f, message", _UNREADABLE_LEAVES.values(), ids=_UNREADABLE_LEAVES)
+def test_leaves_that_do_not_read_back_are_type_errors(f, message):
+    """A Const other than the int 0 or 1, and a name that is not a str
+    reading back as one variable, print text that parses to another tree or
+    not at all; every reader rejects them, naming the node."""
+    env = {"x": FOUR.one}
+    for read in (format_ast, lambda g: eval_formula(FOUR, g, env), lambda g: decide(FOUR, g, env)):
+        with pytest.raises(TypeError, match=message):
+            read(f)
+
+
+def test_each_name_is_checked_once_per_read(monkeypatch):
+    read_name = terms._read_name
+    checked = []
+    monkeypatch.setattr(terms, "_read_name", lambda node, name, read: (
+        checked.append(name), read_name(node, name, read)))
+    f = parse_formula("exists y. (x . y = x + y & (forall x. (x' = y*)))")
+    checked.clear()
+    assert format_ast(f) == "exists y. (x . y = x + y & (forall x. (x' = y*)))"
+    assert sorted(checked) == ["x", "y"]
 
 
 def test_free_vars():
