@@ -5,6 +5,11 @@ Exit codes: 0 for true/satisfiable/success, 1 for false/unsatisfiable/absent,
 internal error.  Results go to stdout, diagnostics to stderr; identical
 inputs produce byte-identical output.
 
+Each command is one row of `_COMMANDS`: its help line, its handler and
+its arguments, as `add_argument`'s (flag, options) pairs; `oracle`'s row
+holds its own table of subcommands in place of a handler.  `build_parser`
+walks the table, adding `--json` last to every command with a handler.
+
 Each `_cmd_*` handler returns `(code, out)`: `out` is the text to print,
 ending in a newline, or under `--json` a dict that `main` prints as one
 line of JSON with sorted keys.  `extend-stage`, whose answer runs to
@@ -84,19 +89,6 @@ def _load_embedding(args):
     if r.source != alg:
         raise ParseError("the embedding's source differs from --algebra")
     return r
-
-
-def _add_algebra(p):
-    p.add_argument("--algebra", required=True, metavar="FILE", help="algebra file")
-
-
-def _add_caps(p):
-    p.add_argument("--max-atoms", type=int, default=DEFAULT_CAPS.max_atoms, metavar="N")
-    p.add_argument("--max-triples", type=int, default=DEFAULT_CAPS.max_triples, metavar="N")
-
-
-def _add_json(p):
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +256,70 @@ def _cmd_oracle_count_free(args):
 
 # ---------------------------------------------------------------------------
 
-# each command's help line, in the order the top-level help lists them
+# Arguments shared by several rows below: (name or flag, add_argument options).
+_ALGEBRA = ("--algebra", {"required": True, "metavar": "FILE", "help": "algebra file"})
+_TRIPLE = ("triple", {})
+_ELEMENT = ("element", {})
+_EMBEDDING = ("--embedding", {"metavar": "FILE"})
+_CAPS = (
+    ("--max-atoms", {"type": int, "default": DEFAULT_CAPS.max_atoms, "metavar": "N"}),
+    ("--max-triples", {"type": int, "default": DEFAULT_CAPS.max_triples, "metavar": "N"}),
+)
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+
+# Per command, in the order the top-level help lists them: its help line,
+# its handler (for oracle, its own table of subcommands) and then its
+# arguments in the order its help lists them.
 _COMMANDS = {
-    "check": "validate and normalize an algebra file",
-    "consistent": "test a triple for sigma-consistency",
-    "witness": "construct a realizer for a triple",
-    "decide": "decide a formula over the parameter algebra",
-    "type-of": "the triple of an element over a base",
-    "trivial": "test a triple for base-triviality",
-    "realize": "distinct realizers of a non-trivial triple",
-    "acl": "is an element algebraic over the base?",
-    "equiv": "check an identity between two terms",
-    "translate": "move a formula between signatures",
-    "amalgamate": "amalgamate two extensions of a base",
-    "extend-stage": "build existentially closed stages",
-    "oracle": "brute-force counterparts",
+    "check": ("validate and normalize an algebra file", _cmd_check, _ALGEBRA),
+    "consistent": ("test a triple for sigma-consistency", _cmd_consistent, _ALGEBRA, _TRIPLE),
+    "witness": ("construct a realizer for a triple", _cmd_witness, _ALGEBRA, _TRIPLE,
+                ("--via", {"choices": ("abstract", "power4"), "default": "abstract"})),
+    "decide": ("decide a formula over the parameter algebra", _cmd_decide,
+               _ALGEBRA, ("formula", {}),
+               ("--let", {"action": "append", "metavar": "NAME=ELEMENT"}),
+               ("--max-depth", {"type": int, "default": DEFAULT_CAPS.max_depth, "metavar": "N"}),
+               *_CAPS),
+    "type-of": ("the triple of an element over a base", _cmd_type_of,
+                _ALGEBRA, _ELEMENT, _EMBEDDING),
+    "trivial": ("test a triple for base-triviality", _cmd_trivial, _ALGEBRA, _TRIPLE),
+    "realize": ("distinct realizers of a non-trivial triple", _cmd_realize, _ALGEBRA, _TRIPLE,
+                ("--count", {"type": int, "default": 3, "metavar": "K"})),
+    "acl": ("is an element algebraic over the base?", _cmd_acl, _ALGEBRA, _ELEMENT,
+            ("--embedding", {"required": True, "metavar": "FILE"})),
+    "equiv": ("check an identity between two terms", _cmd_equiv, ("term1", {}), ("term2", {}),
+              ("--signature", {"choices": ("bdm", "dm"), "default": "bdm"})),
+    "translate": ("move a formula between signatures", _cmd_translate, ("formula", {}),
+                  ("--to", {"choices": ("dm", "bdm"), "required": True})),
+    "amalgamate": ("amalgamate two extensions of a base", _cmd_amalgamate,
+                   ("--left", {"required": True, "metavar": "FILE"}),
+                   ("--right", {"required": True, "metavar": "FILE"})),
+    "extend-stage": ("build existentially closed stages", _cmd_extend_stage, _ALGEBRA,
+                     ("--depth", {"type": int, "default": 1, "metavar": "N"}), *_CAPS),
+    "oracle": ("brute-force counterparts", {
+        "realizations": ("all realizers inside a target", _cmd_oracle_realizations,
+                         _ALGEBRA, _TRIPLE, _EMBEDDING),
+        "witness": ("search four-power extensions", _cmd_oracle_witness, _ALGEBRA, _TRIPLE,
+                    ("--max-atoms", {"type": int, "default": 16, "metavar": "N"})),
+        "trivial": ("triviality by subset scan", _cmd_oracle_trivial, _ALGEBRA, _TRIPLE),
+        "count-free": ("closure size of k projections", _cmd_oracle_count_free,
+                       ("k", {"type": int})),
+    }),
 }
+
+
+def _add_commands(sub, commands) -> None:
+    """Add a parser per row of commands to the subparsers sub: a command
+    with a table of subcommands stores the chosen one as <name>_command,
+    and every other takes its arguments, then --json, and its handler."""
+    for name, (help_line, handler, *arguments) in commands.items():
+        p = sub.add_parser(name, help=help_line)
+        if isinstance(handler, dict):
+            _add_commands(p.add_subparsers(dest=f"{name}_command", required=True), handler)
+            continue
+        for flag, options in (*arguments, _JSON):
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -294,112 +334,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-
-    def add(name, func=None):
-        """The parser of command name, or None when another is built alone."""
-        if command not in (None, name):
-            return None
-        p = sub.add_parser(name, help=_COMMANDS[name])
-        if func is not None:
-            p.set_defaults(func=func)
-        return p
-
-    if p := add("check", _cmd_check):
-        _add_algebra(p)
-        _add_json(p)
-
-    if p := add("consistent", _cmd_consistent):
-        _add_algebra(p)
-        p.add_argument("triple")
-        _add_json(p)
-
-    if p := add("witness", _cmd_witness):
-        _add_algebra(p)
-        p.add_argument("triple")
-        p.add_argument("--via", choices=("abstract", "power4"), default="abstract")
-        _add_json(p)
-
-    if p := add("decide", _cmd_decide):
-        _add_algebra(p)
-        p.add_argument("formula")
-        p.add_argument("--let", action="append", metavar="NAME=ELEMENT")
-        p.add_argument("--max-depth", type=int, default=DEFAULT_CAPS.max_depth, metavar="N")
-        _add_caps(p)
-        _add_json(p)
-
-    if p := add("type-of", _cmd_type_of):
-        _add_algebra(p)
-        p.add_argument("element")
-        p.add_argument("--embedding", metavar="FILE")
-        _add_json(p)
-
-    if p := add("trivial", _cmd_trivial):
-        _add_algebra(p)
-        p.add_argument("triple")
-        _add_json(p)
-
-    if p := add("realize", _cmd_realize):
-        _add_algebra(p)
-        p.add_argument("triple")
-        p.add_argument("--count", type=int, default=3, metavar="K")
-        _add_json(p)
-
-    if p := add("acl", _cmd_acl):
-        _add_algebra(p)
-        p.add_argument("element")
-        p.add_argument("--embedding", required=True, metavar="FILE")
-        _add_json(p)
-
-    if p := add("equiv", _cmd_equiv):
-        p.add_argument("term1")
-        p.add_argument("term2")
-        p.add_argument("--signature", choices=("bdm", "dm"), default="bdm")
-        _add_json(p)
-
-    if p := add("translate", _cmd_translate):
-        p.add_argument("formula")
-        p.add_argument("--to", choices=("dm", "bdm"), required=True)
-        _add_json(p)
-
-    if p := add("amalgamate", _cmd_amalgamate):
-        p.add_argument("--left", required=True, metavar="FILE")
-        p.add_argument("--right", required=True, metavar="FILE")
-        _add_json(p)
-
-    if p := add("extend-stage", _cmd_extend_stage):
-        _add_algebra(p)
-        p.add_argument("--depth", type=int, default=1, metavar="N")
-        _add_caps(p)
-        _add_json(p)
-
-    if p := add("oracle"):
-        osub = p.add_subparsers(dest="oracle_command", required=True)
-
-        q = osub.add_parser("realizations", help="all realizers inside a target")
-        _add_algebra(q)
-        q.add_argument("triple")
-        q.add_argument("--embedding", metavar="FILE")
-        _add_json(q)
-        q.set_defaults(func=_cmd_oracle_realizations)
-
-        q = osub.add_parser("witness", help="search four-power extensions")
-        _add_algebra(q)
-        q.add_argument("triple")
-        q.add_argument("--max-atoms", type=int, default=16, metavar="N")
-        _add_json(q)
-        q.set_defaults(func=_cmd_oracle_witness)
-
-        q = osub.add_parser("trivial", help="triviality by subset scan")
-        _add_algebra(q)
-        q.add_argument("triple")
-        _add_json(q)
-        q.set_defaults(func=_cmd_oracle_trivial)
-
-        q = osub.add_parser("count-free", help="closure size of k projections")
-        q.add_argument("k", type=int)
-        _add_json(q)
-        q.set_defaults(func=_cmd_oracle_count_free)
-
+    _add_commands(sub, _COMMANDS if command is None else {command: _COMMANDS[command]})
     return parser
 
 

@@ -56,9 +56,8 @@ class EcStage(Frozen):
 
     tables holds the record: per sigma-orbit of the base, in order of least
     atom, its mask and a dict from each (m1, m2, m3) part to its realizer
-    part.  rows, the (I1, I2, I3, realizer) masks in lexicographic order,
-    and realizers, the same as (Triple, Element) pairs, are built on each
-    access."""
+    part.  realizers, the (Triple, Element) pairs in lexicographic order of
+    the triples' (I1, I2, I3) masks, are built on each access."""
 
     __slots__ = ("embedding", "tables")
 
@@ -67,7 +66,6 @@ class EcStage(Frozen):
 
     base = property(lambda self: self.embedding.source)
     algebra = property(lambda self: self.embedding.target)
-    rows = property(lambda self: tuple(_sorted_product(self.tables)))
 
     @property
     def realizers(self) -> tuple[tuple[Triple, Element], ...]:

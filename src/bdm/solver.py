@@ -209,13 +209,20 @@ def _sorted_product(tables) -> Iterator[tuple[int, int, int, int]]:
         yield from sorted(rows)
 
 
+def _consistent_triples(alg: FiniteAlgebra) -> Iterator[Triple]:
+    """The sigma-consistent triples over alg in sigma_consistent_triples'
+    order, each built as it is asked for."""
+    tables = [(mask, dict.fromkeys(options, 0)) for mask, options in _orbit_options(alg)]
+    for m1, m2, m3, _ in _sorted_product(tables):
+        yield Triple.from_masks(alg, m1, m2, m3)
+
+
 def sigma_consistent_triples(alg: FiniteAlgebra) -> list[Triple]:
     """All sigma-consistent triples over alg, ordered lexicographically by
     the bitmasks of (I1, I2, I3) with atom i on bit i-1: a new list of new
     triples on each call.  Callers that take a triple budget check it first
     with _triple_count(alg.sigma, budget)."""
-    tables = [(mask, dict.fromkeys(options, 0)) for mask, options in _orbit_options(alg)]
-    return [Triple.from_masks(alg, m1, m2, m3) for m1, m2, m3, _ in _sorted_product(tables)]
+    return list(_consistent_triples(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +475,12 @@ def _shape_witnesses(sigma: tuple[int, ...]) -> tuple[Witness, ...]:
 def _witness_pairs(sigma, count, var, params) -> Iterator[tuple[FiniteAlgebra, dict[str, int]]]:
     """Per witness over the shape sigma, in triple order, its extension and
     the masks there of var and of params, (name, mask over the shape).  A
-    shape of at most _SHAPE_TRIPLES triples reads _shape_witnesses."""
+    shape of at most _SHAPE_TRIPLES triples reads _shape_witnesses; a
+    larger one's triples and witnesses are built one at a time."""
     if count <= _SHAPE_TRIPLES:
         witnesses = _shape_witnesses(sigma)
     else:
-        sub = FiniteAlgebra(len(sigma), sigma)
-        witnesses = map(witness_abstract, sigma_consistent_triples(sub))
+        witnesses = map(witness_abstract, _consistent_triples(FiniteAlgebra(len(sigma), sigma)))
     for w in witnesses:
         r = w.embedding
         env = {name: r.map_mask(m) for name, m in params}
@@ -520,9 +527,10 @@ def decide(
     and sigma on them, which fixes the triple count, the witness shape and
     each parameter's preimage (the blocks under its mask); no element,
     algebra or refinement is built for it.  The witnesses of the last 8
-    shapes of at most _SHAPE_TRIPLES triples are kept; a larger shape's are
-    built as they are tried.  Exhausted budgets raise CapExceeded, before
-    anything is built, rather than defaulting to false.
+    shapes of at most _SHAPE_TRIPLES triples are kept; a larger shape's
+    triples and witnesses are built one at a time, as they are tried.
+    Exhausted budgets raise CapExceeded, before anything is built, rather
+    than defaulting to false.
 
     The sentence is read once per call, without recursion: the read checks
     its sorts, its leaves, its depth (ParseError beyond the parser's 500

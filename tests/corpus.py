@@ -15,7 +15,7 @@ from bdm.algebra import (
     four_power,
     identity_refinement,
 )
-from bdm.solver import Triple, refine_triple
+from bdm.solver import Triple, _sorted_product, refine_triple
 from bdm.terms import (
     And,
     BNeg,
@@ -64,6 +64,12 @@ def assert_valid_iso(r1: AtomRefinement, r2: AtomRefinement, iso, x, y) -> None:
     for i in r1.source.atom_indices:
         assert {iso[q - 1] for q in r1.cell(i)} == set(r2.cell(i))
     assert {iso[q - 1] for q in x} == y
+
+
+def stage_rows(stage) -> list[tuple[int, int, int, int]]:
+    """A stage's (I1, I2, I3, realizer) masks per recorded triple, in
+    lexicographic order, streamed from its tables."""
+    return list(_sorted_product(stage.tables))
 
 
 def elements(alg: FiniteAlgebra) -> list[Element]:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import io
@@ -873,6 +874,46 @@ def test_parser_help_and_error_bytes(capsys, monkeypatch):
     assert {code for code, _, _ in got} == {0, 2}
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
     assert PARSER_GOLDEN.get(sys.version_info[:2], digest) == digest
+
+
+def _subcommands(parser) -> dict:
+    """The parsers of parser's subcommands by name, or {} without any."""
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return nested[0].choices if nested else {}
+
+
+def test_command_table_is_what_the_goldens_cover():
+    """Every command of the table, and every oracle subcommand, is pinned
+    by the parser tests above, and the parser of every command holds the
+    table's commands in its order."""
+    from bdm.cli import _COMMANDS, build_parser
+
+    table = []
+    for name, (_, handler, *_) in _COMMANDS.items():
+        table += [(name, s) for s in handler] if isinstance(handler, dict) else [(name,)]
+    assert table == [c[: 2 if c[0] == "oracle" else 1] for c in PARSER_COMMANDS]
+    assert list(_subcommands(build_parser())) == list(_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "command, nested",
+    [("decide", []), ("oracle", ["realizations", "witness", "trivial", "count-free"])],
+)
+def test_one_command_parser_holds_that_command_alone(monkeypatch, capsys, command, nested):
+    """build_parser(command) holds that command's parser and its
+    subcommands, no other; main builds that parser alone."""
+    from bdm import cli
+
+    built = _subcommands(cli.build_parser(command))
+    assert list(built) == [command]
+    assert list(_subcommands(built[command])) == nested
+    asked = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda c=None: asked.append(c) or build(c))
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    capsys.readouterr()
+    assert asked == [command]
 
 
 def test_in_process_main_leaves_the_collector_alone(capsys, algebra_files):

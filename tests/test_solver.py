@@ -594,6 +594,21 @@ def test_shape_past_the_table_bound_is_answered_and_not_kept(monkeypatch):
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
+def test_shape_past_the_table_bound_builds_triples_as_tried(monkeypatch):
+    """Over five fixed atoms (16,807 triples, past _SHAPE_TRIPLES) a
+    sentence true at its first witness builds that one triple, not all."""
+    alg = FiniteAlgebra(5, (1, 2, 3, 4, 5))
+    assert count_sigma_consistent(alg) > solver._SHAPE_TRIPLES
+    body, env = _atoms_bound(alg)
+    built = []
+    from_masks = Triple.from_masks.__func__
+    monkeypatch.setattr(
+        Triple, "from_masks", classmethod(lambda *a: built.append(a) or from_masks(*a))
+    )
+    assert decide(alg, parse_formula(f"exists x. ({body})"), env, CAPS)
+    assert len(built) == 1
+
+
 def test_equal_algebras_share_one_shape_entry():
     """The table is keyed by sigma alone, so a named algebra and an equal
     unnamed one find the same witnesses."""

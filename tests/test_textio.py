@@ -39,7 +39,7 @@ from bdm.textio import (
     triple_json,
 )
 
-from corpus import all_bases, atoms, random_algebra
+from corpus import all_bases, atoms, random_algebra, stage_rows
 
 
 def stage_json(stage: EcStage) -> dict:
@@ -51,7 +51,7 @@ def stage_json(stage: EcStage) -> dict:
                 "triple": {"I1": sorted_atoms(m1), "I2": sorted_atoms(m2), "I3": sorted_atoms(m3)},
                 "element": sorted_atoms(u),
             }
-            for m1, m2, m3, u in stage.rows
+            for m1, m2, m3, u in stage_rows(stage)
         ],
         "algebra": algebra_json(stage.algebra),
         "cells": [sorted_atoms(m) for m in stage.embedding.cell_masks],
@@ -156,7 +156,7 @@ def test_stage_json_matches_row_printers(base):
     """The reference stage_json gives what triple_json and element_json give
     one realizer at a time, with triple masks that repeat."""
     stage = ec_stage(base, Caps(max_atoms=64, max_depth=4, max_triples=10**6))
-    masks = [m for row in stage.rows for m in row[:3]]
+    masks = [m for row in stage_rows(stage) for m in row[:3]]
     assert len(set(masks)) < len(masks)
     assert stage_json(stage) == {
         "realized": [
@@ -179,7 +179,7 @@ def test_stages_json_text_is_the_json_of_stage_json(monkeypatch, base, depth):
     pieces = list(stages_json_text(chain))
     expected = json.dumps({"stages": [stage_json(s) for s in chain]}, sort_keys=True) + "\n"
     assert "".join(pieces) == expected
-    assert len(pieces) == 2 + sum(2 + math.ceil(len(s.rows) / 1000) for s in chain)
+    assert len(pieces) == 2 + sum(2 + math.ceil(len(stage_rows(s)) / 1000) for s in chain)
 
 
 DEPTH_TWO_CAPS = Caps(max_atoms=64, max_depth=4, max_triples=10**5)
@@ -199,7 +199,7 @@ def test_stages_text_pieces_join_to_format_stage(monkeypatch, base, depth):
     monkeypatch.setattr(textio, "_PIECE_ROWS", 1000)
     pieces = list(stages_text(chain))
     assert "".join(pieces) == expected
-    assert len(pieces) == sum(2 + math.ceil(len(s.rows) / 1000) for s in chain)
+    assert len(pieces) == sum(2 + math.ceil(len(stage_rows(s)) / 1000) for s in chain)
 
 
 @pytest.mark.parametrize(

@@ -269,7 +269,7 @@ def test_values_survive_pickle_and_copy():
             assert type(back) is type(v) and back == v and repr(back) == repr(v)
     assert pickle.loads(pickle.dumps(values[1])).name == "other"
     for back in (pickle.loads(pickle.dumps(stage)), copy.deepcopy(stage)):
-        assert back.embedding == stage.embedding and back.rows == stage.rows
+        assert back.embedding == stage.embedding and back.tables == stage.tables
         assert back.realizers == stage.realizers
 
 
