@@ -43,7 +43,7 @@ from .algebra import (
     twist_product,
 )
 from .errors import CapExceeded, InconsistentTripleError, TrivialTripleError
-from .terms import Formula, _binding_mask, _holds, _scan
+from .terms import Formula, _binding_mask, _free_names, _holds
 
 
 class Triple(Value):
@@ -488,13 +488,14 @@ def _witness_pairs(sigma, count, var, params) -> Iterator[tuple[FiniteAlgebra, d
         yield r.target, env
 
 
-def _quantifier(plan, caps, depth, alg, f, env):
+def _quantifier(caps, depth, alg, f, env):
     """decide's step, as terms._holds calls it at the quantifier f nested
     depth quantifiers deep: the step for the body and the pairs to try.
-    Every cap is checked, in order, before anything is built."""
+    The names in play are f's free names, stored on f by the read.  Every
+    cap is checked, in order, before anything is built."""
     if depth >= caps.max_depth:
         raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
-    relevant = plan[id(f)]
+    relevant = f._read
     masks = [env[name] for name in relevant]
     blocks, sigma = generated_blocks(alg, masks)
     count = _triple_count(sigma, caps.max_triples)
@@ -506,7 +507,7 @@ def _quantifier(plan, caps, depth, alg, f, env):
     # each parameter as the mask of the blocks under it
     params = [(name, sum(1 << k for k, b in enumerate(blocks) if b & m))
               for name, m in zip(relevant, masks)]
-    return partial(_quantifier, plan, caps, depth + 1), _witness_pairs(sigma, count, f.var, params)
+    return partial(_quantifier, caps, depth + 1), _witness_pairs(sigma, count, f.var, params)
 
 
 def decide(
@@ -532,19 +533,22 @@ def decide(
     Exhausted budgets raise CapExceeded, before anything is built, rather
     than defaulting to false.
 
-    The sentence is read once per call, without recursion: the read checks
-    its sorts, its leaves, its depth (ParseError beyond the parser's 500
-    levels) and its free names, and gives each quantifier's names in play.
-    Elements appear only here, at the edge: each binding is checked and
-    turned into its atom mask once, and below it the bindings are masks.
+    The sentence is read once, without recursion, the first time it is
+    parsed or decided: the read checks its sorts, its leaves, its depth
+    (ParseError beyond the parser's 500 levels) and its free names, and
+    stores the free names on the sentence and the names in play on each of
+    its quantifiers; later calls trust them.  A read that raises stores
+    nothing, so it raises again on the next call.  Elements appear only
+    here, at the edge: each binding is checked and turned into its atom mask
+    once, and below it the bindings are masks.
     """
-    names, plan = _scan(f)
+    names = _free_names(f)
     env = dict(env) if env else {}
-    missing = names - env.keys()
+    missing = [name for name in names if name not in env]
     if missing:
-        raise ValueError(f"unbound free variables: {', '.join(sorted(missing))}")
+        raise ValueError(f"unbound free variables: {', '.join(missing)}")
     masks = {
         name: _binding_mask(params, name, value, "the parameter algebra")
         for name, value in env.items()
     }
-    return _holds(params, f, masks, partial(_quantifier, plan, caps, 0))
+    return _holds(params, f, masks, partial(_quantifier, caps, 0))

@@ -24,9 +24,12 @@ dispatch on a node's exact class, as equality does, so an instance of a
 subclass is not a node.
 
 Evaluation reads the tree once, without recursion (_scan: sorts, leaves,
-depth, free names and each quantifier's names in play), then runs on atom
-masks: each subterm's value is an int, built with |, &, ^ full_mask and
-sigma_mask as in the table of the algebra module.  _holds interprets every
+depth, free names and each quantifier's names in play).  A formula keeps
+its read: _scan stores the sorted free names on the root and on each
+quantifier, whose free names are its names in play, so decide reads a
+sentence once, not once per call.  Evaluation then runs on atom masks:
+each subterm's value is an int, built with |, &, ^ full_mask and sigma_mask
+as in the table of the algebra module.  _holds interprets every
 formula, each quantifier over the domain its caller supplies (decide's
 witnesses).  Elements appear only at the public edge: eval_term, eval_formula
 and decide turn each binding into its mask once, and eval_term turns its one
@@ -39,7 +42,7 @@ import itertools
 import re
 from typing import Mapping, Optional, Union
 
-from .algebra import FOUR, Element, FiniteAlgebra, Value
+from .algebra import FOUR, Element, FiniteAlgebra, Value, _set
 from .errors import CapExceeded, ParseError
 
 
@@ -48,7 +51,9 @@ from .errors import CapExceeded, ParseError
 #
 # A node's constructor takes its __slots__ fields in order.  Term nodes hold
 # terms; Equal and NotEqual hold two terms, the other formula nodes hold
-# formulas, and a quantifier's var is a variable name.
+# formulas, and a quantifier's var is a variable name.  Formula's own slot,
+# _read, is not a field: equality, hash, repr, pickle and copy walk the node
+# class's __slots__ and never see it (see _scan).
 
 
 class Term(Value):
@@ -88,7 +93,7 @@ ONE = Const(1)
 
 
 class Formula(Value):
-    __slots__ = ()
+    __slots__ = ("_read",)
 
 
 class Equal(Formula):
@@ -134,16 +139,20 @@ Ast = Union[Term, Formula]
 _MAX_AST_DEPTH = 500
 
 
-def _scan(root: Ast, formula: bool = True) -> tuple[set[str], dict[int, tuple[str, ...]]]:
+def _scan(root: Ast, formula: bool = True) -> tuple[set[str], bool]:
     """Read a tree once, without recursion, before anything evaluates it.
 
     Raises TypeError where a node is not of the sort (term or formula) its
     position asks for, where a Const is not the int 0 or 1, and where a name
     is not a str that reads back as one variable; and ParseError, as the
     parser does, when the tree has more than _MAX_AST_DEPTH levels.  Returns
-    the free names of root and the names in play at each quantifier: keyed
-    by id, each quantifier node maps to the sorted free names of its body
-    other than its variable.
+    the free names of root and whether the tree has a quantifier.
+
+    A read that succeeds is kept: the sorted free names are stored in the
+    _read slot of a formula root and of each quantifier, where they are the
+    names in play, the free names of its body other than its variable.  A
+    read that raises stores nothing.  Nodes are immutable, so a set slot
+    vouches for its whole subtree, itself no deeper than _MAX_AST_DEPTH.
     """
     formulas = []  # formula nodes, each before its subformulas
     free: dict[int, set[str]] = {}  # id of a formula node -> its free names
@@ -187,20 +196,34 @@ def _scan(root: Ast, formula: bool = True) -> tuple[set[str], dict[int, tuple[st
             stack.append((node.body, True, level, None))
         else:
             raise TypeError(f"not a formula: {node!r}")
-    plan: dict[int, tuple[str, ...]] = {}
+    quantified = False
     for node in reversed(formulas):
         cls = node.__class__
         if cls is Equal or cls is NotEqual:
             continue
         if cls is Exists or cls is ForAll:
             names = free[id(node.body)] - {node.var}
-            plan[id(node)] = tuple(sorted(names))
+            _set(node, "_read", tuple(sorted(names)))
+            quantified = True
         elif cls is Not:
             names = free[id(node.arg)]
         else:
             names = free[id(node.left)] | free[id(node.right)]
         free[id(node)] = names
-    return (free[id(root)] if formula else top), plan
+    if not formula:
+        return top, False
+    _set(root, "_read", tuple(sorted(free[id(root)])))
+    return free[id(root)], quantified
+
+
+def _free_names(f: Formula) -> tuple[str, ...]:
+    """The sorted free names of a formula, as its first read stored them;
+    a formula not read yet is read by _scan, which may raise."""
+    read = getattr(f, "_read", None) if isinstance(f, Formula) else None
+    if read is None:
+        _scan(f)
+        read = f._read
+    return read
 
 
 def _read_name(node: Ast, name, read: set[str]) -> None:
@@ -213,7 +236,7 @@ def _read_name(node: Ast, name, read: set[str]) -> None:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    return frozenset(_scan(f)[0])
+    return frozenset(_free_names(f))
 
 
 def _children(node: Ast) -> list[Ast]:
@@ -343,7 +366,8 @@ def parse(text: str, signature: str = "bdm", kind: str = "formula") -> Ast:
     One pass over the tokens with an operand stack and an operator stack.
     An operator waits on its stack until one arrives that the printer would
     not put inside its last operand (its own level is lower), or until its
-    group or the text ends; then it is built from the top operands.
+    group or the text ends; then it is built from the top operands.  The
+    tree is then read by _scan, and a formula keeps that read.
     """
     _check_signature(signature)
     if kind not in ("term", "formula"):
@@ -473,8 +497,9 @@ def _masks(alg: FiniteAlgebra, names: set[str], env: Mapping[str, Element]) -> d
     return masks
 
 
-# _mask and _holds evaluate a tree that _scan has read: every node is of
-# its sort, every name is bound to a mask of alg, and quantifiers get a step.
+# _mask and _holds evaluate a tree that _scan has read, now or on an earlier
+# call (the names stored on the formula vouch for that read): every node is
+# of its sort, every name is bound to a mask of alg, and quantifiers get a step.
 
 def _mask(alg: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
     """The atom mask of t's value in alg."""
@@ -527,8 +552,8 @@ def eval_term(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> Elemen
 
 def eval_formula(alg: FiniteAlgebra, f: Formula, env: Mapping[str, Element]) -> bool:
     """Evaluate a quantifier-free formula pointwise, comparing masks."""
-    names, plan = _scan(f)
-    if plan:
+    names, quantified = _scan(f)
+    if quantified:
         raise ValueError("quantified formulas need the decision procedure")
     return _holds(alg, f, _masks(alg, names, env))
 

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -17,7 +19,7 @@ from bdm.algebra import (
     identity_refinement,
     twist_product,
 )
-from bdm import algebra, solver
+from bdm import algebra, cli, solver, terms
 from bdm.errors import CapExceeded, InconsistentTripleError, ParseError, TrivialTripleError
 from bdm.model import build_chain
 from bdm.oracle import all_realizations_in, phi_environment, phi_formula
@@ -849,3 +851,79 @@ def test_decide_parameter_verdicts_match_parent_digest():
             verdicts.append("cap")
     digest = hashlib.sha256(" ".join(verdicts).encode()).hexdigest()
     assert digest == "97f246fab15cbc1be807e3de7ec0113cbabed2c4d700e747926175a2ad04b86a"
+
+
+def _digest_corpora():
+    """The (base, sentence, bindings) of the two digest tests above, drawn
+    from their seeds in their order."""
+    bases = all_bases(2)
+    rng = random.Random(20261018)
+    corpus = [(bases[k % len(bases)], random_formula(rng, []), {}) for k in range(300)]
+    rng = random.Random(20261019)
+    for k in range(300):
+        base = bases[k % len(bases)]
+        names = ["p", "r"][: rng.randint(1, 2)]
+        f = random_formula(rng, names)
+        corpus.append((base, f, {name: random_element(rng, base) for name in names}))
+    return corpus
+
+
+def test_warm_verdicts_equal_cold_ones():
+    """Deciding a sentence again trusts the read the first call stored; the
+    verdicts match the first call's and those on copies never read."""
+    caps = Caps(max_atoms=96, max_depth=4, max_triples=4000)
+
+    def verdicts(corpus):
+        out = []
+        for base, f, env in corpus:
+            try:
+                out.append(str(decide(base, f, env, caps)))
+            except CapExceeded:
+                out.append("cap")
+        return out
+
+    corpus = _digest_corpora()
+    cold = verdicts(corpus)
+    assert [hashlib.sha256(" ".join(half).encode()).hexdigest() for half in (cold[:300], cold[300:])] == [
+        "dffff31fef41560755a88925b73e5ccd9bd6f5aa988894abe5550adfe2f5a22b",
+        "97f246fab15cbc1be807e3de7ec0113cbabed2c4d700e747926175a2ad04b86a",
+    ]
+    assert verdicts(corpus) == cold
+    assert verdicts(copy.deepcopy(corpus)) == cold
+
+
+def _count_reads(monkeypatch) -> list:
+    """The trees terms._scan reads from now on, wherever a bdm module holds
+    the reader by name."""
+    scan, reads = terms._scan, []
+
+    def counted(root, *args):
+        reads.append(root)
+        return scan(root, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "bdm" and vars(module).get("_scan") is scan:
+            monkeypatch.setattr(module, "_scan", counted)
+    return reads
+
+
+def test_a_sentence_is_read_once_however_often_it_is_decided(monkeypatch, tmp_path, capsys):
+    """parse's read serves every decide call after it; a sentence built
+    without the parser is read by its first decide call only; `bdm decide`
+    reads its sentence once."""
+    reads = _count_reads(monkeypatch)
+    text = "forall x. (exists y. (y . p = x . p* & y != x))"
+    env = {"p": TWO.one}
+    f = parse_formula(text)
+    assert [decide(TWO, f, env, CAPS) for _ in range(3)] == [False] * 3
+    assert reads == [f]
+    reads.clear()
+    g = ForAll("x", Exists("y", NotEqual(Var("y"), Var("x"))))
+    assert [decide(TWO, g, {}, CAPS) for _ in range(3)] == [True] * 3
+    assert reads == [g]
+    reads.clear()
+    alg = tmp_path / "two.alg"
+    alg.write_text("atoms 1\nsigma 1\n")
+    assert cli.main(["decide", "--algebra", str(alg), "exists x. (~x = x & x != 0 & x != 1)"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert len(reads) == 1

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import time
 
@@ -10,7 +12,7 @@ from bdm.algebra import FOUR, TWO, Element, four_power, twist_product
 from bdm.errors import CapExceeded, ParseError
 from bdm import terms
 from bdm.oracle import failing_assignment
-from bdm.solver import decide
+from bdm.solver import Caps, decide
 from bdm.terms import (
     MAX_IDENTITY_VARIABLES,
     And,
@@ -23,6 +25,7 @@ from bdm.terms import (
     Join,
     Meet,
     Not,
+    NotEqual,
     Or,
     Star,
     Var,
@@ -312,6 +315,58 @@ def test_leaves_that_do_not_read_back_are_type_errors(f, message):
     for read in (format_ast, lambda g: eval_formula(FOUR, g, env), lambda g: decide(FOUR, g, env)):
         with pytest.raises(TypeError, match=message):
             read(f)
+
+
+_CAPS = Caps(max_atoms=96, max_depth=4, max_triples=4000)
+
+
+def _looks(f):
+    """What equality, hash, repr, pickle and copying show of a formula."""
+    return f, hash(f), repr(f), pickle.dumps(f), copy.copy(f), copy.deepcopy(f)
+
+
+def test_stored_read_is_invisible_to_equality_hash_repr_pickle_and_copy():
+    """The names a read stores on a formula are not a field: a decided
+    formula looks the same as before, and every copy decides as it does."""
+    x, y = Var("x"), Var("y")
+    f = Exists("y", And(Equal(Meet(x, y), y), ForAll("z", NotEqual(Join(Var("z"), y), Star(x)))))
+    before = _looks(f)
+    envs = [{"x": v} for v in elements(FOUR)]
+    verdicts = [decide(FOUR, f, env, _CAPS) for env in envs]
+    after = _looks(f)
+    assert after[:4] == before[:4]
+    for g in (*before[4:], *after[4:], pickle.loads(before[3])):
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert [decide(FOUR, g, env, _CAPS) for env in envs] == verdicts
+    assert len(set(verdicts)) == 2
+
+
+def test_failed_read_stores_nothing():
+    """A sentence that does not read raises on every call, not just the first."""
+    deep = Equal(Var("x"), Var("x"))
+    for _ in range(1500):
+        deep = Not(deep)
+    for f, error in ((Exists("x", Var("x")), TypeError), (deep, ParseError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                decide(TWO, f, {"x": TWO.one})
+
+
+def test_quantifier_read_inside_a_sentence_decides_alone_as_a_fresh_copy():
+    """The names a quantifier stores while its sentence is read are its own
+    free names, so deciding it on its own agrees with a copy never read."""
+    x, y, p = Var("x"), Var("y"), Var("p")
+    inner = Exists("y", And(Equal(Meet(y, p), x), NotEqual(y, x)))
+    sentence = ForAll("x", Or(inner, Equal(x, Star(p))))
+    verdicts = set()
+    for v in elements(TWO):
+        decide(TWO, sentence, {"p": v}, _CAPS)
+        for u in elements(TWO):
+            env = {"p": v, "x": u}
+            verdict = decide(TWO, inner, env, _CAPS)
+            assert decide(TWO, copy.deepcopy(inner), env, _CAPS) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_each_name_is_checked_once_per_read(monkeypatch):
