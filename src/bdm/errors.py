@@ -19,11 +19,17 @@ class CapExceeded(BdmError):
     """A resource budget (atoms, quantifier depth, triple count) ran out.
 
     Distinct from a negative answer: the computation was abandoned, not
-    refuted.
+    refuted.  Where a Caps field ran out, cap names it ("max_depth",
+    "max_triples" or "max_atoms"), needed is what the step asked for and
+    limit the field's value; elsewhere the three are None.  stage is the
+    chain stage whose construction ran out, if any.
     """
 
-    def __init__(self, message, stage=None):
+    def __init__(self, message, stage=None, cap=None, needed=None, limit=None):
         self.stage = stage
+        self.cap = cap
+        self.needed = needed
+        self.limit = limit
         if stage is not None:
             message = f"{message} (stage {stage})"
         super().__init__(message)

@@ -105,7 +105,8 @@ def ec_stage(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> EcStage:
     total = _BLOCK * m
     if 2 * total > caps.max_atoms:
         raise CapExceeded(
-            f"the stage needs {2 * total} atoms, cap is {caps.max_atoms}"
+            f"the stage needs {2 * total} atoms, cap is {caps.max_atoms}",
+            cap="max_atoms", needed=2 * total, limit=caps.max_atoms,
         )
     emb = compose_refinements(r1, block_layout(r1.target, [_BLOCK] * m))
 
@@ -135,7 +136,7 @@ def build_chain(
         try:
             stage = ec_stage(current, caps)
         except CapExceeded as e:
-            raise CapExceeded(str(e), stage=i) from e
+            raise CapExceeded(str(e), i, e.cap, e.needed, e.limit) from e
         stages.append(stage)
         current = stage.algebra
     return stages

@@ -23,6 +23,7 @@ compare them up to isomorphism over the base.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache, partial
 from typing import Iterator, Mapping, Optional
 
@@ -161,11 +162,12 @@ def count_sigma_consistent(alg: FiniteAlgebra) -> int:
 def _triple_count(sigma: tuple[int, ...], max_count: Optional[int] = None) -> int:
     """The number of consistent triples over the algebra with this sigma;
     raise CapExceeded when it is above max_count, where None means no cap."""
-    fixed = sum(1 for i, j in enumerate(sigma, start=1) if i == j)
+    fixed = sum(map(operator.eq, sigma, itertools.count(1)))
     total = 7**fixed * 15 ** ((len(sigma) - fixed) // 2)
     if max_count is not None and total > max_count:
         raise CapExceeded(
-            f"{total} consistent triples over {len(sigma)} atoms exceed the cap of {max_count}"
+            f"{total} consistent triples over {len(sigma)} atoms exceed the cap of {max_count}",
+            cap="max_triples", needed=total, limit=max_count,
         )
     return total
 
@@ -458,55 +460,82 @@ def realizations(
 # ---------------------------------------------------------------------------
 # Decision procedure
 
-# Shapes with at most this many consistent triples keep their witnesses in
-# _shape_witnesses; at under 900 B a witness its 8 entries stay near 15 MB.
+# Shapes with at most this many consistent triples keep their rows in
+# _shape_witnesses; at about 650 B a row (tracemalloc, Python 3.11) its 8
+# entries hold under 9 MiB, a bound tests/test_solver.py pins.
 _SHAPE_TRIPLES = 2048
+
+# A witness as decide's step reads it: (extension, mask of x, cell masks).
+_Row = tuple[FiniteAlgebra, int, tuple[int, ...]]
+
+
+def _rows(triples) -> Iterator[_Row]:
+    """Per consistent triple, in the given order, the row of its abstract
+    witness that decide's step reads: (extension, mask of x there, cell
+    masks of the base atoms), each built as it is asked for."""
+    for t in triples:
+        w = witness_abstract(t)
+        yield w.embedding.target, w.element.mask, w.embedding.cell_masks
 
 
 @lru_cache(maxsize=8)
-def _shape_witnesses(sigma: tuple[int, ...]) -> tuple[Witness, ...]:
-    """The abstract witness of every consistent triple over
-    FiniteAlgebra(len(sigma), sigma), in triple order.  decide's one cache:
-    only the shape of the subalgebra a quantifier ranges over matters."""
-    alg = FiniteAlgebra(len(sigma), sigma)
-    return tuple(map(witness_abstract, sigma_consistent_triples(alg)))
+def _shape_witnesses(sigma: tuple[int, ...]) -> tuple[_Row, ...]:
+    """The rows of every consistent triple over FiniteAlgebra(len(sigma),
+    sigma), in triple order.  decide's one cache: only the shape of the
+    subalgebra a quantifier ranges over matters."""
+    return tuple(_rows(sigma_consistent_triples(FiniteAlgebra(len(sigma), sigma))))
 
 
 def _witness_pairs(sigma, count, var, params) -> Iterator[tuple[FiniteAlgebra, dict[str, int]]]:
-    """Per witness over the shape sigma, in triple order, its extension and
-    the masks there of var and of params, (name, mask over the shape).  A
-    shape of at most _SHAPE_TRIPLES triples reads _shape_witnesses; a
-    larger one's triples and witnesses are built one at a time."""
+    """Per row over the shape sigma, in triple order, its extension and the
+    masks there of var and of params, (name, indices of the shape's atoms
+    under it): each parameter is the union of those atoms' cells.  A shape
+    of at most _SHAPE_TRIPLES triples reads _shape_witnesses; a larger
+    one's rows are built one at a time, as they are tried."""
     if count <= _SHAPE_TRIPLES:
-        witnesses = _shape_witnesses(sigma)
+        rows = _shape_witnesses(sigma)
     else:
-        witnesses = map(witness_abstract, _consistent_triples(FiniteAlgebra(len(sigma), sigma)))
-    for w in witnesses:
-        r = w.embedding
-        env = {name: r.map_mask(m) for name, m in params}
-        env[var] = w.element.mask
-        yield r.target, env
+        rows = _rows(_consistent_triples(FiniteAlgebra(len(sigma), sigma)))
+    for ext, x, cells in rows:
+        env = {var: x}
+        for name, under in params:
+            m = 0
+            for k in under:
+                m |= cells[k]
+            env[name] = m
+        yield ext, env
 
 
 def _quantifier(caps, depth, alg, f, env):
     """decide's step, as terms._holds calls it at the quantifier f nested
     depth quantifiers deep: the step for the body and the pairs to try.
-    The names in play are f's free names, stored on f by the read.  Every
-    cap is checked, in order, before anything is built."""
+    The names in play are f's free names, stored on f by the read; with
+    none, the domain is the shape of 2.  Every cap is checked, in order,
+    before anything is built."""
     if depth >= caps.max_depth:
-        raise CapExceeded(f"quantifier depth {caps.max_depth} exhausted")
-    relevant = f._read
-    masks = [env[name] for name in relevant]
-    blocks, sigma = generated_blocks(alg, masks)
-    count = _triple_count(sigma, caps.max_triples)
-    # the first triple, (0, 0, 0), splits every atom in four: the largest
-    if 4 * len(blocks) > caps.max_atoms:
         raise CapExceeded(
-            f"witness extension needs {4 * len(blocks)} atoms, cap is {caps.max_atoms}"
+            f"quantifier depth {caps.max_depth} exhausted",
+            cap="max_depth", needed=depth + 1, limit=caps.max_depth,
         )
-    # each parameter as the mask of the blocks under it
-    params = [(name, sum(1 << k for k, b in enumerate(blocks) if b & m))
-              for name, m in zip(relevant, masks)]
+    relevant = f._read
+    if relevant:
+        masks = [env[name] for name in relevant]
+        blocks, sigma = generated_blocks(alg, masks)
+        count = _triple_count(sigma, caps.max_triples)
+    else:  # the shape of 2: one block, fixed, and 7 triples
+        masks, blocks, sigma = (), (alg.full_mask,), (1,)
+        count = 7 if caps.max_triples >= 7 else _triple_count(sigma, caps.max_triples)
+    n = len(blocks)
+    # the first triple, (0, 0, 0), splits every atom in four: the largest
+    if 4 * n > caps.max_atoms:
+        raise CapExceeded(
+            f"witness extension needs {4 * n} atoms, cap is {caps.max_atoms}",
+            cap="max_atoms", needed=4 * n, limit=caps.max_atoms,
+        )
+    # each parameter as the indices of the blocks under it
+    params = []
+    for name, m in zip(relevant, masks):
+        params.append((name, [k for k, b in enumerate(blocks) if b & m]))
     return partial(_quantifier, caps, depth + 1), _witness_pairs(sigma, count, f.var, params)
 
 
@@ -527,11 +556,16 @@ def decide(
     algebra.generated_blocks gives its atoms as blocks of the current atoms
     and sigma on them, which fixes the triple count, the witness shape and
     each parameter's preimage (the blocks under its mask); no element,
-    algebra or refinement is built for it.  The witnesses of the last 8
-    shapes of at most _SHAPE_TRIPLES triples are kept; a larger shape's
-    triples and witnesses are built one at a time, as they are tried.
-    Exhausted budgets raise CapExceeded, before anything is built, rather
-    than defaulting to false.
+    algebra or refinement is built for it.  With no names in play the
+    subalgebra is 2, whose shape (1,) and 7 triples are known, so no blocks
+    are computed.  Per witness the step reads a row, (extension, mask of
+    the variable, cell masks of the shape's atoms), and each parameter is
+    the union of the cells of its blocks.  The rows of the last 8 shapes of
+    at most _SHAPE_TRIPLES triples are kept (_shape_witnesses, keyed by
+    sigma alone); a larger shape's rows are built one at a time, as they
+    are tried.  Exhausted budgets raise CapExceeded, before anything is
+    built, rather than defaulting to false; the error names the Caps field,
+    what was needed and the limit.
 
     The sentence is read once, without recursion, the first time it is
     parsed or decided: the read checks its sorts, its leaves, its depth

@@ -344,17 +344,30 @@ def random_formula(rng: random.Random, names: list[str], signature: str = "bdm")
 
 
 # ---------------------------------------------------------------------------
-# Type sentences over one name: the axioms of the model completion
+# Type sentences over one or two names: the axioms of the model completion
 #
-# The pattern of an atom a over a name v is 2 bits: bit 0 says a <= v and
-# bit 1 says a <= v*, that is sigma(a) <= v.  The kind of x at a is the pair
-# (a <= x, sigma(a) <= x).  Star swaps the two bits of both, so patterns 0
-# and 3 are fixed and 1 and 2 form a two-cycle.
+# The pattern of an atom a over names v_1..v_k is 2k bits: bit 2j-2 says
+# a <= v_j and bit 2j-1 says a <= v_j*, that is sigma(a) <= v_j.  The kind
+# of x at a is the pair (a <= x, sigma(a) <= x).  Star swaps the two bits of
+# every name and of the kind: over one name patterns 0 and 3 are fixed and
+# 1 and 2 form a two-cycle; over two names 4 of the 16 are fixed and the
+# others form 6 two-cycles.
 
 KINDS = ((1, 0), (1, 1), (0, 0), (0, 1))
 
-# the swap-closed nonempty pattern sets, as unions of the orbits {0}, {3}
-# and {1, 2}
+
+def swap(p: int) -> int:
+    """sigma on patterns: the two bits of every name exchanged."""
+    return (p & 0x5555) << 1 | (p >> 1) & 0x5555
+
+
+def pattern_orbits(k: int) -> list[frozenset[int]]:
+    """The swap-orbits of the 4^k patterns over k names, by least pattern."""
+    return [frozenset({p, swap(p)}) for p in range(4**k) if p <= swap(p)]
+
+
+# the swap-closed nonempty pattern sets over one name, as unions of the
+# orbits {0}, {3} and {1, 2}
 PATTERN_SETS = [
     frozenset().union(*orbits)
     for r in (1, 2, 3)
@@ -362,9 +375,15 @@ PATTERN_SETS = [
 ]
 
 
-def atom_term(v: Term, p: int) -> Term:
-    """The atom term of pattern p over v: (v or v')·(v* or v*') as p's bits say."""
-    return Meet(v if p & 1 else BNeg(v), Star(v) if p & 2 else BNeg(Star(v)))
+def atom_term(names, p: int) -> Term:
+    """The atom term of pattern p over the names: the product, name by name,
+    of (v or v')·(v* or v*') as p's two bits for v say."""
+    out = None
+    for j, v in enumerate(names):
+        bits = p >> 2 * j
+        digit = Meet(v if bits & 1 else BNeg(v), Star(v) if bits & 2 else BNeg(Star(v)))
+        out = digit if out is None else Meet(out, digit)
+    return out
 
 
 def kind_term(x: Term, kind: tuple[int, int]) -> Term:
@@ -382,16 +401,18 @@ def _nonzero_exactly(terms_and_truths) -> Formula:
     return out
 
 
-def delta(v: Term, patterns: frozenset[int]) -> Formula:
-    """delta_S(v): the atom term of p is nonzero exactly for p in S."""
-    return _nonzero_exactly((atom_term(v, p), p in patterns) for p in range(4))
-
-
-def phi(v: Term, x: Term, kinds: dict[int, frozenset]) -> Formula:
-    """phi_K(v, x): for each pattern p of K and each kind k, the atom term
-    of p times the product of k is nonzero iff k is in K_p."""
+def delta(names, patterns: frozenset[int]) -> Formula:
+    """delta_S(names): the atom term of p is nonzero exactly for p in S."""
     return _nonzero_exactly(
-        (Meet(atom_term(v, p), kind_term(x, k)), k in ks)
+        (atom_term(names, p), p in patterns) for p in range(4 ** len(names))
+    )
+
+
+def phi(names, x: Term, kinds: dict[int, frozenset]) -> Formula:
+    """phi_K(names, x): for each pattern p of K and each kind k, the atom
+    term of p times the product of k is nonzero iff k is in K_p."""
+    return _nonzero_exactly(
+        (Meet(atom_term(names, p), kind_term(x, k)), k in ks)
         for p, ks in sorted(kinds.items())
         for k in KINDS
     )
@@ -408,36 +429,42 @@ _FIXED_KINDS = [ks for ks in _ANY_KINDS if _star(ks) == ks]
 
 def consistent_kinds(patterns: frozenset[int]) -> list[dict[int, frozenset]]:
     """Every consistent K over S: a fixed pattern takes a nonempty union of
-    {(0, 0)}, {(1, 1)} and {(1, 0), (0, 1)}, and the two-cycle any nonempty
-    K_1, with K_2 its star image."""
-    per_orbit = [[{p: ks} for ks in _FIXED_KINDS] for p in (0, 3) if p in patterns]
-    if 1 in patterns:
-        per_orbit.append([{1: ks, 2: _star(ks)} for ks in _ANY_KINDS])
+    {(0, 0)}, {(1, 1)} and {(1, 0), (0, 1)}, and a two-cycle {p, swap p},
+    p the lesser, any nonempty K_p, with K_swap(p) its star image.  Fixed
+    patterns come first, then two-cycles, each in ascending order."""
+    fixed = sorted(p for p in patterns if p == swap(p))
+    cycles = sorted(p for p in patterns if p < swap(p))
+    per_orbit = [[{p: ks} for ks in _FIXED_KINDS] for p in fixed]
+    per_orbit += [[{p: ks, swap(p): _star(ks)} for ks in _ANY_KINDS] for p in cycles]
     return [{p: ks for part in choice for p, ks in part.items()}
             for choice in itertools.product(*per_orbit)]
 
 
 def inconsistent_kinds(rng: random.Random, patterns: frozenset[int], n: int):
     """Up to n distinct inconsistent K over S, each a consistent one with one
-    orbit spoiled: a fixed pattern given only (1, 0), or a K_2 that is not
-    the star image of K_1."""
+    orbit spoiled: a fixed pattern given only (1, 0), or a K_swap(p) that is
+    not the star image of K_p."""
     found = {}
     consistent = consistent_kinds(patterns)
     for _ in range(n):
         kinds = dict(rng.choice(consistent))
-        p = rng.choice([p for p in (0, 1, 3) if p in patterns])
-        if p == 1:
-            kinds[2] = rng.choice([ks for ks in _ANY_KINDS if ks != _star(kinds[1])])
+        p = rng.choice(sorted(p for p in patterns if p <= swap(p)))
+        if p != swap(p):
+            kinds[swap(p)] = rng.choice([ks for ks in _ANY_KINDS if ks != _star(kinds[p])])
         else:
             kinds[p] = frozenset({(1, 0)})
         found[tuple(sorted(kinds.items()))] = kinds
     return list(found.values())
 
 
-def type_sentence(patterns: frozenset[int], kinds: dict[int, frozenset]) -> Formula:
-    """exists v. (delta_S(v) & exists x. phi_K(v, x))"""
-    v, x = Var("v"), Var("x")
-    return Exists("v", And(delta(v, patterns), Exists("x", phi(v, x, kinds))))
+def type_sentence(patterns: frozenset[int], kinds: dict[int, frozenset], names=("v",)) -> Formula:
+    """exists v. (delta_S(v) & exists x. phi_K(v, x)) over one name, and
+    exists v. exists w. (delta_S(v, w) & exists x. phi_K(v, w, x)) over two."""
+    terms = [Var(name) for name in names]
+    sentence = And(delta(terms, patterns), Exists("x", phi(terms, Var("x"), kinds)))
+    for name in reversed(names):
+        sentence = Exists(name, sentence)
+    return sentence
 
 
 def one_name_type_corpus(rng: random.Random, inconsistent_per_set: int = 60):
@@ -448,4 +475,23 @@ def one_name_type_corpus(rng: random.Random, inconsistent_per_set: int = 60):
     for s in PATTERN_SETS:
         wrong = inconsistent_kinds(rng, s, inconsistent_per_set)
         corpus += [(type_sentence(s, k), False) for k in wrong]
+    return corpus
+
+
+def two_name_type_corpus(rng: random.Random, two_orbit_sets: int, consistent_per_set: int,
+                         inconsistent_per_set: int):
+    """(sentence, expected) over the names v and w for every pattern set S
+    that is one swap-orbit (10 of them) and a seeded sample of
+    two_orbit_sets of the 45 that are two: per S, a seeded sample of
+    consistent_per_set consistent K, or all when there are no more (true),
+    then up to inconsistent_per_set seeded inconsistent K (false)."""
+    orbits = pattern_orbits(2)
+    pairs = [a | b for a, b in itertools.combinations(orbits, 2)]
+    corpus = []
+    for s in orbits + rng.sample(pairs, two_orbit_sets):
+        right = consistent_kinds(s)
+        right = rng.sample(right, min(consistent_per_set, len(right)))
+        corpus += [(type_sentence(s, k, ("v", "w")), True) for k in right]
+        wrong = inconsistent_kinds(rng, s, inconsistent_per_set)
+        corpus += [(type_sentence(s, k, ("v", "w")), False) for k in wrong]
     return corpus

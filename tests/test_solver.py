@@ -3,6 +3,7 @@ import hashlib
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,7 @@ from corpus import (
     random_refinement,
     refinements_into,
     round_witness,
+    two_name_type_corpus,
 )
 
 
@@ -522,6 +524,36 @@ def test_one_name_type_corpus_catches_a_dropped_witness(monkeypatch):
     assert next(_wrong_type_verdicts(one_name_type_corpus(random.Random(5))), None) is not None
 
 
+def _two_name_corpus():
+    return two_name_type_corpus(random.Random(5), two_orbit_sets=6, consistent_per_set=7,
+                                inconsistent_per_set=2)
+
+
+def test_sampled_two_name_types_are_realized_over_two():
+    """ROADMAP 5(a) for two names: exists v. exists w. (delta_S(v, w) &
+    exists x. phi_K(v, w, x)) is true for sampled consistent K and false
+    for sampled inconsistent K, over every pattern set S of one swap-orbit
+    and six seeded ones of two.  Every such S is realized, so the sentence
+    reaches each quantifier over the shape of S."""
+    corpus = _two_name_corpus()
+    # per one-orbit S all 7 K of a fixed pattern and 7 of a two-cycle's 15
+    assert sum(expected for _, expected in corpus) == (10 + 6) * 7
+    assert len(corpus) > 16 * 7 + 16
+    assert next(_wrong_type_verdicts(corpus), None) is None
+
+
+def test_two_name_type_corpus_catches_a_dropped_witness(monkeypatch):
+    """With v and w both 0 or 1, x ranges over the shape of 2, so a witness
+    source that drops its first row there loses the generic x."""
+    shape_witnesses = solver._shape_witnesses
+    monkeypatch.setattr(
+        solver,
+        "_shape_witnesses",
+        lambda sigma: shape_witnesses(sigma)[1:] if sigma == (1,) else shape_witnesses(sigma),
+    )
+    assert next(_wrong_type_verdicts(_two_name_corpus()), None) is not None
+
+
 def test_decide_depth_cap():
     f = parse_formula("exists x. (exists y. (exists z. (x . y . z = 0)))")
     with pytest.raises(CapExceeded):
@@ -568,6 +600,109 @@ def test_decide_caps_raise_before_anything_is_built(monkeypatch, caps, message):
     with pytest.raises(CapExceeded, match=message):
         decide(TWO, parse_formula("exists x. (x != x)"), caps=caps)
     assert solver._shape_witnesses.cache_info() == before
+
+
+_X_NEQ_X = "exists x. (x != x)"
+
+
+@pytest.mark.parametrize(
+    "run, cap, needed, limit, stage, message",
+    [
+        (lambda: decide(TWO, parse_formula(_X_NEQ_X), caps=Caps(0, 0, 0)),
+         "max_depth", 1, 0, None, "quantifier depth 0 exhausted"),
+        (lambda: decide(TWO, parse_formula(_X_NEQ_X), caps=Caps(0, 4, 6)),
+         "max_triples", 7, 6, None, "7 consistent triples over 1 atoms exceed the cap of 6"),
+        (lambda: decide(TWO, parse_formula(_X_NEQ_X), caps=Caps(1, 4, 7)),
+         "max_atoms", 4, 1, None, "witness extension needs 4 atoms, cap is 1"),
+        (lambda: build_chain(TWO, 2, Caps(max_atoms=64, max_depth=4, max_triples=1000)),
+         "max_triples", 15**4, 1000, 2,
+         "50625 consistent triples over 8 atoms exceed the cap of 1000 (stage 2)"),
+    ],
+    ids=["depth", "triples", "atoms", "chain"],
+)
+def test_cap_exceeded_names_the_cap_and_by_how_much(run, cap, needed, limit, stage, message):
+    """The Caps field that ran out, what was needed and the limit ride on the
+    error, through build_chain's re-raise too; the message is unchanged."""
+    with pytest.raises(CapExceeded) as e:
+        run()
+    assert (e.value.cap, e.value.needed, e.value.limit, e.value.stage) == (cap, needed, limit, stage)
+    assert str(e.value) == message
+
+
+def _rows_by_witness(sigma):
+    """The rows of the abstract witnesses over the shape sigma, in triple
+    order, read off the Witness objects: the slow route of the rows."""
+    alg = FiniteAlgebra(len(sigma), sigma)
+    return [(w.embedding.target, w.element.mask, w.embedding.cell_masks)
+            for w in map(witness_abstract, sigma_consistent_triples(alg))]
+
+
+def _rows_through_pairs(sigma):
+    """The rows _witness_pairs reads, recovered from its bindings: var is
+    x, and parameter a<k> lies over the shape's atom k alone."""
+    params = [(f"a{k}", [k]) for k in range(len(sigma))]
+    count = count_sigma_consistent(FiniteAlgebra(len(sigma), sigma))
+    return [(ext, env["x"], tuple(env[name] for name, _ in params))
+            for ext, env in solver._witness_pairs(sigma, count, "x", params)]
+
+
+def test_shape_rows_are_the_abstract_witnesses(monkeypatch):
+    """Over every shape of at most 3 atoms the kept rows, and the rows
+    streamed past _SHAPE_TRIPLES, are the abstract witnesses in order."""
+    sigmas = sorted({alg.sigma for alg in all_bases(3)})
+    assert len(sigmas) == 7
+    solver._shape_witnesses.cache_clear()
+    for sigma in sigmas:
+        want = _rows_by_witness(sigma)
+        assert list(solver._shape_witnesses(sigma)) == want
+        assert _rows_through_pairs(sigma) == want
+    monkeypatch.setattr(solver, "_SHAPE_TRIPLES", 0)
+    solver._shape_witnesses.cache_clear()
+    for sigma in sigmas:
+        assert _rows_through_pairs(sigma) == _rows_by_witness(sigma)
+    assert solver._shape_witnesses.cache_info().currsize == 0
+
+
+def test_a_quantifier_with_no_names_in_play_reads_no_blocks(monkeypatch):
+    """With no names in play the domain is the shape of 2, whatever the
+    algebra: no blocks are computed for it.  A quantifier with names in
+    play still computes its blocks."""
+    calls = []
+    blocks = solver.generated_blocks
+    monkeypatch.setattr(solver, "generated_blocks", lambda *a: calls.append(a) or blocks(*a))
+    for alg in (TWO, FOUR, FiniteAlgebra(3, (1, 3, 2))):
+        assert decide(alg, parse_formula("exists x. (x* = x & x != 0 & x != 1)"), caps=CAPS)
+        assert not decide(alg, parse_formula("forall x. (x + ~x = 1)"), caps=CAPS)
+    assert calls == []
+    assert decide(FOUR, parse_formula("exists x. (exists y. (y != x))"), caps=CAPS)
+    assert len(calls) == 1
+
+
+# rows tables of the largest shapes below _SHAPE_TRIPLES: 7 * 15^2 = 1,575
+# triples over one fixed atom and two two-cycles, eight fixed atoms in turn
+_LARGEST_SHAPES = [(1, 3, 2, 5, 4), (2, 1, 3, 5, 4), (2, 1, 4, 3, 5), (1, 4, 5, 2, 3),
+                   (3, 4, 1, 2, 5), (4, 3, 2, 1, 5), (1, 5, 4, 3, 2), (5, 3, 2, 4, 1)]
+
+
+def test_eight_largest_shape_tables_stay_under_their_bound():
+    """_SHAPE_TRIPLES keeps decide's one cache bounded: 8 rows tables of the
+    largest shapes it keeps hold under 9 MiB (7.7 MiB measured on Python
+    3.11, about 650 B a row; kept as Witness objects they held 9.4 MiB).
+    One table is built first, untraced, so one-off allocations of the first
+    build do not count."""
+    assert all(count_sigma_consistent(FiniteAlgebra(5, s)) == 1575 for s in _LARGEST_SHAPES)
+    assert 1575 <= solver._SHAPE_TRIPLES < 7**4
+    solver._shape_witnesses(_LARGEST_SHAPES[0])
+    solver._shape_witnesses.cache_clear()
+    tracemalloc.start()
+    try:
+        for sigma in _LARGEST_SHAPES:
+            solver._shape_witnesses(sigma)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        solver._shape_witnesses.cache_clear()
+    assert held < 9 * 2**20
 
 
 def test_shape_table_keeps_at_most_eight_shapes():
