@@ -490,7 +490,10 @@ def amalgamate(
     cells = tuple(zip(r1.cell_masks, r2.cell_masks))
     size = sum(c1.bit_count() * c2.bit_count() for c1, c2 in cells)
     if size > MAX_REALIZATION_ATOMS:
-        raise CapExceeded(f"the amalgam needs {size} atoms, cap is {MAX_REALIZATION_ATOMS}")
+        raise CapExceeded(
+            f"the amalgam needs {size} atoms, cap is {MAX_REALIZATION_ATOMS}",
+            cap="MAX_REALIZATION_ATOMS", needed=size, limit=MAX_REALIZATION_ATOMS,
+        )
     pairs = sorted(
         (q, r)
         for c1, c2 in cells

@@ -66,7 +66,8 @@ from .solver import (
     witness_abstract,
     witness_via_four_power,
 )
-from .terms import Var, format_ast, parse_formula, parse_term, translate_dm, valid_identity
+from .terms import _is_variable_name, format_ast, parse_formula, parse_term
+from .terms import translate_dm, valid_identity
 
 
 def _load_algebra(path: str):
@@ -115,14 +116,6 @@ def _cmd_witness(args):
     return 0, textio.witness_json(w) if args.json else textio.format_witness(w)
 
 
-def _is_variable(name: str) -> bool:
-    """Whether name parses as exactly one variable."""
-    try:
-        return parse_term(name) == Var(name)
-    except ParseError:
-        return False
-
-
 def _cmd_decide(args):
     alg = _load_algebra(args.algebra)
     f = parse_formula(args.formula)
@@ -132,7 +125,7 @@ def _cmd_decide(args):
         if not eq:
             raise ParseError(f"--let expects NAME=ELEMENT, got {binding!r}")
         name = name.strip()
-        if not _is_variable(name):
+        if not _is_variable_name(name):
             raise ParseError(f"--let {binding!r}: {name!r} is not a variable name")
         if name in env:
             raise ParseError(f"--let binds {name!r} twice")
@@ -241,7 +234,8 @@ def _cmd_oracle_witness(args):
         return 0, {"witness": textio.witness_json(w)} if args.json else textio.format_witness(w)
     if is_sigma_consistent(t):
         # a realizer exists, so the search ran out of atoms
-        raise CapExceeded(f"no witness found within {args.max_atoms} atoms")
+        raise CapExceeded(f"no witness found within {args.max_atoms} atoms",
+                          cap="max_atoms", limit=args.max_atoms)
     return 1, {"witness": None} if args.json else "absent\n"
 
 

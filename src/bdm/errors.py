@@ -19,9 +19,13 @@ class CapExceeded(BdmError):
     """A resource budget (atoms, quantifier depth, triple count) ran out.
 
     Distinct from a negative answer: the computation was abandoned, not
-    refuted.  Where a Caps field ran out, cap names it ("max_depth",
-    "max_triples" or "max_atoms"), needed is what the step asked for and
-    limit the field's value; elsewhere the three are None.  stage is the
+    refuted.  cap names what ran out: a Caps field ("max_depth",
+    "max_triples" or "max_atoms"), a module constant
+    ("MAX_REALIZATION_ATOMS", "MAX_SCAN_ATOMS" or "MAX_IDENTITY_VARIABLES"),
+    oracle witness's max_atoms option, or free_function_count's k.  limit
+    is its value and needed what the step asked for, or None where that is
+    too large to build (n*4^k realization atoms past the cap's bit length)
+    or unknown (a witness search that ran out of atoms).  stage is the
     chain stage whose construction ran out, if any.
     """
 

@@ -93,7 +93,8 @@ def element_type_scan(r: AtomRefinement) -> Iterator[tuple]:
     """
     target = r.target
     if target.n > MAX_SCAN_ATOMS:
-        raise CapExceeded(f"cannot scan 2^{target.n} elements")
+        raise CapExceeded(f"cannot scan 2^{target.n} elements",
+                          cap="MAX_SCAN_ATOMS", needed=target.n, limit=MAX_SCAN_ATOMS)
     b = min(target.n, 16)
     size = 1 << b
     ones = (1 << size) - 1
@@ -183,7 +184,8 @@ def brute_force_trivial(t: Triple) -> Optional[int]:
     atoms, CapExceeded is raised before any candidate is tried."""
     alg = t.algebra
     if alg.n > MAX_SCAN_ATOMS:
-        raise CapExceeded(f"cannot scan 2^{alg.n} atom sets")
+        raise CapExceeded(f"cannot scan 2^{alg.n} atom sets",
+                          cap="MAX_SCAN_ATOMS", needed=alg.n, limit=MAX_SCAN_ATOMS)
     full = alg.full_mask
     for cand in range(1 << alg.n):
         sigma_cand = alg.sigma_mask(cand)
@@ -205,7 +207,8 @@ def failing_assignment(t1: Term, t2: Term) -> Optional[dict[str, Element]]:
     itertools.product order, where t1 and t2 differ, or None.  Capped alike."""
     names = sorted(free_vars(Equal(t1, t2)))
     if len(names) > MAX_IDENTITY_VARIABLES:
-        raise CapExceeded(f"cannot try 4^{len(names)} assignments")
+        raise CapExceeded(f"cannot try 4^{len(names)} assignments", cap="MAX_IDENTITY_VARIABLES",
+                          needed=len(names), limit=MAX_IDENTITY_VARIABLES)
     for combo in itertools.product(range(1 << FOUR.n), repeat=len(names)):
         env = dict(zip(names, combo))
         if _mask(FOUR, t1, env) != _mask(FOUR, t2, env):
@@ -226,7 +229,7 @@ def free_function_count(k: int) -> int:
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > 2:
-        raise CapExceeded("free_function_count is capped at k = 2")
+        raise CapExceeded("free_function_count is capped at k = 2", cap="k", needed=k, limit=2)
     m, tables = 4**k, _low_tables(2 * k)
     ambient = four_power(m)
     projections = [

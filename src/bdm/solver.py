@@ -448,9 +448,11 @@ def realizations(
         raise TrivialTripleError(f"{t!r} has a unique realizer inside the base algebra")
     n, cap = t.algebra.n, MAX_REALIZATION_ATOMS
     # 4^k > cap once 2k reaches the cap's bit length, so 4^k is never built
-    if 2 * k >= cap.bit_length() or n << 2 * k > cap:
+    needed = None if 2 * k >= cap.bit_length() else n << 2 * k
+    if needed is None or needed > cap:
         raise CapExceeded(
-            f"{k} realizations over {n} atoms may need {n}*4^{k} atoms, cap is {cap}"
+            f"{k} realizations over {n} atoms may need {n}*4^{k} atoms, cap is {cap}",
+            cap="MAX_REALIZATION_ATOMS", needed=needed, limit=cap,
         )
     embedding, masks = _extension(t, k)
     ext = embedding.target
@@ -461,8 +463,9 @@ def realizations(
 # Decision procedure
 
 # Shapes with at most this many consistent triples keep their rows in
-# _shape_witnesses; at about 650 B a row (tracemalloc, Python 3.11) its 8
-# entries hold under 9 MiB, a bound tests/test_solver.py pins.
+# _shape_witnesses; rows share their extensions and cell tuples, so at about
+# 180 B a row (tracemalloc after a full collection, Python 3.11) its 8
+# entries hold 2.3 MB, under the 9 MiB bound tests/test_solver.py pins.
 _SHAPE_TRIPLES = 2048
 
 # A witness as decide's step reads it: (extension, mask of x, cell masks).
@@ -483,7 +486,10 @@ def _shape_witnesses(sigma: tuple[int, ...]) -> tuple[_Row, ...]:
     """The rows of every consistent triple over FiniteAlgebra(len(sigma),
     sigma), in triple order.  decide's one cache: only the shape of the
     subalgebra a quantifier ranges over matters."""
-    return tuple(_rows(sigma_consistent_triples(FiniteAlgebra(len(sigma), sigma))))
+    alg = FiniteAlgebra(len(sigma), sigma)
+    exts, cells = {}, {}  # one object per distinct extension and cell tuple
+    return tuple((exts.setdefault(e, e), x, cells.setdefault(c, c))
+                 for e, x, c in _rows(sigma_consistent_triples(alg)))
 
 
 def _witness_pairs(sigma, count, var, params) -> Iterator[tuple[FiniteAlgebra, dict[str, int]]]:

@@ -23,17 +23,22 @@ trees.  The node classes are final: evaluation, free_vars and the printer
 dispatch on a node's exact class, as equality does, so an instance of a
 subclass is not a node.
 
-Evaluation reads the tree once, without recursion (_scan: sorts, leaves,
-depth, free names and each quantifier's names in play).  A formula keeps
+Every reader of a tree starts with one read of it, without recursion
+(_scan), that walks each node by its _PRINT row, as the parser and the
+printer do, and answers every question asked of a tree: its sorts, leaves
+and depth, its free names, every name it holds, whether it avoids ' and *
+(in_dm_signature), and each quantifier's names in play.  The two
+evaluators, _mask and _holds, keep their own dispatch class by class; every
+other reader takes a node's children from its _PRINT row.  A formula keeps
 its read: _scan stores the sorted free names on the root and on each
 quantifier, whose free names are its names in play, so decide reads a
 sentence once, not once per call.  Evaluation then runs on atom masks:
 each subterm's value is an int, built with |, &, ^ full_mask and sigma_mask
-as in the table of the algebra module.  _holds interprets every
-formula, each quantifier over the domain its caller supplies (decide's
-witnesses).  Elements appear only at the public edge: eval_term, eval_formula
-and decide turn each binding into its mask once, and eval_term turns its one
-value back into an Element.
+as in the table of the algebra module.  _holds interprets every formula,
+each quantifier over the domain its caller supplies (decide's witnesses).
+Elements appear only at the public edge: eval_term, eval_formula and decide
+turn each binding into its mask once, and eval_term turns its one value back
+into an Element.
 """
 
 from __future__ import annotations
@@ -139,14 +144,18 @@ Ast = Union[Term, Formula]
 _MAX_AST_DEPTH = 500
 
 
-def _scan(root: Ast, formula: bool = True) -> tuple[set[str], bool]:
+def _scan(root: Ast, formula: bool = True) -> tuple[set[str], bool, set[str], bool]:
     """Read a tree once, without recursion, before anything evaluates it.
 
-    Raises TypeError where a node is not of the sort (term or formula) its
-    position asks for, where a Const is not the int 0 or 1, and where a name
-    is not a str that reads back as one variable; and ParseError, as the
-    parser does, when the tree has more than _MAX_AST_DEPTH levels.  Returns
-    the free names of root and whether the tree has a quantifier.
+    Each node is read by its _PRINT row (see _SORTS): a class without one,
+    or one whose own level lies on the other side of _SUM from the sort
+    (term or formula) its position asks for, is not of that sort, and the
+    row's fields are its children, each of the sort the row asks of it.
+    Raises TypeError there, where a Const is not the int 0 or 1, and where
+    a name is not a str that reads back as one variable; and ParseError, as
+    the parser does, when the tree has more than _MAX_AST_DEPTH levels.
+    Returns the free names of root, whether the tree has a quantifier,
+    every name it holds, free or bound, and whether it avoids ' and *.
 
     A read that succeeds is kept: the sorted free names are stored in the
     _read slot of a formula root and of each quantifier, where they are the
@@ -154,66 +163,51 @@ def _scan(root: Ast, formula: bool = True) -> tuple[set[str], bool]:
     read that raises stores nothing.  Nodes are immutable, so a set slot
     vouches for its whole subtree, itself no deeper than _MAX_AST_DEPTH.
     """
-    formulas = []  # formula nodes, each before its subformulas
+    formulas = []  # (node, children) per non-atomic formula, parents first
     free: dict[int, set[str]] = {}  # id of a formula node -> its free names
     top: set[str] = set()  # the free names of a term root
     read: set[str] = set()  # the names checked so far
+    dm = True
     stack = [(root, formula, 1, top)]
     while stack:
         node, is_formula, level, names = stack.pop()
         if level > _MAX_AST_DEPTH:
             raise ParseError("formula nested too deeply", 0)
         cls = node.__class__
+        row = _SORTS.get(cls)
+        if row is None or row[0] == is_formula:
+            raise TypeError(f"not a {'formula' if is_formula else 'term'}: {node!r}")
         level += 1
-        if not is_formula:
-            if cls is Var:
-                if node.name.__class__ is not str or node.name not in read:
-                    _read_name(node, node.name, read)
-                names.add(node.name)
-            elif cls is Join or cls is Meet:
-                stack.append((node.left, False, level, names))
-                stack.append((node.right, False, level, names))
-            elif cls is BNeg or cls is DMNeg or cls is Star:
-                stack.append((node.arg, False, level, names))
-            elif cls is not Const:
-                raise TypeError(f"not a term: {node!r}")
-            elif node.value.__class__ is not int or node.value not in (0, 1):
+        if cls is Var:
+            if node.name.__class__ is not str or node.name not in read:
+                _read_name(node, node.name, read)
+            names.add(node.name)
+        elif cls is Const:
+            if node.value.__class__ is not int or node.value not in (0, 1):
                 raise TypeError(f"not the constant 0 or 1: {node!r}")
-            continue
-        formulas.append(node)
-        if cls is Equal or cls is NotEqual:
+        elif cls is Equal or cls is NotEqual:
             names = free[id(node)] = set()
-            stack.append((node.left, False, level, names))
-            stack.append((node.right, False, level, names))
-        elif cls is And or cls is Or or cls is Implies:
-            stack.append((node.left, True, level, None))
-            stack.append((node.right, True, level, None))
-        elif cls is Not:
-            stack.append((node.arg, True, level, None))
-        elif cls is Exists or cls is ForAll:
-            if node.var.__class__ is not str or node.var not in read:
-                _read_name(node, node.var, read)
-            stack.append((node.body, True, level, None))
-        else:
-            raise TypeError(f"not a formula: {node!r}")
+        elif is_formula:
+            formulas.append((node, row[1]))
+            if cls is Exists or cls is ForAll:
+                if node.var.__class__ is not str or node.var not in read:
+                    _read_name(node, node.var, read)
+        elif cls is BNeg or cls is Star:
+            dm = False
+        for field, sort in row[1]:
+            stack.append((getattr(node, field), sort, level, names))
     quantified = False
-    for node in reversed(formulas):
-        cls = node.__class__
-        if cls is Equal or cls is NotEqual:
-            continue
-        if cls is Exists or cls is ForAll:
-            names = free[id(node.body)] - {node.var}
+    for node, children in reversed(formulas):
+        names = set().union(*[free[id(getattr(node, field))] for field, _ in children])
+        if node.__class__ is Exists or node.__class__ is ForAll:
+            names.discard(node.var)
             _set(node, "_read", tuple(sorted(names)))
             quantified = True
-        elif cls is Not:
-            names = free[id(node.arg)]
-        else:
-            names = free[id(node.left)] | free[id(node.right)]
         free[id(node)] = names
     if not formula:
-        return top, False
+        return top, False, read, dm
     _set(root, "_read", tuple(sorted(free[id(root)])))
-    return free[id(root)], quantified
+    return free[id(root)], quantified, read, dm
 
 
 def _free_names(f: Formula) -> tuple[str, ...]:
@@ -226,11 +220,16 @@ def _free_names(f: Formula) -> tuple[str, ...]:
     return read
 
 
+def _is_variable_name(name) -> bool:
+    """Whether name is a str the tokenizer reads as one variable: an ASCII
+    identifier, not a quantifier."""
+    return (name.__class__ is str and name.isascii() and name.isidentifier()
+            and name not in _BEFORE_OPERAND)
+
+
 def _read_name(node: Ast, name, read: set[str]) -> None:
-    """Add name to read; raise TypeError naming node unless name is a str the
-    tokenizer reads as one variable: an ASCII identifier, not a quantifier."""
-    ok = name.__class__ is str and name.isascii() and name.isidentifier()
-    if not ok or name in _BEFORE_OPERAND:
+    """Add name to read; raise TypeError naming node unless it is a variable name."""
+    if not _is_variable_name(name):
         raise TypeError(f"not a variable name: {node!r}")
     read.add(name)
 
@@ -239,32 +238,10 @@ def free_vars(f: Formula) -> frozenset[str]:
     return frozenset(_free_names(f))
 
 
-def _children(node: Ast) -> list[Ast]:
-    """The AST-valued fields of a node, in field order."""
-    return [v for v in node._fields() if isinstance(v, (Term, Formula))]
-
-
-def _nodes(ast: Ast):
-    """Every node of the tree, without recursion (order unspecified)."""
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(_children(node))
-
-
-def all_vars(f: Ast) -> frozenset[str]:
-    """Every variable name occurring in the tree, free or bound."""
-    return frozenset(
-        n.name if isinstance(n, Var) else n.var
-        for n in _nodes(f)
-        if isinstance(n, (Var, Exists, ForAll))
-    )
-
-
 def in_dm_signature(ast: Ast) -> bool:
-    """True when the term or formula avoids Boolean negation and star."""
-    return not any(isinstance(n, (BNeg, Star)) for n in _nodes(ast))
+    """True when the term or formula avoids Boolean negation and star.
+    Raises TypeError and ParseError as _scan does."""
+    return _scan(ast, not isinstance(ast, Term))[3]
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +271,13 @@ _PRINT = {
     # quantifiers are grammatical only at formula positions
     Exists: (_TOP, "exists %(var)s. (%(body)s)", {"body": _TOP}),
     ForAll: (_TOP, "forall %(var)s. (%(body)s)", {"body": _TOP}),
+}
+
+# class -> (whether it is a term, (field, whether it holds a formula) per
+# child): its _PRINT row as _scan reads it
+_SORTS = {
+    cls: (own >= _SUM, tuple((name, level < _SUM) for name, level in child_levels.items()))
+    for cls, (own, _, child_levels) in _PRINT.items()
 }
 
 # Operator symbols by where they stand; everything else about an operator is
@@ -546,13 +530,13 @@ def _holds(alg: FiniteAlgebra, f: Formula, env: Mapping[str, int], step=None) ->
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, env: Mapping[str, Element]) -> Element:
-    names, _ = _scan(t, False)
+    names = _scan(t, False)[0]
     return Element.from_mask(alg, _mask(alg, t, _masks(alg, names, env)))
 
 
 def eval_formula(alg: FiniteAlgebra, f: Formula, env: Mapping[str, Element]) -> bool:
     """Evaluate a quantifier-free formula pointwise, comparing masks."""
-    names, quantified = _scan(f)
+    names, quantified = _scan(f)[:2]
     if quantified:
         raise ValueError("quantified formulas need the decision procedure")
     return _holds(alg, f, _masks(alg, names, env))
@@ -620,13 +604,16 @@ def valid_identity(t1: Term, t2: Term, signature: str = "bdm") -> IdentityCheck:
     before any table is built.
     """
     _check_signature(signature)
-    if signature == "dm" and not (in_dm_signature(t1) and in_dm_signature(t2)):
+    names1, _, _, dm1 = _scan(t1, False)
+    names2, _, _, dm2 = _scan(t2, False)
+    if signature == "dm" and not (dm1 and dm2):
         raise ValueError("terms use operations outside the dm signature")
-    names = sorted(_scan(t1, False)[0] | _scan(t2, False)[0])
+    names = sorted(names1 | names2)
     k = len(names)
     if k > MAX_IDENTITY_VARIABLES:
         raise CapExceeded(
-            f"{k} variables need 4^{k} assignments, cap is {MAX_IDENTITY_VARIABLES} variables"
+            f"{k} variables need 4^{k} assignments, cap is {MAX_IDENTITY_VARIABLES} variables",
+            cap="MAX_IDENTITY_VARIABLES", needed=k, limit=MAX_IDENTITY_VARIABLES,
         )
     tables = _low_tables(2 * k)
     free = _Free(tables)
@@ -644,7 +631,7 @@ def valid_identity(t1: Term, t2: Term, signature: str = "bdm") -> IdentityCheck:
 # ---------------------------------------------------------------------------
 # Signature translation
 
-def _fresh_names(avoid: frozenset[str]):
+def _fresh_names(avoid: set[str]):
     if "z" not in avoid:
         yield "z"
     for i in itertools.count(1):
@@ -716,7 +703,6 @@ def translate_dm(f: Formula, to: str = "bdm") -> Formula:
         return f
     if to != "dm":
         raise ValueError("translation target must be 'dm' or 'bdm'")
-    _scan(f)
-    g = _to_dm(f, _fresh_names(all_vars(f)))
+    g = _to_dm(f, _fresh_names(_scan(f)[2]))
     _scan(g)
     return g

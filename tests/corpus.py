@@ -344,6 +344,66 @@ def random_formula(rng: random.Random, names: list[str], signature: str = "bdm")
 
 
 # ---------------------------------------------------------------------------
+# A reference read: the slow route beside terms._scan
+
+def reference_read(root, formula: bool = True):
+    """Read a tree by plain recursion, one case per node class: (free names
+    of root, whether it has a quantifier, every name it holds, whether it
+    avoids ' and *, the names in play of each quantifier in pre-order).
+    Raises TypeError with terms._scan's message where a node is not of its
+    position's sort, a Const is not the int 0 or 1 or a name is not an
+    ASCII identifier other than exists and forall.  One frame per level,
+    so it reads only shallow trees, and it checks no depth."""
+    names: set[str] = set()
+    in_play: list[tuple[str, ...]] = []
+    seen = {"quantified": False, "dm": True}
+
+    def read_name(node, n):
+        ok = type(n) is str and n.isascii() and n.isidentifier()
+        if not ok or n in ("exists", "forall"):
+            raise TypeError(f"not a variable name: {node!r}")
+        names.add(n)
+        return n
+
+    def read_term(t) -> set[str]:
+        cls = type(t)
+        if cls is Var:
+            return {read_name(t, t.name)}
+        if cls is Const:
+            if type(t.value) is not int or t.value not in (0, 1):
+                raise TypeError(f"not the constant 0 or 1: {t!r}")
+            return set()
+        if cls is Join or cls is Meet:
+            return read_term(t.left) | read_term(t.right)
+        if cls is BNeg or cls is Star:
+            seen["dm"] = False
+            return read_term(t.arg)
+        if cls is DMNeg:
+            return read_term(t.arg)
+        raise TypeError(f"not a term: {t!r}")
+
+    def read_formula(f) -> set[str]:
+        cls = type(f)
+        if cls is Equal or cls is NotEqual:
+            return read_term(f.left) | read_term(f.right)
+        if cls is And or cls is Or or cls is Implies:
+            return read_formula(f.left) | read_formula(f.right)
+        if cls is Not:
+            return read_formula(f.arg)
+        if cls is Exists or cls is ForAll:
+            seen["quantified"] = True
+            var = read_name(f, f.var)
+            k = len(in_play)
+            in_play.append(())
+            in_play[k] = tuple(sorted(read_formula(f.body) - {var}))
+            return set(in_play[k])
+        raise TypeError(f"not a formula: {f!r}")
+
+    free = read_formula(root) if formula else read_term(root)
+    return free, seen["quantified"], names, seen["dm"], in_play
+
+
+# ---------------------------------------------------------------------------
 # Type sentences over one or two names: the axioms of the model completion
 #
 # The pattern of an atom a over names v_1..v_k is 2k bits: bit 2j-2 says

@@ -1,4 +1,6 @@
+import argparse
 import copy
+import gc
 import hashlib
 import random
 import sys
@@ -23,7 +25,16 @@ from bdm.algebra import (
 from bdm import algebra, cli, solver, terms
 from bdm.errors import CapExceeded, InconsistentTripleError, ParseError, TrivialTripleError
 from bdm.model import build_chain
-from bdm.oracle import all_realizations_in, phi_environment, phi_formula
+from bdm.oracle import (
+    MAX_SCAN_ATOMS,
+    all_realizations_in,
+    brute_force_trivial,
+    element_type_scan,
+    failing_assignment,
+    free_function_count,
+    phi_environment,
+    phi_formula,
+)
 from bdm.solver import (
     CASE1_ENTRIES,
     MAX_REALIZATION_ATOMS,
@@ -629,6 +640,62 @@ def test_cap_exceeded_names_the_cap_and_by_how_much(run, cap, needed, limit, sta
     assert str(e.value) == message
 
 
+def _discrete(n):
+    return FiniteAlgebra(n, range(1, n + 1))
+
+
+def _onto(n):
+    """The refinement of 2 onto the discrete algebra of n atoms."""
+    return algebra.AtomRefinement.from_masks(TWO, _discrete(n), ((1 << n) - 1,))
+
+
+def _oracle_witness(tmp_path):
+    """`bdm oracle witness` on a consistent triple its tower cannot reach."""
+    path = tmp_path / "three.alg"
+    path.write_text("atoms 3\nsigma 1 3 2\n")
+    args = argparse.Namespace(algebra=str(path), triple="I1={} I2={} I3={}",
+                              max_atoms=16, json=False)
+    return cli._cmd_oracle_witness(args)
+
+
+_ELEVEN = terms.parse_term(" + ".join(f"v{i}" for i in range(11)))
+_BIG = _discrete(MAX_SCAN_ATOMS + 1)
+
+
+@pytest.mark.parametrize(
+    "run, cap, needed, limit, message",
+    [
+        (lambda _: amalgamate(_onto(257), _onto(256)), "MAX_REALIZATION_ATOMS", 65792, 1 << 16,
+         "the amalgam needs 65792 atoms, cap is 65536"),
+        (lambda _: realizations(T(_discrete(3), (), (), ()), 8), "MAX_REALIZATION_ATOMS",
+         3 * 4**8, 1 << 16, "8 realizations over 3 atoms may need 3*4^8 atoms, cap is 65536"),
+        (lambda _: realizations(T(_discrete(1), (), (), ()), 10**9), "MAX_REALIZATION_ATOMS",
+         None, 1 << 16,
+         "1000000000 realizations over 1 atoms may need 1*4^1000000000 atoms, cap is 65536"),
+        (lambda _: terms.valid_identity(_ELEVEN, _ELEVEN), "MAX_IDENTITY_VARIABLES", 11, 10,
+         "11 variables need 4^11 assignments, cap is 10 variables"),
+        (lambda _: next(element_type_scan(identity_refinement(_BIG))), "MAX_SCAN_ATOMS",
+         27, 26, "cannot scan 2^27 elements"),
+        (lambda _: brute_force_trivial(T(_BIG, (), (), ())), "MAX_SCAN_ATOMS", 27, 26,
+         "cannot scan 2^27 atom sets"),
+        (lambda _: failing_assignment(_ELEVEN, _ELEVEN), "MAX_IDENTITY_VARIABLES", 11, 10,
+         "cannot try 4^11 assignments"),
+        (lambda _: free_function_count(3), "k", 3, 2, "free_function_count is capped at k = 2"),
+        (_oracle_witness, "max_atoms", None, 16, "no witness found within 16 atoms"),
+    ],
+    ids=["amalgamate", "realizations", "realizations-huge", "valid_identity",
+         "element_type_scan", "brute_force_trivial", "failing_assignment",
+         "free_function_count", "oracle-witness"],
+)
+def test_cap_exceeded_names_the_cap_outside_caps(tmp_path, run, cap, needed, limit, message):
+    """Where no Caps field ran out, the error names the module constant,
+    option or argument that did; its message is unchanged."""
+    with pytest.raises(CapExceeded) as e:
+        run(tmp_path)
+    assert (e.value.cap, e.value.needed, e.value.limit, e.value.stage) == (cap, needed, limit, None)
+    assert str(e.value) == message
+
+
 def _rows_by_witness(sigma):
     """The rows of the abstract witnesses over the shape sigma, in triple
     order, read off the Witness objects: the slow route of the rows."""
@@ -686,14 +753,17 @@ _LARGEST_SHAPES = [(1, 3, 2, 5, 4), (2, 1, 3, 5, 4), (2, 1, 4, 3, 5), (1, 4, 5, 
 
 def test_eight_largest_shape_tables_stay_under_their_bound():
     """_SHAPE_TRIPLES keeps decide's one cache bounded: 8 rows tables of the
-    largest shapes it keeps hold under 9 MiB (7.7 MiB measured on Python
-    3.11, about 650 B a row; kept as Witness objects they held 9.4 MiB).
-    One table is built first, untraced, so one-off allocations of the first
-    build do not count."""
+    largest shapes it keeps hold under 9 MiB (2.3 MB measured on Python
+    3.11, about 180 B a row, with rows sharing their extensions and cell
+    tuples; 9.56 MB without that sharing).  One table is built first,
+    untraced, so one-off allocations of the first build do not count, and
+    a full collection empties the free lists before the window opens, so
+    every object made in it is traced."""
     assert all(count_sigma_consistent(FiniteAlgebra(5, s)) == 1575 for s in _LARGEST_SHAPES)
     assert 1575 <= solver._SHAPE_TRIPLES < 7**4
     solver._shape_witnesses(_LARGEST_SHAPES[0])
     solver._shape_witnesses.cache_clear()
+    gc.collect()
     tracemalloc.start()
     try:
         for sigma in _LARGEST_SHAPES:

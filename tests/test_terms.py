@@ -1,8 +1,10 @@
 import copy
 import hashlib
+import inspect
 import pickle
 import random
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from bdm.terms import (
     Equal,
     Exists,
     ForAll,
+    Implies,
     Join,
     Meet,
     Not,
@@ -41,7 +44,7 @@ from bdm.terms import (
     valid_identity,
 )
 
-from corpus import all_bases, elements, random_formula, random_term
+from corpus import all_bases, elements, random_formula, random_term, reference_read
 
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -595,3 +598,126 @@ def test_parse_deep_nesting_raises_parse_error():
         parse_formula("(" * 3000 + "x = x" + ")" * 3000)
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_term("~" * 5000 + "x")
+
+
+# ---------------------------------------------------------------------------
+# The read against a plain recursive reader (corpus.reference_read)
+
+def _wrap(node, ops):
+    for op in ops:
+        node = op(node)
+    return node
+
+
+# terms and formulas over three names, up to about 25 levels: binary nodes
+# over few leaves, each level under runs of up to 6 unary nodes
+_NAMES = st.sampled_from(["x", "y", "z"])
+_TERM_OPS = st.lists(st.sampled_from([DMNeg, BNeg, Star]), min_size=1, max_size=6)
+_TERMS = st.recursive(
+    st.builds(Var, _NAMES) | st.sampled_from([Const(0), Const(1)]),
+    lambda t: st.builds(Join, t, t) | st.builds(Meet, t, t) | st.builds(_wrap, t, _TERM_OPS),
+    max_leaves=6,
+)
+_FORMULA_OPS = st.lists(
+    st.just(Not) | st.builds(partial, st.sampled_from([Exists, ForAll]), _NAMES),
+    min_size=1, max_size=6,
+)
+_FORMULAS = st.recursive(
+    st.builds(Equal, _TERMS, _TERMS) | st.builds(NotEqual, _TERMS, _TERMS),
+    lambda f: (st.builds(And, f, f) | st.builds(Or, f, f) | st.builds(Implies, f, f)
+               | st.builds(_wrap, f, _FORMULA_OPS)),
+    max_leaves=4,
+)
+
+
+def _nodes_in_preorder(root) -> list:
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, (terms.Term, terms.Formula)):
+            stack.extend(reversed([v for v in node._fields() if isinstance(v, terms.Value)]))
+    return out
+
+
+def _quantifiers(root) -> list:
+    return [n for n in _nodes_in_preorder(root) if isinstance(n, (Exists, ForAll))]
+
+
+def _assert_reads_alike(scan, root, formula=True):
+    """scan reads root as reference_read does: the same answers and the
+    same names stored on the root and on each quantifier, or the same
+    TypeError and nothing stored."""
+    try:
+        free, quantified, names, dm, in_play = reference_read(root, formula)
+    except TypeError as e:
+        with pytest.raises(TypeError) as got:
+            scan(root, formula)
+        assert type(got.value) is TypeError and str(got.value) == str(e)
+        assert all(getattr(q, "_read", None) is None for q in _quantifiers(root))
+        return
+    assert scan(root, formula) == (free, quantified, names, dm)
+    assert [q._read for q in _quantifiers(root)] == in_play
+    if formula:
+        assert root._read == tuple(sorted(free))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FORMULAS)
+def test_read_matches_the_reference_read_on_formulas(f):
+    _assert_reads_alike(terms._scan, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS)
+def test_read_matches_the_reference_read_on_terms(t):
+    _assert_reads_alike(terms._scan, t, False)
+
+
+def _replace(node, old, new):
+    """node with every occurrence of the node old replaced by new."""
+    if node is old:
+        return new
+    if not isinstance(node, (terms.Term, terms.Formula)):
+        return node
+    return type(node)(*(_replace(v, old, new) for v in node._fields()))
+
+
+_TERM_PLANTS = [Equal(x, x), Const(2), Var(3), Var("exists"), None]
+_FORMULA_PLANTS = [x, None, ForAll("forall", Equal(x, x))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FORMULAS, st.data())
+def test_read_rejects_a_planted_node_as_the_reference_read_does(f, data):
+    nodes = _nodes_in_preorder(f)
+    at_term = data.draw(st.booleans())
+    sites = [n for n in nodes if isinstance(n, terms.Term) == at_term]
+    old = data.draw(st.sampled_from(sites))
+    new = data.draw(st.sampled_from(_TERM_PLANTS if at_term else _FORMULA_PLANTS))
+    _assert_reads_alike(terms._scan, _replace(f, old, new))
+
+
+def _read_keeping_the_bound_variable():
+    """terms._scan with one line planted: a quantifier's stored names keep
+    its own variable."""
+    source = inspect.getsource(terms._scan)
+    assert source.count("names.discard(node.var)") == 1
+    namespace = dict(vars(terms))
+    exec(source.replace("names.discard(node.var)", "pass"), namespace)
+    return namespace["_scan"]
+
+
+def test_reference_read_catches_a_read_that_keeps_the_bound_variable():
+    rng = random.Random(20261022)
+    corpus = [random_formula(rng, ["x", "y"]) for _ in range(50)]
+    for f in copy.deepcopy(corpus):
+        _assert_reads_alike(terms._scan, f)
+    planted = _read_keeping_the_bound_variable()
+    caught = 0
+    for f in corpus:
+        try:
+            _assert_reads_alike(planted, f)
+        except AssertionError:
+            caught += 1
+    assert caught > 0
